@@ -23,9 +23,6 @@ from .charsums import (
     gauss_sum_brute,
     legendre,
     legendre_table,
-    legendre_table_cached,
-    load_table,
-    save_table,
 )
 from .cocycle import (
     CocycleContext,
@@ -53,7 +50,6 @@ from .diagnostics import (
 )
 from .errors import (
     BudgetError,
-    CacheError,
     ConfigError,
     InternalConsistencyError,
     MorsespecError,
@@ -100,7 +96,6 @@ from .spectral import (
     sbh_verdict,
     spectral_coefficient,
     spectral_coefficient_from_density,
-    spectral_coefficients_cached,
     tail_density_bound,
     tail_partial_product,
 )

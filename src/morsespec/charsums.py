@@ -21,22 +21,23 @@ coefficient of the density |P|^2 on the cyclic group, which provides an
 independent floating-point route to the same number.
 
 The core routines accept any sign table (entries +/-1, entry 0 fixed to
-+1); the prime-keyed wrappers specialise to the Legendre table.
++1); the prime-keyed wrappers specialise to the Legendre table.  Each
+table is the single precomputation layer for its prime: the sign array,
+P, |P|^2, the Fourier transform of |P|^2 and the exact autocorrelation
+numerators are derived at most once, on first use, and live on the table
+itself.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import re
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CacheError, ConfigError, InternalConsistencyError
+from .errors import ConfigError, InternalConsistencyError
 from .odometer import is_prime
 
 # FFT round-off on the table sizes used here stays far below this.
@@ -62,6 +63,10 @@ class LegendreTable:
 
     prime: int
     values: tuple[int, ...]
+    # exact autocorrelation numerators, filled per shift j on demand
+    _numerators: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         p = self.prime
@@ -72,13 +77,38 @@ class LegendreTable:
         if any(v not in (-1, 1) for v in self.values):
             raise ConfigError("table entries must be +1 or -1")
 
+    # int64, not int8: np.dot accumulates in the operands' dtype
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        return np.array(self.values, dtype=np.int64)
+
+    @cached_property
+    def _polynomial(self) -> np.ndarray:
+        # np.fft.fft applies exp(-2 pi i k x / p), the sign convention above
+        return np.fft.fft(self._signs.astype(np.complex128)) / math.sqrt(self.prime)
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        vals = self._polynomial
+        return (vals * vals.conj()).real
+
+    @cached_property
+    def _density_fourier(self) -> np.ndarray:
+        # ifft carries the +2 pi i kernel and the 1/p normalisation
+        return np.fft.ifft(self._density)
+
 
 @lru_cache(maxsize=None)
 def legendre_table(p: int) -> LegendreTable:
+    """The Legendre sign table: +1 on the nonzero squares mod p and at 0,
+    -1 elsewhere (Euler's criterion, as in legendre, is the reference)."""
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
-    values = (1,) + tuple(legendre(k, p) for k in range(1, p))
-    return LegendreTable(prime=p, values=values)
+    k = np.arange(1, p, dtype=np.int64)
+    signs = np.full(p, -1, dtype=np.int64)
+    signs[(k * k) % p] = 1
+    signs[0] = 1
+    return LegendreTable(prime=p, values=tuple(signs.tolist()))
 
 
 def gauss_sum(p: int, x: int) -> complex:
@@ -109,32 +139,24 @@ def gauss_sum_all(p: int) -> np.ndarray:
     return np.fft.fft(counts.astype(np.complex128))
 
 
-@lru_cache(maxsize=None)
-def _sign_array(table: LegendreTable) -> np.ndarray:
-    return np.array(table.values, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
 def table_polynomial_values(table: LegendreTable) -> np.ndarray:
-    """P(x) for all x at once.  np.fft.fft applies exp(-2 pi i k x / p),
-    matching the sign convention fixed above."""
-    signs = _sign_array(table).astype(np.complex128)
-    return np.fft.fft(signs) / math.sqrt(table.prime)
+    """P(x) for all x at once."""
+    return table._polynomial
 
 
-@lru_cache(maxsize=None)
 def table_density(table: LegendreTable) -> np.ndarray:
     """|P(x)|^2 for all x; averages to exactly 1."""
-    vals = table_polynomial_values(table)
-    return (vals * vals.conj()).real
+    return table._density
 
 
-@lru_cache(maxsize=None)
 def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
     """p * c(j) as an exact integer: sum_x eps(x) eps(x + j)."""
     j %= table.prime
-    signs = _sign_array(table)
-    return int(np.dot(signs, np.roll(signs, -j)))
+    memo = table._numerators
+    if j not in memo:
+        signs = table._signs
+        memo[j] = int(np.dot(signs, np.roll(signs, -j)))
+    return memo[j]
 
 
 def table_autocorrelation(table: LegendreTable, j: int) -> Fraction:
@@ -145,18 +167,12 @@ def table_autocorrelation(table: LegendreTable, j: int) -> Fraction:
     return Fraction(autocorrelation_numerator(table, j), table.prime)
 
 
-@lru_cache(maxsize=None)
-def _density_fourier_all(table: LegendreTable) -> np.ndarray:
-    # ifft carries the +2 pi i kernel and the 1/p normalisation
-    return np.fft.ifft(table_density(table))
-
-
 def table_density_fourier(table: LegendreTable, j: int) -> float:
     """j-th Fourier coefficient (1/p) sum_x |P(x)|^2 exp(+2 pi i j x / p).
 
     The value is real and must agree with table_autocorrelation(table, j)
     up to round-off; the two routes share no code past the table."""
-    val = complex(_density_fourier_all(table)[j % table.prime])
+    val = complex(table._density_fourier[j % table.prime])
     if abs(val.imag) > _NUMERIC_TOL:
         raise InternalConsistencyError(
             f"density Fourier coefficient not real at p={table.prime}, j={j}: {val}"
@@ -222,58 +238,3 @@ def flatness_report(p: int) -> FlatnessReport:
         delta_sign="one" if p % 4 == 1 else "imaginary-unit",
     )
 
-
-# ---------------------------------------------------------------------------
-# disk cache: one flat text file per prime, entries "+1" / "-1", line k
-# holding the sign at k
-
-_CACHE_LINE = re.compile(r"^[+-]1$")
-
-
-def _cache_path(cache_dir: str, p: int) -> str:
-    return os.path.join(cache_dir, f"legendre-{p}.txt")
-
-
-def save_table(table: LegendreTable, cache_dir: str) -> str:
-    """Write a sign table atomically (temp file + rename)."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, table.prime)
-    text = "\n".join("+1" if v == 1 else "-1" for v in table.values) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".legendre-{table.prime}-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-def load_table(p: int, cache_dir: str) -> LegendreTable | None:
-    """Read a cached sign table; None if absent, CacheError if malformed."""
-    path = _cache_path(cache_dir, p)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        lines = fh.read().split()
-    if len(lines) != p:
-        raise CacheError(f"{path}: expected {p} entries, found {len(lines)}")
-    if any(not _CACHE_LINE.match(line) for line in lines):
-        raise CacheError(f"{path}: entries must be '+1' or '-1'")
-    values = tuple(1 if line == "+1" else -1 for line in lines)
-    if values[0] != 1:
-        raise CacheError(f"{path}: entry at 0 must be +1")
-    return LegendreTable(prime=p, values=values)
-
-
-def legendre_table_cached(p: int, cache_dir: str | None) -> LegendreTable:
-    """Cache-through table lookup: hit, else compute and persist."""
-    if cache_dir is None:
-        return legendre_table(p)
-    cached = load_table(p, cache_dir)
-    if cached is not None:
-        return cached
-    table = legendre_table(p)
-    save_table(table, cache_dir)
-    return table

@@ -25,7 +25,7 @@ from .charsums import (
 )
 from .cocycle import CocycleContext, build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
-from .errors import BudgetError, CacheError, ConfigError, InternalConsistencyError
+from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (
     EXPERIMENTAL,
     THEOREM_GRADE,
@@ -45,11 +45,10 @@ from .reporting import (
     write_atomic,
 )
 from .spectral import (
-    density_certificate,
     sbh_adversarial_search,
     sbh_verdict,
+    spectral_coefficient,
     spectral_coefficient_from_density,
-    spectral_coefficients_cached,
 )
 
 EXIT_OK = 0
@@ -79,7 +78,6 @@ class RunConfig:
     assume_tail_rule: bool = False
     tolerance_numeric: float = 1e-12
     tolerance_transcendental: float = 1e-9
-    cache_dir: str | None = None
     format: str = "json"
     out: str | None = None
     histogram_out: str | None = None
@@ -122,7 +120,6 @@ _FIELD_PARSERS = {
     "assume_tail_rule": _parse_bool,
     "tolerance_numeric": float,
     "tolerance_transcendental": float,
-    "cache_dir": str,
     "format": str,
     "out": str,
     "histogram_out": str,
@@ -212,7 +209,6 @@ def _config_echo(rc: RunConfig, cfg: GroupConfig | None) -> dict:
         "assume_tail_rule": rc.assume_tail_rule,
         "tolerance_numeric": rc.tolerance_numeric,
         "tolerance_transcendental": rc.tolerance_transcendental,
-        "cache_dir": rc.cache_dir,
         "format": rc.format,
         "pmax": rc.pmax,
     }
@@ -237,7 +233,7 @@ def _vector(g: GroupElement, cfg: GroupConfig) -> list[int]:
 def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Flatness scan per prime, density certificate, final verdict."""
     cfg = resolve_group_config(rc)
-    ctx = build_context(cfg, rc.cache_dir)
+    ctx = build_context(cfg)
     flatness = []
     for p in cfg.primes:
         rep = flatness_report(p)
@@ -252,12 +248,10 @@ def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
                 "op": "flatness_report",
             }
         )
-    cert = density_certificate(
-        ctx, split_level=rc.split_level, assume_tail_rule=rc.assume_tail_rule
-    )
     verdict = sbh_verdict(
         ctx, split_level=rc.split_level, assume_tail_rule=rc.assume_tail_rule
     )
+    cert = verdict.certificate
     results = {
         "flatness": flatness,
         "certificate": {
@@ -315,19 +309,19 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Exact and density-route coefficient table with the max discrepancy;
     disagreement beyond tolerance is an internal-consistency failure."""
     cfg = resolve_group_config(rc)
-    ctx = build_context(cfg, rc.cache_dir)
+    ctx = build_context(cfg)
     elements = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
-    exact = spectral_coefficients_cached(elements, ctx, rc.cache_dir)
     rows = []
     max_discrepancy = 0.0
-    for coeff in exact:
-        numeric = spectral_coefficient_from_density(coeff.element, ctx)
-        discrepancy = abs(float(coeff.value) - numeric)
+    for g in elements:
+        exact = spectral_coefficient(g, ctx).value
+        numeric = spectral_coefficient_from_density(g, ctx)
+        discrepancy = abs(float(exact) - numeric)
         max_discrepancy = max(max_discrepancy, discrepancy)
         rows.append(
             {
-                "element": _vector(coeff.element, cfg),
-                "rational": coeff.value,
+                "element": _vector(g, cfg),
+                "rational": exact,
                 "numeric": numeric,
                 "discrepancy": discrepancy,
             }
@@ -347,7 +341,7 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_names(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Name separation scan at the requested stage plus the ball bound."""
     cfg = resolve_group_config(rc)
-    ctx = build_context(cfg, rc.cache_dir)
+    ctx = build_context(cfg)
     n = rc.level if rc.level is not None else cfg.level
     if n > cfg.level:
         raise UsageError(f"level {n} exceeds the {cfg.level} configured primes")
@@ -387,7 +381,7 @@ def cmd_names(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Adversarial quadratic-form search, best probe per subset size."""
     cfg = resolve_group_config(rc)
-    ctx = build_context(cfg, rc.cache_dir)
+    ctx = build_context(cfg)
     n = rc.level if rc.level is not None else 1
     if n > cfg.level:
         raise UsageError(f"level {n} exceeds the {cfg.level} configured primes")
@@ -511,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="search seed")
     common.add_argument("--budget", type=int, help="probe budget for searches")
     common.add_argument("--restarts", type=int, help="local-search restarts")
-    common.add_argument("--cache-dir", dest="cache_dir", help="directory for sign-table and coefficient caches")
     common.add_argument("--format", choices=("json", "csv"), help="report format")
     common.add_argument("--epsilon", type=_parse_epsilon, help="ball radius (rational, e.g. 1/20)")
     common.add_argument("--split-level", dest="split_level", type=int, help="certificate split point")
@@ -562,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CacheError, InternalConsistencyError) as exc:
+    except InternalConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .charsums import LegendreTable, legendre_table_cached
+from .charsums import LegendreTable, legendre_table
 from .errors import ConfigError
 from .odometer import (
     GroupConfig,
@@ -56,9 +56,9 @@ class CocycleContext:
                 raise ConfigError(f"table for prime {table.prime} placed at prime {p}")
 
 
-def build_context(cfg: GroupConfig, cache_dir: str | None = None) -> CocycleContext:
-    """Assemble the per-prime sign tables, through the disk cache if given."""
-    tables = tuple(legendre_table_cached(p, cache_dir) for p in cfg.primes)
+def build_context(cfg: GroupConfig) -> CocycleContext:
+    """Assemble the per-prime sign tables."""
+    tables = tuple(legendre_table(p) for p in cfg.primes)
     return CocycleContext(cfg=cfg, tables=tables)
 
 

@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 The split matters for the command line tool: configuration mistakes and
-cache corruption map to a hard-failure exit code, while internal
-consistency violations indicate a bug in this package and should never
-be swallowed.
+exceeded budgets map to the usage exit code, while internal consistency
+violations indicate a bug in this package and should never be swallowed.
 """
 
 
@@ -17,10 +16,6 @@ class ConfigError(MorsespecError):
 
 class BudgetError(MorsespecError):
     """An exact enumeration was requested that exceeds its stated budget."""
-
-
-class CacheError(MorsespecError):
-    """A cache entry exists but fails structural validation."""
 
 
 class InternalConsistencyError(MorsespecError):

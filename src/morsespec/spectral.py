@@ -28,12 +28,9 @@ produce lower bounds for the sup, never refute the certificate.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-import os
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,16 +44,14 @@ from .charsums import (
     table_density_fourier,
 )
 from .cocycle import CocycleContext
-from .errors import BudgetError, CacheError, ConfigError, InternalConsistencyError
+from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (
     THEOREM_GRADE,
-    GroupConfig,
     GroupElement,
     growth_floor,
     level_group_order,
     sub,
 )
-from .reporting import write_atomic
 
 
 @dataclass(frozen=True)
@@ -525,86 +520,18 @@ def sbh_verdict(
         reasons = (
             f"mode {ctx.cfg.mode!r} fixes no growth rule past the configured primes, so the tail is unbounded here",
         )
+    assumptions = _ASSUMPTIONS
+    if cert.tail_bound is not None and ctx.cfg.mode != THEOREM_GRADE:
+        assumptions += (
+            f"the growth floor p_n >= 5^(2(n+1)) holds for every coordinate n >= "
+            f"{cert.split_level} (asserted by assume_tail_rule; checked only against "
+            "the configured primes)",
+        )
     return SbhVerdict(
         certificate=cert,
         verdict=verdict,
         reasons=reasons,
-        assumptions=_ASSUMPTIONS,
+        assumptions=assumptions,
         cited=_CITED,
     )
 
-
-# ---------------------------------------------------------------------------
-# disk cache for exact coefficients: one text file per prime list, lines
-# "<support> <numerator>/<denominator>" with support "i:r,i:r" ("id" for
-# the identity), keyed by a digest of the prime list
-
-_COEFF_LINE = re.compile(r"^(id|\d+:\d+(?:,\d+:\d+)*) (-?\d+)/(\d+)$")
-
-
-def _primes_digest(cfg: GroupConfig) -> str:
-    blob = ",".join(str(p) for p in cfg.primes).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _coeff_cache_path(cache_dir: str, cfg: GroupConfig) -> str:
-    return os.path.join(cache_dir, f"coeffs-{_primes_digest(cfg)}.txt")
-
-
-def _support_key(coords: tuple[tuple[int, int], ...]) -> str:
-    return ",".join(f"{i}:{r}" for i, r in coords) if coords else "id"
-
-
-def load_coeff_cache(cfg: GroupConfig, cache_dir: str) -> dict[str, Fraction]:
-    """Read cached coefficients; empty dict if absent, CacheError if malformed."""
-    path = _coeff_cache_path(cache_dir, cfg)
-    if not os.path.exists(path):
-        return {}
-    out: dict[str, Fraction] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            match = _COEFF_LINE.match(line)
-            if not match:
-                raise CacheError(f"{path}: malformed line {line!r}")
-            key, num, den = match.group(1), int(match.group(2)), int(match.group(3))
-            if den <= 0 or abs(num) > den:
-                raise CacheError(f"{path}: coefficient {line!r} outside [-1, 1]")
-            if key != "id":
-                for part in key.split(","):
-                    idx, res = (int(tok) for tok in part.split(":"))
-                    if idx >= cfg.level or not 1 <= res < cfg.primes[idx]:
-                        raise CacheError(f"{path}: support {key!r} outside the group")
-            out[key] = Fraction(num, den)
-    return out
-
-
-def save_coeff_cache(cfg: GroupConfig, cache_dir: str, entries: dict[str, Fraction]) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _coeff_cache_path(cache_dir, cfg)
-    lines = [f"{key} {val.numerator}/{val.denominator}" for key, val in sorted(entries.items())]
-    write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def spectral_coefficients_cached(
-    elements: list[GroupElement], ctx: CocycleContext, cache_dir: str | None
-) -> list[SpectralCoefficient]:
-    """Exact coefficients for a batch of elements, read through the disk
-    cache when one is configured; misses are computed and persisted."""
-    if cache_dir is None:
-        return [spectral_coefficient(g, ctx) for g in elements]
-    cache = load_coeff_cache(ctx.cfg, cache_dir)
-    out = []
-    dirty = False
-    for g in elements:
-        key = _support_key(g.coords)
-        if key not in cache:
-            cache[key] = spectral_coefficient(g, ctx).value
-            dirty = True
-        out.append(SpectralCoefficient(element=g, value=cache[key]))
-    if dirty:
-        save_coeff_cache(ctx.cfg, cache_dir, cache)
-    return out

@@ -1,6 +1,5 @@
 import cmath
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ from morsespec.charsums import (
     table_density_fourier,
     table_polynomial_values,
 )
-from morsespec.errors import CacheError, ConfigError
+from morsespec.errors import ConfigError
 
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
@@ -55,6 +54,14 @@ def test_legendre_table_structure():
         ms.legendre_table(9)
     with pytest.raises(ConfigError):
         ms.legendre_table(2)
+
+
+def test_legendre_table_matches_euler_criterion():
+    # the table is built from a mask of squares; Euler's criterion is the
+    # reference route
+    for p in [q for q in range(3, 500) if sympy.isprime(q)] + [15629]:
+        values = ms.legendre_table(p).values
+        assert all(values[k] == ms.legendre(k, p) for k in range(1, p)), p
 
 
 def test_table_validation():
@@ -222,37 +229,3 @@ def test_table_level_routines_accept_custom_tables():
     assert autocorrelation_numerator(table, 1) == -1
     assert abs(table_density_fourier(table, 1) - float(Fraction(-1, 3))) < 1e-12
     assert table_polynomial_values(table).shape == (3,)
-
-
-def test_cache_round_trip(tmp_path):
-    cache = str(tmp_path)
-    table = ms.legendre_table(29)
-    path = ms.save_table(table, cache)
-    assert os.path.basename(path) == "legendre-29.txt"
-    loaded = ms.load_table(29, cache)
-    assert loaded == table
-    assert ms.load_table(31, cache) is None
-    # warm read returns the same values
-    assert ms.legendre_table_cached(29, cache) == table
-    # cold path populates the file
-    ms.legendre_table_cached(7, cache)
-    assert os.path.exists(os.path.join(cache, "legendre-7.txt"))
-    # no stray temp files
-    assert all(not name.startswith(".") for name in os.listdir(cache))
-
-
-def test_cache_rejects_corruption(tmp_path):
-    cache = str(tmp_path)
-    (tmp_path / "legendre-5.txt").write_text("+1\n-1\n+1\n")
-    with pytest.raises(CacheError):
-        ms.load_table(5, cache)
-    (tmp_path / "legendre-5.txt").write_text("+1\n-1\n+1\n+2\n-1\n")
-    with pytest.raises(CacheError):
-        ms.load_table(5, cache)
-    (tmp_path / "legendre-5.txt").write_text("-1\n-1\n+1\n+1\n-1\n")
-    with pytest.raises(CacheError):
-        ms.load_table(5, cache)
-
-
-def test_cache_disabled_when_no_directory():
-    assert ms.legendre_table_cached(5, None) == ms.legendre_table(5)

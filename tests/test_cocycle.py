@@ -30,13 +30,6 @@ def test_context_validation(cfg57):
         ms.CocycleContext(cfg=cfg57, tables=(tables[1], tables[0]))
 
 
-def test_build_context_uses_cache(tmp_path, cfg57):
-    ctx = ms.build_context(cfg57, str(tmp_path))
-    assert (tmp_path / "legendre-5.txt").exists()
-    assert (tmp_path / "legendre-7.txt").exists()
-    assert ctx.tables[0] == ms.legendre_table(5)
-
-
 def test_cocycle_value_identity_element(ctx57):
     for x in ms.enumerate_points(ctx57.cfg):
         assert ms.cocycle_value(x, ms.IDENTITY, ctx57) == 1

@@ -206,22 +206,6 @@ def test_gauss_check(capsys):
     assert res["flatness_ok"] is True
 
 
-def test_cache_cold_warm_and_corruption(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = ("coeffs", "--primes", "5,7", "--cache-dir", str(cache))
-    _, r1, _ = run_json(capsys, *argv)
-    assert (cache / "legendre-5.txt").exists()
-    assert (cache / "legendre-7.txt").exists()
-    assert len(list(cache.glob("coeffs-*.txt"))) == 1
-    _, r2, _ = run_json(capsys, *argv)
-    del r1["timestamp"], r2["timestamp"]
-    assert r1 == r2
-    (cache / "legendre-5.txt").write_text("+1\n+1\n-1\n")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert "consistency failure" in err
-
-
 def test_usage_errors(capsys):
     cases = [
         ("certify", "--primes", "4,7"),             # 4 is not prime
@@ -255,6 +239,31 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert report["config"]["k_max"] == 2          # file beats default
     assert report["config"]["seed"] == 9
     assert len(report["results"]["per_k"]) == 2
+
+
+def test_cache_dir_option_removed(capsys, tmp_path):
+    # the disk caches are gone; their flag and config key must fail loudly
+    code, out, err = run_cli(
+        capsys, "certify", "--primes", "5,7", "--cache-dir", str(tmp_path)
+    )
+    assert code == 64
+    assert out == ""
+    assert "--cache-dir" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("primes = 5,7\ncache_dir = x\n")
+    code, out, err = run_cli(capsys, "certify", "--config", str(cfg))
+    assert code == 64
+    assert out == ""
+    assert "cache_dir" in err
+
+
+def test_certify_lists_asserted_tail_rule(capsys):
+    code, report, _ = run_json(capsys, "certify", "--primes", "29", "--assume-tail-rule")
+    assert code == 0
+    verdict = report["results"]["verdict"]
+    assert verdict["verdict"] == "non-AT certified"
+    assert len(verdict["assumptions"]) == 2
+    assert "growth floor" in verdict["assumptions"][1]
 
 
 def test_config_file_unknown_key(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec.errors import BudgetError, CacheError, ConfigError
+from morsespec.errors import BudgetError, ConfigError
 
 CFG = ms.make_group_config([5, 7])
 CTX = ms.build_context(CFG)
@@ -109,12 +109,15 @@ def test_geometric_tail_bound_rejects_bad_ratio():
 
 
 def test_tail_density_bound_is_sound():
-    # the true squared tail past the split: prod_{n>=m} (1 + 5^-(n+1))^2
-    for m in range(6):
+    # the true squared tail past the split: prod_{n>=m} (1 + 5^-(n+1))^2;
+    # log(1 + x) >= x - x^2/2 keeps the bound within a factor
+    # exp(sum_{n>=m} 25^-(n+1)) < 1 + 2 * 25^-(m+1) of it
+    for m in range(7):
         true_tail = 1.0
         for n in range(m, m + 60):
             true_tail *= (1.0 + 5.0 ** -(n + 1)) ** 2
-        assert true_tail <= ms.tail_density_bound(m) + 1e-15
+        bound = ms.tail_density_bound(m)
+        assert true_tail <= bound <= true_tail * (1.0 + 2.0 * 25.0 ** -(m + 1))
     assert ms.tail_density_bound(0) == pytest.approx(math.exp(0.5), rel=1e-15)
 
 
@@ -308,39 +311,24 @@ def test_verdict_inconclusive(ctx57):
     assert not verdict.certificate.sbh_certified
 
 
-def test_coeff_cache_roundtrip(tmp_path, ctx57):
-    cfg = ctx57.cfg
-    elems = list(ms.enumerate_level_group(2, cfg))
-    cold = ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-    files = list(tmp_path.glob("coeffs-*.txt"))
-    assert len(files) == 1
-    warm = ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-    assert [c.value for c in cold] == [c.value for c in warm]
-    direct = [ms.spectral_coefficient(g, ctx57).value for g in elems]
-    assert [c.value for c in warm] == direct
+def test_verdict_lists_asserted_tail_rule(ctx29):
+    # experimental primes certified only through the asserted growth floor
+    verdict = ms.sbh_verdict(ctx29, assume_tail_rule=True)
+    assert verdict.verdict == "non-AT certified"
+    assert len(verdict.assumptions) == 2
+    assert "growth floor" in verdict.assumptions[1]
+    assert "n >= 1" in verdict.assumptions[1]
+    assert "assume_tail_rule" in verdict.assumptions[1]
+    split = ms.sbh_verdict(ctx29, split_level=0, assume_tail_rule=True)
+    assert "n >= 0" in split.assumptions[1]
 
 
-def test_coeff_cache_corruption(tmp_path, ctx57):
-    elems = list(ms.enumerate_level_group(1, ctx57.cfg))
-    ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-    path = next(tmp_path.glob("coeffs-*.txt"))
-    path.write_text("0:1 not-a-fraction\n")
-    with pytest.raises(CacheError):
-        ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-
-
-def test_coeff_cache_rejects_out_of_range_support(tmp_path, ctx57):
-    elems = [ms.IDENTITY]
-    ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-    path = next(tmp_path.glob("coeffs-*.txt"))
-    path.write_text("0:9 1/5\n")
-    with pytest.raises(CacheError):
-        ms.spectral_coefficients_cached(elems, ctx57, str(tmp_path))
-
-
-def test_coeff_cache_disabled_is_direct(ctx57):
-    elems = list(ms.enumerate_level_group(1, ctx57.cfg))
-    out = ms.spectral_coefficients_cached(elems, ctx57, None)
-    assert [c.value for c in out] == [
-        ms.spectral_coefficient(g, ctx57).value for g in elems
-    ]
+def test_verdict_assumptions_theorem_grade_unchanged(theorem_ctx, ctx57):
+    # the theorem-grade tail rule is proved, not asserted; with no tail rule
+    # at all nothing is certified and nothing extra is assumed
+    ergodicity = ms.sbh_verdict(ctx57).assumptions
+    assert len(ergodicity) == 1
+    for assume in (False, True):
+        verdict = ms.sbh_verdict(theorem_ctx, assume_tail_rule=assume)
+        assert verdict.verdict == "non-AT certified"
+        assert verdict.assumptions == ergodicity
