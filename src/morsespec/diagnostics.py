@@ -11,8 +11,12 @@ the same for every point of the piece.  Recording bit 0 for +1 and bit 1
 for -1 yields one word per (piece, sign) class: 2|G_n| words of length
 |G_n|, each class carrying measure 1/(2|G_n|).
 
-Normalized Hamming distance between these words is exactly computable,
-and the minimum over distinct pairs (delta_min) feeds a ball-counting
+Two words agree on a character sum over G_n that factors into the
+per-prime sign autocorrelations, so their normalized Hamming distance is
+
+    d((h, gamma), (h', gamma')) = (1 - gamma gamma' w0(h) w0(h') coeff(h' - h)) / 2.
+
+The minimum over distinct pairs (delta_min) feeds a ball-counting
 bound: when epsilon < delta_min/2, a ball of radius epsilon around ANY
 word of the same length captures at most one class, so it captures at
 most measure 1/(2|G_n|), and the scaled quantity |Lambda| * mass is at
@@ -24,17 +28,20 @@ verdict comes from the spectral density certificate.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
-
+from .charsums import table_autocorrelation
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
 from .reporting import write_atomic
+
+# The exact per-prime scans cost sum p^2: 2.4e8 at theorem stage 3, 1.5e11 at 4.
+_SCAN_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -67,16 +74,6 @@ def hamming(w1: FunnyWord, w2: FunnyWord) -> Fraction:
     return Fraction(differ, len(w1.bits))
 
 
-@lru_cache(maxsize=None)
-def _level_domain(n: int, ctx: CocycleContext) -> tuple[GroupElement, ...]:
-    return tuple(enumerate_level_group(n, ctx.cfg))
-
-
-@lru_cache(maxsize=None)
-def _zero_values(n: int, ctx: CocycleContext) -> tuple[int, ...]:
-    return tuple(cocycle_at_zero(g, ctx) for g in _level_domain(n, ctx))
-
-
 def name_word(h: GroupElement, gamma: int, n: int, ctx: CocycleContext) -> FunnyWord:
     """The common word of every point in the stage-n piece indexed by h,
     on the fiber side gamma: bit 0 at g iff w0(g+h) * w0(h) * gamma = 1."""
@@ -85,7 +82,7 @@ def name_word(h: GroupElement, gamma: int, n: int, ctx: CocycleContext) -> Funny
     if h.max_index() >= n:
         raise ConfigError(f"index element must lie in G_{n}")
     cfg = ctx.cfg
-    domain = _level_domain(n, ctx)
+    domain = tuple(enumerate_level_group(n, cfg))
     zh = cocycle_at_zero(h, ctx)
     bits = tuple(
         0 if cocycle_at_zero(add(g, h, cfg), ctx) * zh * gamma == 1 else 1
@@ -110,20 +107,17 @@ class NameAtlas:
 
 
 def name_atlas(n: int, ctx: CocycleContext, max_names: int = 100_000) -> NameAtlas:
-    """Build every word of the stage exhaustively."""
+    """Build every word of the stage exhaustively, on one shared domain."""
     count = 2 * level_group_order(n, ctx.cfg)
     if count > max_names:
         raise BudgetError(f"stage {n} needs {count} names, budget is {max_names}")
-    keys = []
-    words = []
-    for h in _level_domain(n, ctx):
-        for gamma in (1, -1):
-            keys.append((h, gamma))
-            words.append(name_word(h, gamma, n, ctx))
+    domain = tuple(enumerate_level_group(n, ctx.cfg))
+    keys = tuple((h, gamma) for h in domain for gamma in (1, -1))
+    words = tuple(FunnyWord(domain, name_word(*key, n, ctx).bits) for key in keys)
     return NameAtlas(
         level=n,
-        keys=tuple(keys),
-        words=tuple(words),
+        keys=keys,
+        words=words,
         class_measure=Fraction(1, count),
     )
 
@@ -139,27 +133,30 @@ class SeparationReport:
     histogram: tuple[tuple[Fraction, int], ...]  # (distance, count), ascending
 
 
-def name_separation(n: int, ctx: CocycleContext, max_names: int = 100_000) -> SeparationReport:
-    """Full pairwise scan over all distinct word pairs of the stage."""
-    atlas = name_atlas(n, ctx, max_names=max_names)
-    bits = np.array([w.bits for w in atlas.words], dtype=np.int64)
-    count, length = bits.shape
-    # differing positions via the inner-product identity for 0/1 vectors
-    ones = bits.sum(axis=1)
-    overlap = bits @ bits.T
-    dist_num = ones[:, None] + ones[None, :] - 2 * overlap
-    iu, ju = np.triu_indices(count, k=1)
-    numerators = dist_num[iu, ju]
-    counter = Counter(int(v) for v in numerators)
-    histogram = tuple(
-        (Fraction(num, length), cnt) for num, cnt in sorted(counter.items())
-    )
+def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
+    """Distances of all distinct word pairs from the law above: coeff's value
+    counts over G_n multiply per prime, and each unordered {h, h'} with
+    coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2."""
+    size = level_group_order(n, ctx.cfg)
+    tables = ctx.tables[:n]
+    cost = sum(t.prime**2 for t in tables)
+    if cost > _SCAN_BUDGET:
+        raise BudgetError(f"stage {n} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
+    per_prime = [Counter(table_autocorrelation(t, j) for j in range(t.prime)) for t in tables]
+    histogram: Counter = Counter()
+    for combo in itertools.product(*(counts.items() for counts in per_prime)):
+        c = math.prod(value for value, _ in combo)
+        m = math.prod(count for _, count in combo)  # differences g with coeff(g) = c
+        histogram[(1 - c) / 2] += m * size
+        histogram[(1 + c) / 2] += m * size
+    # g = 0 gives the |G_n| complement pairs at 1 and |G_n| self-pairs at 0
+    histogram -= Counter({Fraction(0): size})
     return SeparationReport(
         level=n,
-        name_count=count,
-        pair_count=len(numerators),
-        delta_min=Fraction(int(numerators.min()), length),
-        histogram=histogram,
+        name_count=2 * size,
+        pair_count=math.comb(2 * size, 2),
+        delta_min=min(histogram),
+        histogram=tuple(sorted(histogram.items())),
     )
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -114,24 +116,17 @@ def test_atlas_budget():
 
 def test_pairwise_distance_law(ctx57):
     # exact law: d(name(h, gamma), name(h', gamma')) =
-    #   (1 - gamma gamma' z(h) z(h') coeff(h' - h) * |G_n|) / 2 ... no:
-    # the averaged bit agreement is driven by the stage-n average of
-    # z(g + h') z(g + h), which collapses to z(h) z(h') sigma-hat(h' - h)
-    # rescaled to the finite stage; verify against direct hamming counts
+    #   (1 - gamma gamma' z(h) z(h') coeff(h' - h)) / 2,
+    # checked against direct hamming counts for every pair and sign
     cfg = ctx57.cfg
     n = 2
     atlas = ms.name_atlas(n, ctx57)
     elems = list(ms.enumerate_level_group(n, cfg))
-    size = len(elems)
-    for h, hp in itertools.product(elems[:7], elems[:7]):
+    for h, hp in itertools.product(elems, elems):
+        coeff = ms.spectral_coefficient(ms.sub(hp, h, cfg), ctx57).value
+        zz = ms.cocycle_at_zero(h, ctx57) * ms.cocycle_at_zero(hp, ctx57)
         for gamma, gammap in itertools.product((1, -1), (1, -1)):
-            agree = sum(
-                ms.cocycle_at_zero(ms.add(g, h, cfg), ctx57)
-                * ms.cocycle_at_zero(ms.add(g, hp, cfg), ctx57)
-                for g in elems
-            )
-            zz = ms.cocycle_at_zero(h, ctx57) * ms.cocycle_at_zero(hp, ctx57)
-            predicted = (1 - Fraction(gamma * gammap * zz * agree, size)) / 2
+            predicted = (1 - gamma * gammap * zz * coeff) / 2
             actual = ms.hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
             assert actual == predicted
 
@@ -169,19 +164,44 @@ def test_distance_twisted_invariance():
 
 
 def brute_separation(n, ctx):
+    """The separation report from every word of the atlas, pair by pair."""
     atlas = ms.name_atlas(n, ctx)
-    dists = [
+    dists = Counter(
         ms.hamming(a, b) for a, b in itertools.combinations(atlas.words, 2)
-    ]
-    return min(dists), len(dists)
+    )
+    return ms.SeparationReport(
+        level=n,
+        name_count=len(atlas.words),
+        pair_count=sum(dists.values()),
+        delta_min=min(dists),
+        histogram=tuple(sorted(dists.items())),
+    )
+
+
+SMALL_STAGES = [
+    (primes, n)
+    for primes in ([5, 7], [3, 5, 7], [13, 17], [5, 7, 11], [29], [3], [11, 13])
+    for n in range(len(primes) + 1)
+    if math.prod(primes[:n]) <= 1000
+]
+
+
+@pytest.mark.parametrize(
+    "primes,n",
+    SMALL_STAGES,
+    ids=[f"{','.join(map(str, primes))}-stage{n}" for primes, n in SMALL_STAGES],
+)
+def test_separation_matches_atlas(primes, n):
+    ctx = ms.build_context(ms.make_group_config(primes))
+    assert ms.name_separation(n, ctx) == brute_separation(n, ctx)
 
 
 def test_separation_frozen_small():
     report = ms.name_separation(1, CTX5)
-    delta, pairs = brute_separation(1, CTX5)
+    assert report == brute_separation(1, CTX5)
     assert report.name_count == 10
-    assert report.pair_count == 45 == pairs
-    assert report.delta_min == delta == Fraction(1, 5)
+    assert report.pair_count == 45
+    assert report.delta_min == Fraction(1, 5)
     assert sum(count for _, count in report.histogram) == 45
     assert [d for d, _ in report.histogram] == sorted(d for d, _ in report.histogram)
 
@@ -212,6 +232,17 @@ def test_separation_level_zero(ctx57):
     assert report.name_count == 2
     assert report.pair_count == 1
     assert report.delta_min == 1
+
+
+def test_separation_theorem_stage(theorem_ctx):
+    # |G_3| = 29 * 631 * 15629; the closest pair sits at
+    # (1 - max |c_p|)/2 = (1 - 3/29)/2
+    report = ms.name_separation(3, theorem_ctx)
+    assert report.name_count == 571_990_142
+    assert report.pair_count == 163_586_360_986_595_011
+    assert report.delta_min == Fraction(13, 29)
+    assert len(report.histogram) == 31
+    assert sum(count for _, count in report.histogram) == report.pair_count
 
 
 def test_ball_bound_small_radius(ctx57):

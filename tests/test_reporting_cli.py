@@ -137,6 +137,35 @@ def test_sbh_search_frozen_per_k(capsys):
     assert report["results"]["falsification"] is False
 
 
+def test_sbh_search_uncertified_stage_is_not_falsified(capsys):
+    # Q = 2 is reachable at [5,7] stage 2 (density sup about 2.39), and
+    # the configuration has no certificate to falsify
+    code, report, _ = run_json(
+        capsys, "sbh-search", "--primes", "5,7", "--level", "2", "--k-max", "4"
+    )
+    assert code == 0
+    assert report["results"]["best"]["value"] == "2/1"
+    assert report["results"]["falsification"] is False
+    assert not any(entry["falsification"] for entry in report["results"]["per_k"])
+
+
+def test_sbh_search_value_above_density_sup_is_inconsistent(capsys, monkeypatch):
+    real = cli.sbh_adversarial_search
+
+    def inflated(*args, **kwargs):
+        result = real(*args, **kwargs)
+        probe = dataclasses.replace(result.probe, value=Fraction(3))
+        return dataclasses.replace(result, probe=probe)
+
+    monkeypatch.setattr(cli, "sbh_adversarial_search", inflated)
+    code, out, err = run_cli(
+        capsys, "sbh-search", "--primes", "5,7", "--level", "2", "--k-max", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "density sup" in err
+
+
 def test_sbh_search_k_cap_at_group_order(capsys):
     code, report, _ = run_json(capsys, "sbh-search", "--primes", "3", "--k-max", "9")
     assert code == 0
@@ -186,9 +215,23 @@ def test_names_trivial_radius(capsys):
     assert "trivial" in report["results"]["interpretation"]
 
 
-def test_names_budget_exceeded(capsys):
-    # 2 * 5*7*11*13*17 = 170170 words, past the atlas cap
-    code, out, err = run_cli(capsys, "names", "--primes", "5,7,11,13,17")
+def test_names_theorem_stage(capsys):
+    code, report, _ = run_json(capsys, "names", "--theorem", "2")
+    assert code == 0
+    res = report["results"]
+    assert res["name_count"] == 36_598
+    assert res["pair_count"] == 669_688_503
+    assert res["delta_min"] == "13/29"
+
+
+def test_names_budget_exceeded(capsys, monkeypatch):
+    # stage 4 of the theorem primes needs about 1.5e11 exact
+    # autocorrelation terms; the budget refuses it before any scan
+    def no_scan(*args):
+        raise AssertionError("autocorrelation scanned past the budget")
+
+    monkeypatch.setattr("morsespec.diagnostics.table_autocorrelation", no_scan)
+    code, out, err = run_cli(capsys, "names", "--theorem", "4")
     assert code == 64
     assert out == ""
     assert "budget" in err
