@@ -154,8 +154,8 @@ def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
     j %= table.prime
     memo = table._numerators
     if j not in memo:
-        signs = table._signs
-        memo[j] = int(np.dot(signs, np.roll(signs, -j)))
+        s, p = table._signs, table.prime
+        memo[j] = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
     return memo[j]
 
 

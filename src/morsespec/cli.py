@@ -420,6 +420,8 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
         "k_max_effective": k_cap,
         "per_k": per_k,
         "best": best_entry,
+        "stage_sup": stage_sup,
+        "sup_gap": stage_sup - float(best_entry["value"]),
         "falsification": any(entry["falsification"] for entry in per_k),
         "note": "search lower-bounds the density sup; it can never certify on its own",
     }
@@ -453,11 +455,11 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_parity_err = max(max_parity_err, parity)
         flatness_report(p)  # raises on a window violation
         for j in range(p):
-            if autocorrelation(p, j) != autocorrelation_closed_form(p, j):
+            c = autocorrelation(p, j)
+            if c != autocorrelation_closed_form(p, j):
                 closed_form_ok = False
             max_density_err = max(
-                max_density_err,
-                abs(float(autocorrelation(p, j)) - fourier_of_density_factor(p, j)),
+                max_density_err, abs(float(c) - fourier_of_density_factor(p, j))
             )
     ok = (
         max_gauss_err <= rc.tolerance_transcendental

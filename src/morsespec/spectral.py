@@ -296,6 +296,10 @@ def _pattern_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return patterns, pairsigns
 
 
+# sign-pattern scores the exhaustive scan holds at once
+_SCORE_CHUNK = 1 << 16
+
+
 def sbh_adversarial_search(
     n: int,
     k: int,
@@ -313,6 +317,9 @@ def sbh_adversarial_search(
     single-element swaps and single-sign flips.  Either way the result is
     deterministic for fixed inputs; the reported probe is the first
     maximiser in enumeration order, elements sorted, leading sign +1.
+
+    Scores are int64 sums of pair numerators |G_n| * coeff(theta_a -
+    theta_b), so k^2 * |G_n| must stay below 2^62.
     """
     cfg = ctx.cfg
     if k < 1:
@@ -325,29 +332,11 @@ def sbh_adversarial_search(
     if k > m:
         raise ConfigError(f"subset size {k} exceeds |G_{n}| = {m}")
     primes_n = cfg.primes[:n]
-    D = math.prod(primes_n)
     weights = [math.prod(primes_n[i + 1 :]) for i in range(n)]
-    # numerator tables: anum[i][j] = p_i * c_i(j), an exact integer
-    anum = [
-        [
-            autocorrelation_numerator(ctx.tables[i], j) if j else primes_n[i]
-            for j in range(primes_n[i])
-        ]
-        for i in range(n)
-    ]
-
-    def decode(idx: int) -> tuple[int, ...]:
-        return tuple((idx // w) % p for w, p in zip(weights, primes_n))
 
     def as_element(idx: int) -> GroupElement:
-        return GroupElement(tuple((i, r) for i, r in enumerate(decode(idx)) if r))
-
-    def pair_numerator(a: int, b: int) -> int:
-        va, vb = decode(a), decode(b)
-        t = 1
-        for i in range(n):
-            t *= anum[i][(va[i] - vb[i]) % primes_n[i]]
-        return t
+        coords = ((i, idx // w % p) for i, (w, p) in enumerate(zip(weights, primes_n)))
+        return GroupElement(tuple((i, r) for i, r in coords if r))
 
     if k == 1:
         # every single-element probe scores coeff(0) = 1 exactly
@@ -356,56 +345,57 @@ def sbh_adversarial_search(
             mode="exhaustive",
             evaluations=1,
         )
+    if k * k * m >= 2**62:
+        raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
 
-    best_s: int | None = None
-    best_combo: tuple[int, ...] = ()
-    best_signs: tuple[int, ...] = ()
+    # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
+    luts = [
+        np.array([p] + [autocorrelation_numerator(t, j) for j in range(1, p)], dtype=np.int64)
+        for p, t in zip(primes_n, ctx.tables)
+    ]
+
+    def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the
+        quotient idx // w_i is congruent to the i-th residue mod p_i."""
+        out = 1
+        for w, p, lut in zip(weights, primes_n, luts):
+            out = out * lut[(a // w - b // w) % p]
+        return out
+
+    # best_s and every score below is sum_{i<j} eta_i eta_j pairs(i, j)
     evaluations = 0
-
-    # the m <= 1500 guard keeps the dense pair matrix small even under
-    # generous budgets
-    if math.comb(m, k) * 2**k <= budget and m <= 1500:
+    subsets = math.comb(m, k)
+    # m <= 1500 caps the exhaustive mode under generous budgets; the cap
+    # fixes the mode, and with it the reported result, for every input
+    if subsets * 2**k <= budget and m <= 1500:
         mode = "exhaustive"
-        vecs = np.array([decode(i) for i in range(m)], dtype=np.int64)
-        pairmat = np.ones((m, m), dtype=np.int64)
-        for i, p in enumerate(primes_n):
-            lookup = np.array(anum[i], dtype=np.int64)
-            pairmat *= lookup[(vecs[:, i][:, None] - vecs[:, i][None, :]) % p]
         patterns, pairsigns = _pattern_matrices(k)
-        pair_idx = list(itertools.combinations(range(k), 2))
-        for combo in itertools.combinations(range(m), k):
-            pv = np.array(
-                [pairmat[combo[i], combo[j]] for i, j in pair_idx], dtype=np.int64
-            )
-            svals = pairsigns @ pv
-            evaluations += len(svals)
-            row = int(np.argmax(svals))
-            s = int(svals[row])
-            if best_s is None or s > best_s:
-                best_s = s
-                best_combo = combo
+        left, right = np.array(list(itertools.combinations(range(k), 2))).T
+        flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+        rows = max(1, _SCORE_CHUNK // len(patterns))
+        best_s = None
+        for _ in range(0, subsets, rows):
+            chunk = np.fromiter(itertools.islice(flat, rows * k), dtype=np.int64)
+            chunk = chunk.reshape(-1, k)
+            svals = pairs(chunk[:, left], chunk[:, right]) @ pairsigns.T
+            evaluations += svals.size
+            c, row = np.unravel_index(np.argmax(svals), svals.shape)
+            if best_s is None or svals[c, row] > best_s:
+                best_s = int(svals[c, row])
+                best_combo = tuple(int(x) for x in chunk[c])
                 best_signs = tuple(int(x) for x in patterns[row])
     else:
         mode = "local"
         rng = random.Random(seed)
-        cache: dict[tuple[int, int], int] = {}
 
-        def pv(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                cache[key] = pair_numerator(*key)
-            return cache[key]
-
-        def score(combo: list[int], signs: list[int]) -> int:
-            s = 0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    s += signs[i] * signs[j] * pv(combo[i], combo[j])
-            return s
+        def pair_matrix(combo: np.ndarray) -> np.ndarray:
+            mat = pairs(combo[:, None], combo[None, :])
+            np.fill_diagonal(mat, 0)
+            return mat
 
         # deterministic baseline so the result is well-defined even with
         # zero restarts or an exhausted budget
-        best_s = score(list(range(k)), [1] * k)
+        best_s = int(pair_matrix(np.arange(k)).sum()) // 2
         best_combo = tuple(range(k))
         best_signs = (1,) * k
         evaluations += 1
@@ -413,61 +403,59 @@ def sbh_adversarial_search(
         for _ in range(restarts):
             if evaluations >= budget:
                 break
-            combo = sorted(rng.sample(range(m), k))
-            signs = [1] + [rng.choice((1, -1)) for _ in range(k - 1)]
-            s = score(combo, signs)
+            combo = np.array(sorted(rng.sample(range(m), k)), dtype=np.int64)
+            eta = np.array([1] + [rng.choice((1, -1)) for _ in range(k - 1)], dtype=np.int64)
+            s = int(eta @ pair_matrix(combo) @ eta) // 2
             evaluations += 1
             improved = True
             while improved and evaluations < budget:
                 improved = False
                 move = None
+                # row[i] = sum_{j != i} eta_j pairs(combo[i], combo[j])
+                row = pair_matrix(combo) @ eta
+                # flips of signs 1..k-1 are always all scored
+                flips = s - 2 * eta[1:] * row[1:]
+                evaluations += k - 1
                 move_s = s
-                for i in range(1, k):
-                    flipped = s - 2 * signs[i] * sum(
-                        signs[j] * pv(combo[i], combo[j]) for j in range(k) if j != i
-                    )
-                    evaluations += 1
-                    if flipped > move_s:
-                        move_s = flipped
-                        move = ("flip", i, 0)
+                i = int(np.argmax(flips))
+                if flips[i] > move_s:
+                    move_s, move = int(flips[i]), ("flip", i + 1, 0)
                 # swap candidates: the full complement when small, else a
-                # seeded sample
-                pool = (
-                    [idx for idx in range(m) if idx not in combo]
-                    if m - k <= 64
-                    else rng.sample(range(m), 64)
-                )
-                for i in range(k):
-                    for repl in pool:
-                        if repl in combo:
-                            continue
-                        trial = combo[:i] + [repl] + combo[i + 1 :]
-                        ts = score(trial, signs)
-                        evaluations += 1
-                        if ts > move_s:
-                            move_s = ts
-                            move = ("swap", i, repl)
-                        if evaluations >= budget:
-                            break
-                    if evaluations >= budget:
-                        break
+                # seeded sample; members of the combo are skipped uncounted
+                if m - k <= 64:
+                    pool = np.setdiff1d(np.arange(m), combo)
+                else:
+                    pool = np.array(rng.sample(range(m), 64), dtype=np.int64)
+                    pool = pool[~np.isin(pool, combo)]
+                if pool.size:
+                    # swapping combo[i] for pool[v] drops row[i] and adds
+                    # pool[v]'s pairs with the other members
+                    rep = pairs(pool[:, None], combo[None, :])
+                    swaps = s - eta * row + eta * ((rep @ eta)[:, None] - rep * eta)
+                    # i outer, pool order inner; the scan stops at the budget
+                    # but always scores at least one candidate
+                    swaps = swaps.T.ravel()[: max(1, budget - evaluations)]
+                    evaluations += swaps.size
+                    j = int(np.argmax(swaps))
+                    if swaps[j] > move_s:
+                        i, v = divmod(j, pool.size)
+                        move_s, move = int(swaps[j]), ("swap", i, int(pool[v]))
                 if move is not None:
                     kind, i, repl = move
                     if kind == "flip":
-                        signs[i] *= -1
+                        eta[i] *= -1
                     else:
                         combo[i] = repl
                     s = move_s
                     improved = True
-            if best_s is None or s > best_s:
+            if s > best_s:
                 best_s = s
-                order = sorted(range(k), key=lambda i: combo[i])
-                best_combo = tuple(combo[i] for i in order)
-                lead = signs[order[0]]
-                best_signs = tuple(lead * signs[i] for i in order)
+                order = np.argsort(combo)
+                best_combo = tuple(int(x) for x in combo[order])
+                best_signs = tuple(int(eta[order[0]] * x) for x in eta[order])
 
     theta = tuple(as_element(idx) for idx in best_combo)
-    value = Fraction(k * D + 2 * best_s, k * D)
+    value = Fraction(k * m + 2 * best_s, k * m)
     probe = SbhProbe(theta=theta, signs=best_signs, value=value)
     return SearchResult(probe=probe, mode=mode, evaluations=evaluations)
 

@@ -137,6 +137,16 @@ def test_sbh_search_frozen_per_k(capsys):
     assert report["results"]["falsification"] is False
 
 
+def test_sbh_search_reports_margins(capsys):
+    # the p = 29 density sup is (1 + 1/sqrt(29))^2, and the best Q is 36/29
+    code, report, _ = run_json(capsys, "sbh-search", "--primes", "29", "--k-max", "4")
+    assert code == 0
+    res = report["results"]
+    assert res["stage_sup"] == pytest.approx((1 + 29**-0.5) ** 2, rel=1e-12)
+    assert res["sup_gap"] == res["stage_sup"] - 36 / 29
+    assert res["sup_gap"] > 0
+
+
 def test_sbh_search_uncertified_stage_is_not_falsified(capsys):
     # Q = 2 is reachable at [5,7] stage 2 (density sup about 2.39), and
     # the configuration has no certificate to falsify

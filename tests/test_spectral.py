@@ -222,16 +222,26 @@ def test_quadratic_form_bounded_by_certificate(theorem_ctx):
 
 
 def brute_search(n, k, ctx):
-    # reference maximiser: plain nested loops, exact arithmetic
+    # reference maximiser: every subset and sign pattern in exact
+    # arithmetic, each coefficient computed once per ordered element pair
     elems = list(ms.enumerate_level_group(n, ctx.cfg))
+    coeff = {
+        (a, b): ms.spectral_coefficient(ms.sub(ga, gb, ctx.cfg), ctx).value
+        for a, ga in enumerate(elems)
+        for b, gb in enumerate(elems)
+    }
     best = None
     for combo in itertools.combinations(range(len(elems)), k):
-        theta = tuple(elems[i] for i in combo)
         for tail in itertools.product((1, -1), repeat=k - 1):
             signs = (1,) + tail
-            q = ms.sbh_quadratic_form(theta, signs, ctx)
+            q = sum(
+                (si * sj * coeff[a, b] for a, si in zip(combo, signs) for b, sj in zip(combo, signs)),
+                Fraction(0),
+            ) / k
             if best is None or q > best:
-                best = q
+                best, argmax = q, (combo, signs)
+    combo, signs = argmax
+    assert ms.sbh_quadratic_form(tuple(elems[i] for i in combo), signs, ctx) == best
     return best
 
 
@@ -276,6 +286,48 @@ def test_search_local_mode(ctx29):
     )
     again = ms.sbh_adversarial_search(1, 4, ctx29, budget=3000, seed=1)
     assert again.probe == result.probe
+
+
+# Frozen local-mode results (probe, value, evaluations) for the sampled
+# swap pool (m - k > 64), the full-complement pool, a swap scan cut short
+# by the budget, a budget the flips use up (one swap is still scored), and
+# an empty pool (m = k).
+LOCAL_PINS = [
+    ([5, 7, 11], 3, 3, {"seed": 1}, 21423, Fraction(29, 15),
+     [(1, 5, 5), (3, 5, 5), (4, 5, 5)], (1, -1, -1)),
+    ([5, 7, 11], 3, 4, {"seed": 1}, 36144, Fraction(2),
+     [(1, 0, 2), (2, 0, 2), (3, 0, 2), (4, 0, 2)], (1, 1, -1, -1)),
+    ([5, 7, 11], 3, 5, {"seed": 1}, 56561, Fraction(71, 35),
+     [(0, 0, 7), (2, 0, 7), (2, 2, 7), (4, 0, 7), (4, 2, 7)], (1, -1, 1, 1, -1)),
+    ([5, 7, 11], 3, 6, {"seed": 1}, 77429, Fraction(44, 21),
+     [(0, 3, 5), (0, 4, 5), (1, 3, 5), (2, 3, 5), (3, 3, 5), (3, 4, 5)],
+     (1, -1, 1, -1, -1, 1)),
+    ([29], 1, 4, {"seed": 1, "budget": 3000}, 3000, Fraction(36, 29),
+     [(0,), (2,), (26,), (28,)], (1, -1, -1, 1)),
+    ([29], 1, 5, {"budget": 100}, 100, Fraction(181, 145),
+     [(9,), (13,), (24,), (27,), (28,)], (1, 1, -1, -1, -1)),
+    ([29], 1, 5, {"budget": 5}, 7, Fraction(173, 145),
+     [(12,), (13,), (24,), (27,), (28,)], (1, 1, -1, -1, -1)),
+    ([3], 1, 3, {"budget": 5}, 5, Fraction(11, 9), [(0,), (1,), (2,)], (1, -1, -1)),
+]
+
+
+@pytest.mark.parametrize("primes,n,k,kwargs,evals,value,theta,signs", LOCAL_PINS)
+def test_search_local_pinned(primes, n, k, kwargs, evals, value, theta, signs):
+    ctx = ms.build_context(ms.make_group_config(primes))
+    result = ms.sbh_adversarial_search(n, k, ctx, **kwargs)
+    assert result.mode == "local"
+    assert result.evaluations == evals
+    assert result.probe.value == value
+    assert [g.vector(n) for g in result.probe.theta] == theta
+    assert result.probe.signs == signs
+
+
+def test_search_rejects_int64_overflow(theorem_ctx):
+    # k^2 * |G_3| = 130000^2 * 29 * 631 * 15629 >= 2^62: refused before
+    # any table, pool or subset count is built
+    with pytest.raises(BudgetError):
+        ms.sbh_adversarial_search(3, 130_000, theorem_ctx)
 
 
 def test_search_local_finds_known_optimum(ctx29):
