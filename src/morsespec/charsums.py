@@ -25,7 +25,8 @@ The core routines accept any sign table (entries +/-1, entry 0 fixed to
 table is the single precomputation layer for its prime: the sign array,
 P, |P|^2, the Fourier transform of |P|^2 and the exact autocorrelation
 numerators are derived at most once, on first use, and live on the table
-itself.
+itself.  The numerators come per shift (a memo for callers that need a few)
+or for every shift at once (one int64 pass over a sliding window).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InternalConsistencyError
 from .odometer import is_prime
@@ -51,6 +53,23 @@ def legendre(a: int, p: int) -> int:
         return 0
     ls = pow(a, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
+
+
+def legendre_symbols(p: int) -> np.ndarray:
+    """(x|p) for every x mod p at once (entry 0 is 0): Euler's criterion as
+    square-and-multiply on int64 arrays, independent of the squares mask
+    that builds legendre_table."""
+    if p < 3 or p * p >= 2**63:
+        raise ConfigError(f"legendre_symbols needs 3 <= p and p^2 < 2^63, got {p}")
+    base = np.arange(p, dtype=np.int64)
+    acc = np.ones(p, dtype=np.int64)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            acc = acc * base % p
+        base = base * base % p
+        e >>= 1
+    return np.where(acc == p - 1, -1, acc)
 
 
 @dataclass(frozen=True)
@@ -74,10 +93,10 @@ class LegendreTable:
             raise ConfigError(f"table for {p} has {len(self.values)} entries")
         if self.values[0] != 1:
             raise ConfigError("table entry at 0 must be +1")
-        if any(v not in (-1, 1) for v in self.values):
+        if not set(self.values) <= {-1, 1}:
             raise ConfigError("table entries must be +1 or -1")
 
-    # int64, not int8: np.dot accumulates in the operands' dtype
+    # int64, not int8: np.dot and @ accumulate in the operands' dtype
     @cached_property
     def _signs(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int64)
@@ -96,6 +115,14 @@ class LegendreTable:
     def _density_fourier(self) -> np.ndarray:
         # ifft carries the +2 pi i kernel and the 1/p normalisation
         return np.fft.ifft(self._density)
+
+    @cached_property
+    def _autocorrelation_numerators(self) -> np.ndarray:
+        # row j of the window view (not a copy) is s shifted by j
+        s = self._signs
+        out = sliding_window_view(np.concatenate((s, s[:-1])), self.prime) @ s
+        out.flags.writeable = False
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +186,12 @@ def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
     return memo[j]
 
 
+def autocorrelation_numerators(table: LegendreTable) -> np.ndarray:
+    """p * c(j) for every shift j at once (entry 0 is p), as exact int64
+    sums over the sign table; read-only and held on the table."""
+    return table._autocorrelation_numerators
+
+
 def table_autocorrelation(table: LegendreTable, j: int) -> Fraction:
     """c(j) as an exact rational, computed from the sign table itself."""
     j %= table.prime
@@ -178,6 +211,18 @@ def table_density_fourier(table: LegendreTable, j: int) -> float:
             f"density Fourier coefficient not real at p={table.prime}, j={j}: {val}"
         )
     return float(val.real)
+
+
+def table_density_fourier_all(table: LegendreTable) -> np.ndarray:
+    """Every table_density_fourier value at once, with the same realness check."""
+    vals = table._density_fourier
+    off = np.flatnonzero(np.abs(vals.imag) > _NUMERIC_TOL)
+    if off.size:
+        j = int(off[0])
+        raise InternalConsistencyError(
+            f"density Fourier coefficient not real at p={table.prime}, j={j}: {complex(vals[j])}"
+        )
+    return vals.real
 
 
 def character_polynomial_values(p: int) -> np.ndarray:

@@ -15,14 +15,16 @@ import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .charsums import (
-    autocorrelation,
-    autocorrelation_closed_form,
+    autocorrelation_numerators,
     flatness_report,
-    fourier_of_density_factor,
-    gauss_sum,
     gauss_sum_all,
+    legendre_symbols,
+    legendre_table,
     table_density,
+    table_density_fourier_all,
 )
 from .cocycle import CocycleContext, build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
@@ -433,11 +435,13 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Character-sum invariants over all odd primes up to pmax: Gauss sum
     formula vs direct summation, parity class, flatness window, and the
-    two autocorrelation routes."""
+    two autocorrelation routes, each checked over a prime's whole table."""
     if rc.pmax < 3:
         raise UsageError("pmax must be at least 3")
-    if rc.pmax > 2000:
-        raise UsageError("pmax above 2000 is not supported (the sweep is quadratic per prime)")
+    if rc.pmax > 3000:
+        raise UsageError(
+            "pmax above 3000 is not supported (the sweep does sum p^2 integer work)"
+        )
     primes = [p for p in range(3, rc.pmax + 1) if is_prime(p)]
     max_gauss_err = 0.0
     max_parity_err = 0.0
@@ -445,22 +449,31 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
     closed_form_ok = True
     worst_prime = None
     for p in primes:
-        brute = gauss_sum_all(p)
-        for x in range(1, p):
-            err = abs(brute[x] - gauss_sum(p, x))
-            if err > max_gauss_err:
-                max_gauss_err = err
-                worst_prime = p
-            parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
-            max_parity_err = max(max_parity_err, parity)
+        brute = gauss_sum_all(p)[1:]
+        chi = legendre_symbols(p)
+        # the formula's parts for x != 0 as gauss_sum builds them, so that the
+        # hypot equals abs(brute[x] - gauss_sum(p, x)) to the last digit
+        root = math.sqrt(p)
+        if p % 4 == 1:
+            formula_re, formula_im, off_axis = chi[1:] * root, 0.0, brute.imag
+        else:
+            formula_re, formula_im, off_axis = 0.0, -chi[1:] * root, brute.real
+        err = np.hypot(brute.real - formula_re, brute.imag - formula_im).max()
+        if err > max_gauss_err:
+            max_gauss_err = err
+            worst_prime = p
+        max_parity_err = max(max_parity_err, np.abs(off_axis).max())
         flatness_report(p)  # raises on a window violation
-        for j in range(p):
-            c = autocorrelation(p, j)
-            if c != autocorrelation_closed_form(p, j):
-                closed_form_ok = False
-            max_density_err = max(
-                max_density_err, abs(float(c) - fourier_of_density_factor(p, j))
-            )
+        table = legendre_table(p)
+        numerators = autocorrelation_numerators(table)
+        # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
+        closed = -1 + chi + chi[-np.arange(p) % p]
+        closed[0] = p
+        closed_form_ok = closed_form_ok and np.array_equal(numerators, closed)
+        max_density_err = max(
+            max_density_err,
+            np.abs(numerators / p - table_density_fourier_all(table)).max(),
+        )
     ok = (
         max_gauss_err <= rc.tolerance_transcendental
         and max_parity_err <= rc.tolerance_transcendental

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsums import table_autocorrelation
+from .charsums import autocorrelation_numerators
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
@@ -142,7 +142,10 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     cost = sum(t.prime**2 for t in tables)
     if cost > _SCAN_BUDGET:
         raise BudgetError(f"stage {n} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
-    per_prime = [Counter(table_autocorrelation(t, j) for j in range(t.prime)) for t in tables]
+    per_prime = []
+    for t in tables:
+        counts = Counter(autocorrelation_numerators(t).tolist())
+        per_prime.append({Fraction(v, t.prime): m for v, m in counts.items()})
     histogram: Counter = Counter()
     for combo in itertools.product(*(counts.items() for counts in per_prime)):
         c = math.prod(value for value, _ in combo)

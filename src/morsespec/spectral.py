@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charsums import (
-    autocorrelation_numerator,
+    autocorrelation_numerators,
     table_autocorrelation,
     table_density,
     table_density_fourier,
@@ -349,10 +349,7 @@ def sbh_adversarial_search(
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
-    luts = [
-        np.array([p] + [autocorrelation_numerator(t, j) for j in range(1, p)], dtype=np.int64)
-        for p, t in zip(primes_n, ctx.tables)
-    ]
+    luts = [autocorrelation_numerators(t) for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import morsespec as ms
 from morsespec.charsums import (
     autocorrelation_numerator,
+    autocorrelation_numerators,
+    legendre_symbols,
     table_autocorrelation,
     table_density,
     table_density_fourier,
@@ -18,6 +20,7 @@ from morsespec.charsums import (
 )
 from morsespec.errors import ConfigError
 
+ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
 
@@ -64,6 +67,44 @@ def test_legendre_table_matches_euler_criterion():
         assert all(values[k] == ms.legendre(k, p) for k in range(1, p)), p
 
 
+def test_legendre_symbols_match_scalar_route():
+    for p in ODD_PRIMES_BELOW_500:
+        assert legendre_symbols(p).tolist() == [ms.legendre(x, p) for x in range(p)], p
+    p = 390_647
+    symbols = legendre_symbols(p)
+    rng = np.random.default_rng(7)
+    for x in [0, 1, 2, p - 1] + rng.integers(0, p, size=200).tolist():
+        assert symbols[x] == sympy.legendre_symbol(x, p), x
+
+
+def test_legendre_symbols_refuse_int64_overflow():
+    # p^2 must stay below 2^63 for the int64 square-and-multiply
+    with pytest.raises(ConfigError):
+        legendre_symbols(3_037_000_507)
+
+
+def test_autocorrelation_numerators_match_per_shift_and_closed_form():
+    for p in ODD_PRIMES_BELOW_500 + [15629]:
+        table = ms.legendre_table(p)
+        numerators = autocorrelation_numerators(table)
+        assert numerators is autocorrelation_numerators(table)  # held on the table
+        assert not numerators.flags.writeable
+        assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
+        assert numerators.tolist() == [
+            p * ms.autocorrelation_closed_form(p, j) for j in range(p)
+        ], p
+
+
+def test_autocorrelation_numerators_accept_custom_tables():
+    rng = np.random.default_rng(11)
+    for p in (3, 17, 101, 631):
+        values = (1,) + tuple(rng.choice([-1, 1], size=p - 1).tolist())
+        table = ms.LegendreTable(prime=p, values=values)
+        assert autocorrelation_numerators(table).tolist() == [
+            autocorrelation_numerator(table, j) for j in range(p)
+        ], p
+
+
 def test_table_validation():
     with pytest.raises(ConfigError):
         ms.LegendreTable(prime=5, values=(1, 1, -1, -1))
@@ -71,6 +112,8 @@ def test_table_validation():
         ms.LegendreTable(prime=3, values=(-1, 1, 1))
     with pytest.raises(ConfigError):
         ms.LegendreTable(prime=3, values=(1, 0, 1))
+    with pytest.raises(ConfigError):
+        ms.LegendreTable(prime=3, values=(1, 1.5, -1))
 
 
 def _gauss_direct(p, x):

@@ -240,7 +240,7 @@ def test_names_budget_exceeded(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("autocorrelation scanned past the budget")
 
-    monkeypatch.setattr("morsespec.diagnostics.table_autocorrelation", no_scan)
+    monkeypatch.setattr("morsespec.diagnostics.autocorrelation_numerators", no_scan)
     code, out, err = run_cli(capsys, "names", "--theorem", "4")
     assert code == 64
     assert out == ""
@@ -257,6 +257,68 @@ def test_gauss_check(capsys):
     assert res["max_density_route_error"] <= 1e-12
     assert res["closed_form_matches"] is True
     assert res["flatness_ok"] is True
+
+
+def _gauss_check_per_element(pmax):
+    """The gauss-check sweep one x and one shift j at a time: the scalar
+    reference for the whole-array checks in cli.cmd_gauss_check."""
+    max_gauss = max_parity = max_density = 0.0
+    closed_form_ok = True
+    worst = None
+    for p in [q for q in range(3, pmax + 1) if ms.odometer.is_prime(q)]:
+        brute = ms.gauss_sum_all(p)
+        for x in range(1, p):
+            err = abs(brute[x] - ms.gauss_sum(p, x))
+            if err > max_gauss:
+                max_gauss, worst = err, p
+            parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
+            max_parity = max(max_parity, parity)
+        for j in range(p):
+            c = ms.autocorrelation(p, j)
+            closed_form_ok = closed_form_ok and c == ms.autocorrelation_closed_form(p, j)
+            max_density = max(max_density, abs(float(c) - ms.fourier_of_density_factor(p, j)))
+    return max_gauss, worst, max_parity, max_density, closed_form_ok
+
+
+@pytest.mark.parametrize("pmax", [100, 300])
+def test_gauss_check_matches_per_element_route(capsys, pmax):
+    # exact float equality; at pmax 300, np.abs of the complex difference
+    # instead of the hypot of its parts changes the last digit
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", str(pmax))
+    assert code == 0
+    res = report["results"]
+    assert (
+        res["max_gauss_error"],
+        res["worst_prime"],
+        res["max_parity_error"],
+        res["max_density_route_error"],
+        res["closed_form_matches"],
+    ) == _gauss_check_per_element(pmax)
+
+
+def test_gauss_check_flags_a_wrong_symbol(capsys, monkeypatch):
+    def flipped(p):
+        symbols = ms.charsums.legendre_symbols(p).copy()
+        if p == 13:
+            symbols[2] = -symbols[2]
+        return symbols
+
+    monkeypatch.setattr("morsespec.cli.legendre_symbols", flipped)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
+    assert code == 2
+    assert report["results"]["all_ok"] is False
+    assert report["results"]["closed_form_matches"] is False
+
+
+def test_gauss_check_pmax_cap(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a prime was scanned past the cap")
+
+    monkeypatch.setattr("morsespec.cli.gauss_sum_all", no_scan)
+    code, out, err = run_cli(capsys, "gauss-check", "--pmax", "3001")
+    assert code == 64
+    assert out == ""
+    assert "3000" in err
 
 
 def test_usage_errors(capsys):
