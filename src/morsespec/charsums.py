@@ -18,15 +18,21 @@ The autocorrelation of a sign table,
 
 is an exact rational with denominator p.  It doubles as the j-th Fourier
 coefficient of the density |P|^2 on the cyclic group, which provides an
-independent floating-point route to the same number.
+independent floating-point route to the same number.  On the whole circle
+|P|^2 is a trigonometric polynomial with coefficients r(m)/p, |m| < p,
+where r(m) = sum_x eps(x) eps(x + m) is the linear autocorrelation; so
+r = irfft(|rfft(eps, n)|^2, n), with the table zero-padded to a power of
+two n >= 2p - 1, is exact up to round-off.  On the p-th roots the lags m
+and m - p alias: c(j) = (r(j) + r(j - p)) / p.  As r(m) = r(-m), the
+symmetry of the computed r is its round-off check.
 
 The core routines accept any sign table (entries +/-1, entry 0 fixed to
 +1); the prime-keyed wrappers specialise to the Legendre table.  Each
-table is the single precomputation layer for its prime: the sign array,
-P, |P|^2, the Fourier transform of |P|^2 and the exact autocorrelation
-numerators are derived at most once, on first use, and live on the table
-itself.  The numerators come per shift (a memo for callers that need a few)
-or for every shift at once (one int64 pass over a sliding window).
+table is the single precomputation layer for its prime: it stores an int8
+sign array and derives an int64 copy for exact dot products, P, |P|^2,
+the density-route coefficients and the exact numerators at most once, on
+first use.  The numerators come per shift (a memo for callers that need a
+few) or for every shift at once (one int64 pass over a sliding window).
 """
 
 from __future__ import annotations
@@ -72,39 +78,48 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegendreTable:
-    """Sign table of length p: entry 0 is +1, the rest are +/-1.
+    """Sign table of length p: entry 0 is +1, the rest are +/-1, kept as the
+    read-only int8 array `signs` (any sequence or array is accepted).
 
+    Tables compare by identity; legendre_table returns one per prime.
     The name reflects the standard construction; any table meeting the
     structural constraints is accepted downstream.
     """
 
     prime: int
-    values: tuple[int, ...]
+    signs: np.ndarray
     # exact autocorrelation numerators, filled per shift j on demand
-    _numerators: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _numerators: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.prime
-        if len(self.values) != p:
-            raise ConfigError(f"table for {p} has {len(self.values)} entries")
-        if self.values[0] != 1:
+        signs = np.asarray(self.signs)
+        if signs.shape != (p,):
+            raise ConfigError(f"table for {p} has shape {signs.shape}, not ({p},)")
+        if signs[0] != 1:
             raise ConfigError("table entry at 0 must be +1")
-        if not set(self.values) <= {-1, 1}:
+        # compared before the cast, which would truncate 1.5 to 1
+        if not ((signs == 1) | (signs == -1)).all():
             raise ConfigError("table entries must be +1 or -1")
+        signs = signs.astype(np.int8)  # a copy: the caller's array stays writeable
+        signs.flags.writeable = False
+        object.__setattr__(self, "signs", signs)
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.signs.tolist())
 
     # int64, not int8: np.dot and @ accumulate in the operands' dtype
     @cached_property
     def _signs(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
+        return self.signs.astype(np.int64)
 
     @cached_property
     def _polynomial(self) -> np.ndarray:
         # np.fft.fft applies exp(-2 pi i k x / p), the sign convention above
-        return np.fft.fft(self._signs.astype(np.complex128)) / math.sqrt(self.prime)
+        return np.fft.fft(self.signs.astype(np.complex128)) / math.sqrt(self.prime)
 
     @cached_property
     def _density(self) -> np.ndarray:
@@ -113,8 +128,20 @@ class LegendreTable:
 
     @cached_property
     def _density_fourier(self) -> np.ndarray:
-        # ifft carries the +2 pi i kernel and the 1/p normalisation
-        return np.fft.ifft(self._density)
+        # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
+        p = self.prime
+        n = 1 << (2 * p - 2).bit_length()
+        spec = np.fft.rfft(self.signs, n)
+        r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
+        off = np.flatnonzero(np.abs(r[1:p] - r[n - 1 : n - p : -1]) > p * _NUMERIC_TOL)
+        if off.size:
+            m = int(off[0]) + 1
+            raise InternalConsistencyError(
+                f"density autocorrelation not symmetric at p={p}, m={m}: {r[m]} vs {r[n - m]}"
+            )
+        out = (r[:p] + r[n - p :]) / p
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def _autocorrelation_numerators(self) -> np.ndarray:
@@ -132,10 +159,10 @@ def legendre_table(p: int) -> LegendreTable:
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
     k = np.arange(1, p, dtype=np.int64)
-    signs = np.full(p, -1, dtype=np.int64)
+    signs = np.full(p, -1, dtype=np.int8)
     signs[(k * k) % p] = 1
     signs[0] = 1
-    return LegendreTable(prime=p, values=tuple(signs.tolist()))
+    return LegendreTable(prime=p, signs=signs)
 
 
 def gauss_sum(p: int, x: int) -> complex:
@@ -157,7 +184,6 @@ def gauss_sum_brute(p: int, x: int) -> complex:
     return complex(np.exp(-2j * np.pi * ((k * k * x) % p) / p).sum())
 
 
-@lru_cache(maxsize=None)
 def gauss_sum_all(p: int) -> np.ndarray:
     """Every quadratic Gauss sum mod p at once: entry x holds
     sum_k exp(-2 pi i k^2 x / p), via the FFT of the histogram of squares."""
@@ -201,28 +227,15 @@ def table_autocorrelation(table: LegendreTable, j: int) -> Fraction:
 
 
 def table_density_fourier(table: LegendreTable, j: int) -> float:
-    """j-th Fourier coefficient (1/p) sum_x |P(x)|^2 exp(+2 pi i j x / p).
-
-    The value is real and must agree with table_autocorrelation(table, j)
-    up to round-off; the two routes share no code past the table."""
-    val = complex(table._density_fourier[j % table.prime])
-    if abs(val.imag) > _NUMERIC_TOL:
-        raise InternalConsistencyError(
-            f"density Fourier coefficient not real at p={table.prime}, j={j}: {val}"
-        )
-    return float(val.real)
+    """j-th Fourier coefficient (1/p) sum_x |P(x)|^2 exp(+2 pi i j x / p) by
+    the zero-padded route.  It must agree with table_autocorrelation(table, j)
+    up to round-off; the two routes share no code past the sign array."""
+    return float(table._density_fourier[j % table.prime])
 
 
 def table_density_fourier_all(table: LegendreTable) -> np.ndarray:
-    """Every table_density_fourier value at once, with the same realness check."""
-    vals = table._density_fourier
-    off = np.flatnonzero(np.abs(vals.imag) > _NUMERIC_TOL)
-    if off.size:
-        j = int(off[0])
-        raise InternalConsistencyError(
-            f"density Fourier coefficient not real at p={table.prime}, j={j}: {complex(vals[j])}"
-        )
-    return vals.real
+    """Every table_density_fourier value at once; read-only, held on the table."""
+    return table._density_fourier
 
 
 def character_polynomial_values(p: int) -> np.ndarray:
@@ -267,9 +280,10 @@ class FlatnessReport:
     delta_sign: str
 
 
-def flatness_report(p: int) -> FlatnessReport:
+def table_flatness_report(table: LegendreTable) -> FlatnessReport:
     """Scan |P(x)| over every x != 0 and confirm the flatness window."""
-    mods = np.abs(character_polynomial_values(p))[1:]
+    p = table.prime
+    mods = np.abs(table_polynomial_values(table))[1:]
     lo, hi = float(mods.min()), float(mods.max())
     root = math.sqrt(p)
     if lo < 1 - 1 / root - _NUMERIC_TOL or hi > 1 + 1 / root + _NUMERIC_TOL:
@@ -283,3 +297,6 @@ def flatness_report(p: int) -> FlatnessReport:
         delta_sign="one" if p % 4 == 1 else "imaginary-unit",
     )
 
+
+def flatness_report(p: int) -> FlatnessReport:
+    return table_flatness_report(legendre_table(p))

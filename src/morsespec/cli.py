@@ -25,6 +25,7 @@ from .charsums import (
     legendre_table,
     table_density,
     table_density_fourier_all,
+    table_flatness_report,
 )
 from .cocycle import CocycleContext, build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
@@ -463,8 +464,8 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_gauss_err = err
             worst_prime = p
         max_parity_err = max(max_parity_err, np.abs(off_axis).max())
-        flatness_report(p)  # raises on a window violation
-        table = legendre_table(p)
+        table = legendre_table.__wrapped__(p)  # uncached: freed with the next prime
+        table_flatness_report(table)  # raises on a window violation
         numerators = autocorrelation_numerators(table)
         # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
         closed = -1 + chi + chi[-np.arange(p) % p]

@@ -8,7 +8,9 @@ Averaging the cocycle against the base measure coordinate-factorises:
 the product of the per-coordinate sign autocorrelations, an exact
 rational.  The same number is a Fourier coefficient of the product of
 the per-coordinate densities |P_n|^2, which gives a floating-point
-recomputation sharing no code with the rational route past the tables.
+recomputation sharing no code with the rational route past the sign
+arrays: each factor (r_n(j) + r_n(j - p_n)) / p_n comes from the
+zero-padded FFT autocorrelation r_n of the signs (see charsums).
 
 The measure with these coefficients has a density whose sup is the
 product of the per-coordinate sups.  An exhaustive scan bounds every

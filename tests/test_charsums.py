@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
+from morsespec import charsums
 from morsespec.charsums import (
     autocorrelation_numerator,
     autocorrelation_numerators,
@@ -16,9 +17,10 @@ from morsespec.charsums import (
     table_autocorrelation,
     table_density,
     table_density_fourier,
+    table_density_fourier_all,
     table_polynomial_values,
 )
-from morsespec.errors import ConfigError
+from morsespec.errors import ConfigError, InternalConsistencyError
 
 ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
@@ -53,6 +55,9 @@ def test_legendre_table_structure():
         assert sum(table.values) == 1
         for k in range(1, p):
             assert table.values[(k * k) % p] == 1
+        assert table.signs.dtype == np.int8
+        assert not table.signs.flags.writeable
+        assert table.values == tuple(table.signs.tolist())
     with pytest.raises(ConfigError):
         ms.legendre_table(9)
     with pytest.raises(ConfigError):
@@ -99,21 +104,43 @@ def test_autocorrelation_numerators_accept_custom_tables():
     rng = np.random.default_rng(11)
     for p in (3, 17, 101, 631):
         values = (1,) + tuple(rng.choice([-1, 1], size=p - 1).tolist())
-        table = ms.LegendreTable(prime=p, values=values)
-        assert autocorrelation_numerators(table).tolist() == [
-            autocorrelation_numerator(table, j) for j in range(p)
-        ], p
+        table = ms.LegendreTable(prime=p, signs=values)
+        numerators = autocorrelation_numerators(table)
+        assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
+        assert np.abs(table_density_fourier_all(table) - numerators / p).max() < 1e-12, p
 
 
 def test_table_validation():
     with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=5, values=(1, 1, -1, -1))
+        ms.LegendreTable(prime=5, signs=(1, 1, -1, -1))
     with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, values=(-1, 1, 1))
+        ms.LegendreTable(prime=3, signs=(-1, 1, 1))
     with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, values=(1, 0, 1))
+        ms.LegendreTable(prime=3, signs=(1, 0, 1))
     with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, values=(1, 1.5, -1))
+        ms.LegendreTable(prime=3, signs=(1, 1.5, -1))
+    with pytest.raises(ConfigError):
+        ms.LegendreTable(prime=3, signs=np.array([1.0, 1.5, -1.0]))
+    with pytest.raises(ConfigError):
+        ms.LegendreTable(prime=3, signs=np.array([[1, 1, -1]], dtype=np.int8))
+    with pytest.raises(ConfigError):
+        ms.LegendreTable(prime=3, signs=np.array([1, 2, -1], dtype=np.int8))
+
+
+def test_table_accepts_sequences_and_arrays():
+    expected = (1, 1, -1, -1, 1)
+    caller = np.array(expected, dtype=np.int8)
+    for signs in (expected, list(expected), caller, caller.astype(np.int64)):
+        table = ms.LegendreTable(prime=5, signs=signs)
+        assert table.signs.dtype == np.int8
+        assert not table.signs.flags.writeable
+        assert table.values == expected
+        assert autocorrelation_numerators(table).tolist() == [5, 1, -3, -3, 1]
+    assert caller.flags.writeable  # the table keeps a copy
+    # identity equality and hashing: one table per prime from legendre_table
+    assert ms.legendre_table(5) == ms.legendre_table(5)
+    assert ms.LegendreTable(prime=5, signs=expected) != ms.LegendreTable(prime=5, signs=expected)
+    assert len({table, table, ms.legendre_table(5)}) == 2
 
 
 def _gauss_direct(p, x):
@@ -257,13 +284,46 @@ def test_density_fourier_route_agrees_with_autocorrelation():
         ) < 1e-12
 
 
+def test_density_route_matches_exact_numerators_at_every_shift():
+    for p in ODD_PRIMES_BELOW_500:
+        table = ms.legendre_table(p)
+        route = table_density_fourier_all(table)
+        assert not route.flags.writeable
+        assert np.abs(route - autocorrelation_numerators(table) / p).max() < 1e-12, p
+    # p = 3 pads to n = 8, the smallest transform
+    assert table_density_fourier_all(ms.legendre_table(3)).tolist() == pytest.approx(
+        [1, -1 / 3, -1 / 3], abs=1e-15
+    )
+    for p in (15629, 390_647):
+        chi = legendre_symbols(p)
+        closed = (-1 + chi + chi[-np.arange(p) % p]) / p
+        closed[0] = 1
+        assert np.abs(table_density_fourier_all(ms.legendre_table(p)) - closed).max() < 1e-12, p
+
+
+def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
+    irfft = np.fft.irfft
+
+    def skewed(a, n):
+        r = irfft(a, n)
+        r[2] += 1e-6  # r(2) no longer equals r(-2)
+        return r
+
+    monkeypatch.setattr(charsums.np.fft, "irfft", skewed)
+    table = ms.LegendreTable(prime=7, signs=ms.legendre_table(7).signs)  # nothing cached yet
+    with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
+        table_density_fourier(table, 1)
+    with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
+        table_density_fourier_all(table)
+
+
 def test_density_mean_is_one():
     for p in (5, 7, 29, 631, 15629):
         assert abs(ms.density_values(p).mean() - 1.0) < 1e-12
 
 
 def test_table_level_routines_accept_custom_tables():
-    table = ms.LegendreTable(prime=3, values=(1, -1, -1))
+    table = ms.LegendreTable(prime=3, signs=(1, -1, -1))
     dens = table_density(table)
     assert abs(dens.mean() - 1.0) < 1e-12
     assert table_autocorrelation(table, 0) == 1

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,20 @@ def test_cocycle_value_matches_full_product(ctx57):
     for x in ms.enumerate_points(cfg):
         for g in ms.enumerate_level_group(2, cfg):
             assert ms.cocycle_value(x, g, ctx57) == _cocycle_all_coordinates(x, g, ctx57)
+
+
+def test_cocycle_value_on_array_built_tables(ctx57):
+    cfg = ctx57.cfg
+    tables = (
+        ms.LegendreTable(prime=5, signs=np.array(ctx57.tables[0].values, dtype=np.int8)),
+        ms.LegendreTable(prime=7, signs=list(ctx57.tables[1].values)),
+    )
+    ctx = ms.CocycleContext(cfg=cfg, tables=tables)
+    for x in ms.enumerate_points(cfg):
+        for g in ms.enumerate_level_group(2, cfg):
+            assert ms.cocycle_value(x, g, ctx) == ms.cocycle_value(x, g, ctx57)
+    for g in ms.enumerate_level_group(2, cfg):
+        assert ms.cocycle_at_zero(g, ctx) == ms.cocycle_at_zero(g, ctx57)
 
 
 def test_cocycle_at_zero_is_value_at_origin(ctx57):

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +322,45 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
     assert code == 64
     assert out == ""
     assert "3000" in err
+
+
+def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
+    # each swept prime's table is built outside the lru_cache and freed; an
+    # empty cache in its place shows this even for primes other tests cached
+    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
+    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
+    monkeypatch.setattr("morsespec.cli.legendre_table", cache)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "200")
+    assert code == 0 and report["results"]["all_ok"] is True
+    assert cache.cache_info().currsize == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("certify_theorem_3", ["certify", "--theorem", "3"]),
+        ("names_5_7_11", ["names", "--primes", "5,7,11"]),
+        ("sbh_search_29_k4_seed1", ["sbh-search", "--primes", "29", "--k-max", "4", "--seed", "1"]),
+        (
+            "sbh_search_5_7_11_level3_k6_seed1",
+            ["sbh-search", "--primes", "5,7,11", "--level", "3", "--k-max", "6", "--seed", "1"],
+        ),
+    ],
+)
+def test_reports_match_golden(capsys, name, argv):
+    """stdout minus the timestamp line is byte-identical to a report saved
+    from an earlier version of the program; criterion 10 only compares
+    reruns of the same code.  Regenerate a file only for an intended
+    report change, with `python -m morsespec.cli <argv> > tests/golden/<name>.json`."""
+    def strip(text):
+        return re.sub(r'^\s*"timestamp": "[^"]*",?\n', "", text, flags=re.MULTILINE)
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert strip(out) == strip((GOLDEN / f"{name}.json").read_text())
 
 
 def test_usage_errors(capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,26 @@ def test_density_route_agrees(ctx5711):
         via_density = ms.spectral_coefficient_from_density(g, ctx5711)
         worst = max(worst, abs(exact - via_density))
     assert worst <= 1e-12
+
+
+def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
+    # both coefficient routes, as coeffs runs them, on tables with nothing
+    # cached: the density route reads the padded autocorrelation, so no
+    # prime-length FFT runs and neither P nor |P|^2 is formed
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a complex FFT ran on the coefficient routes")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
+    ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
+    for g in ms.enumerate_level_group(3, cfg5711):
+        ms.spectral_coefficient(g, ctx)
+        ms.spectral_coefficient_from_density(g, ctx)
+    for table in tables:
+        assert "_density_fourier" in table.__dict__
+        assert "_polynomial" not in table.__dict__
+        assert "_density" not in table.__dict__
 
 
 def test_density_marginal_basics(ctx57):
