@@ -69,6 +69,7 @@ from .odometer import (
     is_prime,
     level_fiber,
     level_group_order,
+    level_group_vectors,
     make_group_config,
     neg,
     point,
@@ -96,6 +97,8 @@ from .spectral import (
     sbh_verdict,
     spectral_coefficient,
     spectral_coefficient_from_density,
+    spectral_coefficients,
+    spectral_coefficients_from_density,
     tail_density_bound,
     tail_partial_product,
 )

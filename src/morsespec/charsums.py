@@ -32,7 +32,10 @@ table is the single precomputation layer for its prime: it stores an int8
 sign array and derives an int64 copy for exact dot products, P, |P|^2,
 the density-route coefficients and the exact numerators at most once, on
 first use.  The numerators come per shift (a memo for callers that need a
-few) or for every shift at once (one int64 pass over a sliding window).
+few) or for every shift at once (np.correlate of the signs as float64,
+one BLAS dot per shift, exact because every partial sum is an integer of
+magnitude at most p < 2^53).  Both are direct summations over the table,
+never the closed form, so comparing them with it is a real check.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InternalConsistencyError
 from .odometer import is_prime
@@ -123,8 +125,10 @@ class LegendreTable:
 
     @cached_property
     def _density(self) -> np.ndarray:
+        # a fresh float array: (vals * vals.conj()).real would be a view that
+        # keeps the complex product alive
         vals = self._polynomial
-        return (vals * vals.conj()).real
+        return vals.real**2 + vals.imag**2
 
     @cached_property
     def _density_fourier(self) -> np.ndarray:
@@ -145,9 +149,10 @@ class LegendreTable:
 
     @cached_property
     def _autocorrelation_numerators(self) -> np.ndarray:
-        # row j of the window view (not a copy) is s shifted by j
-        s = self._signs
-        out = sliding_window_view(np.concatenate((s, s[:-1])), self.prime) @ s
+        # entry j is sum_x s(x + j) s(x), a direct float64 dot per shift (BLAS);
+        # every partial sum is an integer of magnitude <= p < 2^53, so exact
+        s = self.signs.astype(np.float64)
+        out = np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
         out.flags.writeable = False
         return out
 

@@ -10,8 +10,10 @@ for a fixed configuration and seed apart from the timestamp field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -36,8 +38,9 @@ from .odometer import (
     GroupConfig,
     GroupElement,
     element,
-    enumerate_level_group,
     is_prime,
+    level_group_order,
+    level_group_vectors,
     make_group_config,
     theorem_primes,
 )
@@ -51,8 +54,8 @@ from .reporting import (
 from .spectral import (
     sbh_adversarial_search,
     sbh_verdict,
-    spectral_coefficient,
-    spectral_coefficient_from_density,
+    spectral_coefficients,
+    spectral_coefficients_from_density,
 )
 
 EXIT_OK = 0
@@ -199,6 +202,15 @@ def resolve_group_config(rc: RunConfig) -> GroupConfig:
         raise UsageError(f"invalid configuration: {exc}") from None
 
 
+@contextmanager
+def _writing(path: str):
+    """An output file that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _config_echo(rc: RunConfig, cfg: GroupConfig | None) -> dict:
     return {
         "primes": list(cfg.primes) if cfg else None,
@@ -280,7 +292,9 @@ def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     return _envelope("certify", rc, cfg, results), code
 
 
-def _parse_elements(specs: list[str], cfg: GroupConfig) -> list[GroupElement]:
+def _parse_elements(specs: list[str], cfg: GroupConfig) -> np.ndarray:
+    """Dense residue vectors, one row per element and one column per
+    configured prime."""
     if not specs:
         specs = [f"level:{cfg.level}"]
     if len(specs) == 1 and specs[0].startswith("level:"):
@@ -290,7 +304,12 @@ def _parse_elements(specs: list[str], cfg: GroupConfig) -> list[GroupElement]:
             raise UsageError(f"bad element spec {specs[0]!r}") from None
         if not 0 <= n <= cfg.level:
             raise UsageError(f"level {n} outside 0..{cfg.level}")
-        return list(enumerate_level_group(n, cfg))
+        vectors = level_group_vectors(n, cfg)
+        size = level_group_order(n, cfg)
+        out = np.zeros((size, cfg.level), dtype=np.int64)
+        flat = itertools.chain.from_iterable(vectors)
+        out[:, :n] = np.fromiter(flat, dtype=np.int64, count=size * n).reshape(size, n)
+        return out
     out = []
     for spec in specs:
         try:
@@ -303,10 +322,10 @@ def _parse_elements(specs: list[str], cfg: GroupConfig) -> list[GroupElement]:
                 f"configuration has {cfg.level}"
             )
         try:
-            out.append(element(residues, cfg))
+            out.append(element(residues, cfg).vector(cfg.level))
         except ConfigError as exc:
             raise UsageError(f"bad element {spec!r}: {exc}") from None
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
@@ -314,22 +333,15 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     disagreement beyond tolerance is an internal-consistency failure."""
     cfg = resolve_group_config(rc)
     ctx = build_context(cfg)
-    elements = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
-    rows = []
-    max_discrepancy = 0.0
-    for g in elements:
-        exact = spectral_coefficient(g, ctx).value
-        numeric = spectral_coefficient_from_density(g, ctx)
-        discrepancy = abs(float(exact) - numeric)
-        max_discrepancy = max(max_discrepancy, discrepancy)
-        rows.append(
-            {
-                "element": _vector(g, cfg),
-                "rational": exact,
-                "numeric": numeric,
-                "discrepancy": discrepancy,
-            }
-        )
+    residues = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
+    exact = spectral_coefficients(residues, ctx)
+    numeric = spectral_coefficients_from_density(residues, ctx)
+    discrepancy = np.abs(np.array([float(q) for q in exact]) - numeric)
+    max_discrepancy = float(discrepancy.max(initial=0.0))
+    rows = [
+        {"element": vec, "rational": q, "numeric": x, "discrepancy": d}
+        for vec, q, x, d in zip(residues.tolist(), exact, numeric.tolist(), discrepancy.tolist())
+    ]
     agree = max_discrepancy <= rc.tolerance_numeric
     results = {
         "rows": rows,
@@ -375,7 +387,8 @@ def cmd_names(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
         "op": "name_separation / at_ball_bound",
     }
     if rc.histogram_out:
-        write_histogram_csv(sep, rc.histogram_out)
+        with _writing(rc.histogram_out):
+            write_histogram_csv(sep, rc.histogram_out)
         results["histogram_file"] = rc.histogram_out
     return _envelope("names", rc, cfg, results), EXIT_OK
 
@@ -561,9 +574,10 @@ def main(argv: list[str] | None = None) -> int:
         rc = build_run_config(args)
         report, code = _COMMANDS[args.command](rc, args)
         text = render_report(report, rc.format)
-        sys.stdout.write(text)
         if rc.out:
-            write_atomic(rc.out, text)
+            with _writing(rc.out):
+                write_atomic(rc.out, text)
+        sys.stdout.write(text)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

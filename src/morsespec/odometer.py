@@ -202,12 +202,20 @@ def level_group_order(n: int, cfg: GroupConfig) -> int:
     return math.prod(cfg.primes[:n])
 
 
-def enumerate_level_group(n: int, cfg: GroupConfig, budget: int = 10**6) -> Iterator[GroupElement]:
-    """All of G_n in lexicographic order of dense vectors (identity first)."""
+def level_group_vectors(
+    n: int, cfg: GroupConfig, budget: int = 10**6
+) -> Iterator[tuple[int, ...]]:
+    """The dense residue vectors of G_n, of length n, in lexicographic
+    order (identity first)."""
     size = level_group_order(n, cfg)
     if size > budget:
         raise BudgetError(f"|G_{n}| = {size} exceeds enumeration budget {budget}")
-    for vec in itertools.product(*(range(p) for p in cfg.primes[:n])):
+    return itertools.product(*(range(p) for p in cfg.primes[:n]))
+
+
+def enumerate_level_group(n: int, cfg: GroupConfig, budget: int = 10**6) -> Iterator[GroupElement]:
+    """All of G_n in lexicographic order of dense vectors (identity first)."""
+    for vec in level_group_vectors(n, cfg, budget):
         yield GroupElement(tuple((i, r) for i, r in enumerate(vec) if r))
 
 

@@ -6,15 +6,20 @@ sorted, rationals are rendered as "numerator/denominator" strings so
 certificate values round-trip without float corruption, and the only
 run-dependent field is the timestamp, which consumers exclude when
 comparing runs.
+
+canonical_json renders report objects directly, in the exact bytes of
+json.dumps(to_builtin(x), sort_keys=True, indent=2) + "\n", but without
+the intermediate copy or the pure-Python encoder that indent selects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -51,8 +56,70 @@ def to_builtin(obj):
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _render(obj, nl: str) -> str:
+    """JSON text of obj at the indentation nl ("\\n" plus two spaces per
+    level).  Past the fast path for exact str, float and int, each case
+    comes in the order to_builtin and then json take it.  A container
+    joins its children as soon as they are rendered."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is float:
+        return _float_json(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return f'"{rational_str(obj)}"'
+    if isinstance(obj, np.generic):
+        return _render(obj.item(), nl)
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), nl)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = {str(k): v for k, v in obj.items()}
+        body = ("," + inner).join(
+            f"{_encode_str(k)}: {_render(items[k], inner)}" for k in sorted(items)
+        )
+        return f"{{{inner}{body}{nl}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join(_render(v, inner) for v in obj)
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_json(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_json(data) -> str:
-    return json.dumps(to_builtin(data), sort_keys=True, indent=2) + "\n"
+    return _render(data, "\n") + "\n"
 
 
 def config_digest(data) -> str:

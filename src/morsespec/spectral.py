@@ -40,10 +40,10 @@ from functools import lru_cache
 import numpy as np
 
 from .charsums import (
+    autocorrelation_numerator,
     autocorrelation_numerators,
-    table_autocorrelation,
     table_density,
-    table_density_fourier,
+    table_density_fourier_all,
 )
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
@@ -62,27 +62,63 @@ class SpectralCoefficient:
     value: Fraction
 
 
+def _checked_residues(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
+    residues = np.asarray(residues, dtype=np.int64)
+    if residues.ndim != 2 or residues.shape[1] != ctx.cfg.level:
+        raise ConfigError(
+            f"residue matrix of shape {residues.shape} needs one column per "
+            f"configured prime ({ctx.cfg.level})"
+        )
+    return residues % np.array(ctx.cfg.primes, dtype=np.int64)
+
+
+def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fraction]:
+    """coeff of every row of a dense residue matrix (one column per
+    configured prime) by the exact rational route: the product over the
+    coordinates of the numerators p_n * c_n(r_n), over prod p_n.  A
+    coordinate at residue 0 contributes p_n / p_n, so only the support
+    counts.  Each distinct shift of a coordinate costs one per-shift
+    numerator, never the all-shift array."""
+    residues = _checked_residues(residues, ctx)
+    numerators = np.empty(residues.shape, dtype=np.int64)
+    for n, table in enumerate(ctx.tables):
+        shifts, where = np.unique(residues[:, n], return_inverse=True)
+        lut = [autocorrelation_numerator(table, j) for j in shifts.tolist()]
+        numerators[:, n] = np.array(lut, dtype=np.int64)[where]
+    den = math.prod(ctx.cfg.primes)
+    # Python ints: the row products can outgrow int64
+    return [Fraction(math.prod(row), den) for row in numerators.tolist()]
+
+
+def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
+    """coeff of every row of a dense residue matrix by the density route:
+    one Fourier coefficient of |P_n|^2 per coordinate, every coordinate
+    included (at residue 0 the factor is the density mean), multiplied in
+    coordinate order from 1.0."""
+    residues = _checked_residues(residues, ctx)
+    out = np.ones(len(residues))
+    for n, table in enumerate(ctx.tables):
+        out *= table_density_fourier_all(table)[residues[:, n]]
+    return out
+
+
+def _residue_row(g: GroupElement, ctx: CocycleContext) -> np.ndarray:
+    if g.max_index() >= ctx.cfg.level:
+        raise ConfigError(f"element support exceeds the configured {ctx.cfg.level} primes")
+    return np.array([g.vector(ctx.cfg.level)], dtype=np.int64)
+
+
 def spectral_coefficient(g: GroupElement, ctx: CocycleContext) -> SpectralCoefficient:
     """coeff(g) by the exact rational route: product of per-coordinate
     autocorrelations over the support of g."""
-    if g.max_index() >= ctx.cfg.level:
-        raise ConfigError(f"element support exceeds the configured {ctx.cfg.level} primes")
-    value = Fraction(1)
-    for idx, res in g.coords:
-        value *= table_autocorrelation(ctx.tables[idx], res)
+    value = spectral_coefficients(_residue_row(g, ctx), ctx)[0]
     return SpectralCoefficient(element=g, value=value)
 
 
 def spectral_coefficient_from_density(g: GroupElement, ctx: CocycleContext) -> float:
-    """coeff(g) by the density route: one Fourier coefficient of |P_n|^2
-    per coordinate, every coordinate included (off the support the index
-    is 0 and the factor is the density mean)."""
-    if g.max_index() >= ctx.cfg.level:
-        raise ConfigError(f"element support exceeds the configured {ctx.cfg.level} primes")
-    out = 1.0
-    for n, table in enumerate(ctx.tables):
-        out *= table_density_fourier(table, g.residue(n))
-    return out
+    """coeff(g) by the density route, one Fourier coefficient of |P_n|^2
+    per coordinate."""
+    return float(spectral_coefficients_from_density(_residue_row(g, ctx), ctx)[0])
 
 
 @dataclass(frozen=True)

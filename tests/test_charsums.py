@@ -332,3 +332,32 @@ def test_table_level_routines_accept_custom_tables():
     assert autocorrelation_numerator(table, 1) == -1
     assert abs(table_density_fourier(table, 1) - float(Fraction(-1, 3))) < 1e-12
     assert table_polynomial_values(table).shape == (3,)
+
+
+def test_cached_density_owns_its_data():
+    # a view such as (P * conj(P)).real would keep the complex product alive
+    for p in (5, 29, 15629):
+        table = ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
+        dens = table_density(table)
+        assert dens.dtype == np.float64
+        assert dens.base is None and dens.flags.owndata, p
+        vals = table_polynomial_values(table)
+        assert np.array_equal(dens, (vals * vals.conj()).real), p
+
+
+def test_all_shift_numerators_match_an_int64_window_sum():
+    # the float64 correlate route against an exact int64 window sum, on
+    # Legendre and on arbitrary +/-1 tables
+    rng = np.random.default_rng(5)
+    tables = [ms.legendre_table(p) for p in (3, 5, 97, 997)]
+    for p in (3, 8, 101, 1000):
+        signs = rng.choice([-1, 1], size=p)
+        signs[0] = 1
+        tables.append(ms.LegendreTable(prime=p, signs=signs))
+    for table in tables:
+        s = table.signs.astype(np.int64)
+        window = np.array([np.dot(np.roll(s, -j), s) for j in range(table.prime)])
+        numerators = autocorrelation_numerators(table)
+        assert numerators.dtype == np.int64
+        assert not numerators.flags.writeable
+        assert np.array_equal(numerators, window), table.prime

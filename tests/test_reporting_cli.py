@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import morsespec as ms
 import morsespec.cli as cli
@@ -46,6 +49,75 @@ def test_canonical_json_is_sorted_and_terminated():
     assert text.index('"a"') < text.index('"b"')
     assert text.index('"c"') < text.index('"d"')
     assert text.endswith("\n")
+
+
+def json_oracle(data):
+    """The reference rendering canonical_json must reproduce byte for byte."""
+    return json.dumps(reporting.to_builtin(data), sort_keys=True, indent=2) + "\n"
+
+
+@dataclasses.dataclass
+class Pair:
+    rational: Fraction
+    payload: object
+
+
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),  # NaN, +/-inf and -0.0 included
+    st.text(),  # non-ASCII and control characters included
+    st.fractions(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    hnp.arrays(
+        dtype=st.sampled_from([np.int64, np.float64, np.bool_]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+report_trees = st.recursive(
+    report_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), children, max_size=4),
+        st.builds(Pair, rational=st.fractions(), payload=children),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=report_trees)
+def test_canonical_json_matches_json_dumps(data):
+    assert reporting.canonical_json(data) == json_oracle(data)
+
+
+def test_canonical_json_edge_values():
+    data = {
+        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1],
+        "big": 10**40,
+        "text": "caf\u00e9 \u2603 \x00\x1f\t\n\"\\",
+        7: {"empty_list": [], "empty_dict": {}, "empty_tuple": ()},
+        "array": np.arange(6.0).reshape(2, 3),
+        "objects": np.array([Fraction(1, 3), None], dtype=object),
+        "pair": Pair(rational=Fraction(-2, 4), payload=(np.int64(-5), np.bool_(True))),
+    }
+    assert reporting.canonical_json(data) == json_oracle(data)
+    assert reporting.canonical_json([]) == "[]\n"
+    assert reporting.canonical_json(Fraction(3)) == '"3/1"\n'
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, 1j, object(), np.complex128(1j), [b"bytes"]])
+def test_canonical_json_rejects_what_json_rejects(bad):
+    data = {"ok": 1, "bad": bad}
+    with pytest.raises(TypeError):
+        json_oracle(data)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        reporting.canonical_json(data)
 
 
 def test_config_digest_stability():
@@ -324,6 +396,33 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
     assert "3000" in err
 
 
+def test_coeffs_builds_no_all_shift_numerators(capsys, monkeypatch):
+    # the exact route reads one numerator per distinct shift; the all-shift
+    # array would cost sum p^2 (1.5e11 at the theorem-4 tables)
+    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
+    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
+    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
+    code, report, _ = run_json(capsys, "coeffs", "--theorem", "3", "1,2,3", "5,0,77")
+    assert code == 0 and report["results"]["routes_agree"] is True
+    assert "_autocorrelation_numerators" not in cache(15629).__dict__
+    assert sorted(cache(15629)._numerators) == [3, 77]
+
+
+def test_coeffs_level_spec_keeps_its_checks(capsys):
+    code, report, _ = run_json(capsys, "coeffs", "--primes", "5,7,11", "level:1")
+    assert code == 0
+    assert [row["element"] for row in report["results"]["rows"]] == [[r, 0, 0] for r in range(5)]
+    code, report, _ = run_json(capsys, "coeffs", "--primes", "5,7", "level:0")
+    assert code == 0
+    assert report["results"]["rows"][0]["element"] == [0, 0]
+    assert report["results"]["rows"][0]["rational"] == "1/1"
+    for spec, message in (("level:3", "outside 0..2"), ("level:x", "bad element spec")):
+        code, out, err = run_cli(capsys, "coeffs", "--primes", "5,7", spec)
+        assert code == 64 and out == "" and message in err
+    code, out, err = run_cli(capsys, "coeffs", "--theorem", "3", "level:3")
+    assert code == 64 and out == "" and "enumeration budget" in err
+
+
 def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
     # each swept prime's table is built outside the lru_cache and freed; an
     # empty cache in its place shows this even for primes other tests cached
@@ -347,6 +446,11 @@ GOLDEN = Path(__file__).parent / "golden"
         (
             "sbh_search_5_7_11_level3_k6_seed1",
             ["sbh-search", "--primes", "5,7,11", "--level", "3", "--k-max", "6", "--seed", "1"],
+        ),
+        ("coeffs_5_7", ["coeffs", "--primes", "5,7"]),
+        (
+            "coeffs_theorem_3_elements",
+            ["coeffs", "--theorem", "3", "1,2,3", "0,0,0", "28,630,15628", "5,0,77", "0,1"],
         ),
     ],
 )
@@ -446,6 +550,28 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text() == out
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "report.json"  # a path below a regular file
+    code, out, err = run_cli(capsys, "certify", "--theorem", "3", "--out", str(target))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {target}")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_histogram_out_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "hist.csv"
+    code, out, err = run_cli(capsys, "names", "--primes", "5,7", "--histogram-out", str(target))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {target}")
+    assert len(err.splitlines()) == 1
 
 
 def test_config_digest_in_report_tracks_config(capsys):

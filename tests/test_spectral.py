@@ -70,6 +70,48 @@ def test_density_route_agrees(ctx5711):
     assert worst <= 1e-12
 
 
+def test_whole_array_routes_match_the_per_coordinate_products(ctx5711):
+    # the row-wise exact and density routes against a per-coordinate
+    # reference: the Fraction product over the support, and the float
+    # product over every coordinate from 1.0 in table order, bit for bit
+    cfg = ctx5711.cfg
+    residues = np.array(list(itertools.product(*(range(p) for p in cfg.primes))))
+    exact = ms.spectral_coefficients(residues, ctx5711)
+    numeric = ms.spectral_coefficients_from_density(residues, ctx5711)
+    assert len(exact) == len(numeric) == len(residues)
+    for row, q, x in zip(residues.tolist(), exact, numeric.tolist()):
+        want_q, want_x = Fraction(1), 1.0
+        for p, r in zip(cfg.primes, row):
+            if r:
+                want_q *= ms.autocorrelation(p, r)
+            want_x *= ms.fourier_of_density_factor(p, r)
+        assert q == want_q, row
+        assert x == want_x, row
+
+
+def test_whole_array_routes_reduce_and_check_the_residue_matrix(ctx57):
+    # residues are taken mod each prime, like the per-element routes
+    wrapped = np.array([[6, -1], [1, 6]])
+    assert ms.spectral_coefficients(wrapped, ctx57) == ms.spectral_coefficients(
+        np.array([[1, 6], [1, 6]]), ctx57
+    )
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ConfigError, match="one column per configured prime"):
+            ms.spectral_coefficients(bad, ctx57)
+        with pytest.raises(ConfigError, match="one column per configured prime"):
+            ms.spectral_coefficients_from_density(bad, ctx57)
+
+
+def test_exact_route_reads_only_per_shift_numerators(cfg5711):
+    # the all-shift array costs sum p^2; the exact route never builds it
+    tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
+    ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
+    ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
+    for table in tables:
+        assert "_autocorrelation_numerators" not in table.__dict__
+    assert sorted(tables[2]._numerators) == [0, 3, 10]
+
+
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
     # both coefficient routes, as coeffs runs them, on tables with nothing
     # cached: the density route reads the padded autocorrelation, so no
