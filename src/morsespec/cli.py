@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -47,7 +48,7 @@ from .odometer import (
 from .reporting import (
     SCHEMA,
     config_digest,
-    render_report,
+    report_pieces,
     timestamp,
     write_atomic,
 )
@@ -338,14 +339,15 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     numeric = spectral_coefficients_from_density(residues, ctx)
     discrepancy = np.abs(np.array([float(q) for q in exact]) - numeric)
     max_discrepancy = float(discrepancy.max(initial=0.0))
-    rows = [
-        {"element": vec, "rational": q, "numeric": x, "discrepancy": d}
-        for vec, q, x, d in zip(residues.tolist(), exact, numeric.tolist(), discrepancy.tolist())
-    ]
+    # built as the report is written, one row at a time
+    rows = (
+        {"element": vec.tolist(), "rational": q, "numeric": float(x), "discrepancy": float(d)}
+        for vec, q, x, d in zip(residues, exact, numeric, discrepancy)
+    )
     agree = max_discrepancy <= rc.tolerance_numeric
     results = {
         "rows": rows,
-        "count": len(rows),
+        "count": len(residues),
         "max_discrepancy": max_discrepancy,
         "tolerance_numeric": rc.tolerance_numeric,
         "routes_agree": agree,
@@ -573,11 +575,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         rc = build_run_config(args)
         report, code = _COMMANDS[args.command](rc, args)
-        text = render_report(report, rc.format)
+        pieces = report_pieces(report, rc.format)
         if rc.out:
+            # the whole file first, then the same bytes to stdout
             with _writing(rc.out):
-                write_atomic(rc.out, text)
-        sys.stdout.write(text)
+                write_atomic(rc.out, pieces)
+                written = open(rc.out)
+            with written:
+                shutil.copyfileobj(written, sys.stdout)
+        else:
+            sys.stdout.writelines(pieces)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

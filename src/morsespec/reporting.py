@@ -7,19 +7,23 @@ certificate values round-trip without float corruption, and the only
 run-dependent field is the timestamp, which consumers exclude when
 comparing runs.
 
-canonical_json renders report objects directly, in the exact bytes of
+json_pieces renders report objects directly, in the exact bytes of
 json.dumps(to_builtin(x), sort_keys=True, indent=2) + "\n", but without
-the intermediate copy or the pure-Python encoder that indent selects.
+the intermediate copy or the pure-Python encoder that indent selects, and
+in pieces as they are read, so a report can be written while it is built:
+a list may be given as an iterator.  csv_pieces does the same for CSV.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, fields, is_dataclass
+from collections.abc import Iterator
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -37,22 +41,40 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+# exact types that to_builtin and flatten pass through unchanged
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def to_builtin(obj):
     """Recursively convert report payloads to JSON-ready built-ins:
     rationals to strings, numpy scalars and arrays to Python numbers and
-    lists, dataclasses and mappings to dicts."""
+    lists, dataclasses and mappings to dicts, iterators to lists."""
+    return _builtin(obj, list)
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, values unconverted."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _builtin(obj, sequence):
+    """to_builtin, with each list built by sequence from an iterator over
+    its converted items: list copies the whole tree, iter converts a list's
+    items only as they are read."""
+    if type(obj) in _SCALARS:
+        return obj
     if isinstance(obj, Fraction):
         return rational_str(obj)
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return [to_builtin(v) for v in obj.tolist()]
+        return sequence(_builtin(v, sequence) for v in obj.tolist())
     if is_dataclass(obj) and not isinstance(obj, type):
-        return to_builtin(asdict(obj))
+        return _builtin(_fields(obj), sequence)
     if isinstance(obj, dict):
-        return {str(k): to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
+        return {str(k): _builtin(v, sequence) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, Iterator)):
+        return sequence(_builtin(v, sequence) for v in obj)
     return obj
 
 
@@ -69,11 +91,10 @@ def _float_json(x: float) -> str:
     return float.__repr__(x)
 
 
-def _render(obj, nl: str) -> str:
-    """JSON text of obj at the indentation nl ("\\n" plus two spaces per
-    level).  Past the fast path for exact str, float and int, each case
-    comes in the order to_builtin and then json take it.  A container
-    joins its children as soon as they are rendered."""
+def _leaf(obj) -> str | None:
+    """JSON text of a leaf, or None for a container.  Past the fast path
+    for exact str, float and int, each case comes in the order to_builtin
+    and then json take it."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -81,28 +102,16 @@ def _render(obj, nl: str) -> str:
         return _float_json(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is dict or kind is list:
+        return None
     if isinstance(obj, Fraction):
         return f'"{rational_str(obj)}"'
     if isinstance(obj, np.generic):
-        return _render(obj.item(), nl)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), nl)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    inner = nl + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = {str(k): v for k, v in obj.items()}
-        body = ("," + inner).join(
-            f"{_encode_str(k)}: {_render(items[k], inner)}" for k in sorted(items)
-        )
-        return f"{{{inner}{body}{nl}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ("," + inner).join(_render(v, inner) for v in obj)
-        return f"[{inner}{body}{nl}]"
+        return _leaf(obj.item())
+    if isinstance(obj, (dict, list, tuple, Iterator, np.ndarray)) or (
+        is_dataclass(obj) and not isinstance(obj, type)
+    ):
+        return None
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -118,8 +127,68 @@ def _render(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# parts (JSON) or lines (CSV) gathered into each piece the writers yield:
+# one write per part would cost more than the rendering, and the whole
+# report costs memory that grows with it
+_BATCH = 1024
+
+
+def _json_parts(obj, nl: str, parts: list[str]):
+    """Append the JSON text of obj, a value _leaf does not render, at the
+    indentation nl ("\\n" plus two spaces per level) to parts.  A dict,
+    list or iterator is rendered child by child, and the generator yields,
+    with no value, whenever parts holds a batch, for the caller to take it
+    away."""
+    kind = type(obj)
+    if kind is not dict and kind is not list:
+        if isinstance(obj, (np.ndarray, np.generic)):
+            # a 0-d array holds a scalar, a structured scalar a tuple
+            obj = obj.tolist()
+            text = _leaf(obj)
+            if text is not None:
+                parts.append(text)
+                return
+        elif is_dataclass(obj):
+            obj = _fields(obj)
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        keys = sorted(items)
+        opener, closer = "{", "}"
+        children = zip([f"{_encode_str(k)}: " for k in keys], [items[k] for k in keys])
+    else:
+        opener, closer = "[", "]"
+        children = zip(itertools.repeat(""), obj)
+    inner = nl + "  "
+    sep = opener + inner
+    for key, child in children:
+        text = _leaf(child)
+        if text is None:
+            parts.append(sep + key)
+            yield from _json_parts(child, inner, parts)
+        else:
+            parts.append(sep + key + text)
+        if len(parts) >= _BATCH:
+            yield
+        sep = "," + inner
+    parts.append(nl + closer if sep[0] == "," else opener + closer)
+
+
+def json_pieces(data):
+    """canonical_json(data) in pieces, each rendered when it is read."""
+    text = _leaf(data)
+    if text is not None:
+        yield text + "\n"
+        return
+    parts: list[str] = []
+    for _ in _json_parts(data, "\n", parts):
+        yield "".join(parts)
+        parts.clear()
+    parts.append("\n")
+    yield "".join(parts)
+
+
 def canonical_json(data) -> str:
-    return _render(data, "\n") + "\n"
+    return "".join(json_pieces(data))
 
 
 def config_digest(data) -> str:
@@ -129,35 +198,51 @@ def config_digest(data) -> str:
 
 
 def flatten(data, prefix: str = "") -> list[tuple[str, object]]:
-    """Dotted-path key/value rows for CSV output; list items are indexed."""
-    rows: list[tuple[str, object]] = []
+    """Dotted-path key/value rows for CSV output; list and iterator items
+    are indexed."""
+    return list(_flat(data, prefix))
+
+
+def _flat(data, prefix: str):
     if isinstance(data, dict):
-        for key in sorted(data):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            rows.extend(flatten(data[key], path))
-    elif isinstance(data, (list, tuple)):
-        for i, item in enumerate(data):
-            rows.extend(flatten(item, f"{prefix}[{i}]"))
+        children = ((f"{prefix}.{key}" if prefix else str(key), data[key]) for key in sorted(data))
+    elif isinstance(data, (list, tuple, Iterator)):
+        children = ((f"{prefix}[{i}]", item) for i, item in enumerate(data))
     else:
-        rows.append((prefix, data))
-    return rows
+        yield prefix, data
+        return
+    for path, item in children:
+        if type(item) in _SCALARS:
+            yield path, item
+        else:
+            yield from _flat(item, path)
 
 
-def render_csv(data) -> str:
-    lines = ["key,value"]
-    for path, value in flatten(to_builtin(data)):
+def csv_pieces(data):
+    """render_csv(data) in pieces of lines, each line converted and
+    flattened when it is read."""
+    lines = ["key,value\n"]
+    for path, value in _flat(_builtin(data, iter), ""):
         text = "" if value is None else str(value)
         if "," in text or '"' in text or "\n" in text:
             text = '"' + text.replace('"', '""') + '"'
-        lines.append(f"{path},{text}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{path},{text}\n")
+        if len(lines) >= _BATCH:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
 
 
-def render_report(data, fmt: str) -> str:
+def render_csv(data) -> str:
+    return "".join(csv_pieces(data))
+
+
+def report_pieces(data, fmt: str):
+    """The report in pieces, in the requested format."""
     if fmt == "json":
-        return canonical_json(data)
+        return json_pieces(data)
     if fmt == "csv":
-        return render_csv(data)
+        return csv_pieces(data)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
@@ -165,15 +250,25 @@ def timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write through a temp file and rename, so readers never observe a
-    partial file."""
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def write_atomic(path: str, pieces) -> None:
+    """Write an iterable of strings (a str is one) through a temp file and
+    rename, so readers never observe a partial file.  The file gets the
+    mode open() would give it, not mkstemp's 0600."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

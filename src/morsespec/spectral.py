@@ -335,7 +335,7 @@ def _pattern_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # sign-pattern scores the exhaustive scan holds at once
-_SCORE_CHUNK = 1 << 16
+_SCORE_CHUNK = 1 << 13
 
 
 def sbh_adversarial_search(
