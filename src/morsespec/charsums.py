@@ -31,11 +31,17 @@ The core routines accept any sign table (entries +/-1, entry 0 fixed to
 table is the single precomputation layer for its prime: it stores an int8
 sign array and derives an int64 copy for exact dot products, P, |P|^2,
 the density-route coefficients and the exact numerators at most once, on
-first use.  The numerators come per shift (a memo for callers that need a
-few) or for every shift at once (np.correlate of the signs as float64,
-one BLAS dot per shift, exact because every partial sum is an integer of
-magnitude at most p < 2^53).  Both are direct summations over the table,
-never the closed form, so comparing them with it is a real check.
+first use.  It also knows, by one exact O(p) comparison with the squares
+mask, whether it is the quadratic-character table.  If it is, the Gauss
+sum gives the extremes of |P| and the sup of |P|^2 in closed form, and
+table_flatness_report reads them from there without forming P; any other
+table is scanned through a prime-length FFT, which the tests and
+gauss-check keep as the reference for the closed form.  The numerators
+come per shift (a memo for callers that need a few) or for every shift at
+once (np.correlate of the signs as float64, one BLAS dot per shift, exact
+because every partial sum is an integer of magnitude at most p < 2^53).
+Both are direct summations over the table, never the closed form, so
+comparing them with it is a real check.
 """
 
 from __future__ import annotations
@@ -113,6 +119,14 @@ class LegendreTable:
     def values(self) -> tuple[int, ...]:
         return tuple(self.signs.tolist())
 
+    @cached_property
+    def is_quadratic(self) -> bool:
+        """Whether this is the quadratic-character table: p an odd prime, +1
+        at 0 and on the nonzero squares mod p, -1 elsewhere (compared
+        entry by entry with the squares mask)."""
+        p = self.prime
+        return p > 2 and is_prime(p) and np.array_equal(self.signs, _quadratic_signs(p))
+
     # int64, not int8: np.dot and @ accumulate in the operands' dtype
     @cached_property
     def _signs(self) -> np.ndarray:
@@ -136,7 +150,16 @@ class LegendreTable:
         p = self.prime
         n = 1 << (2 * p - 2).bit_length()
         spec = np.fft.rfft(self.signs, n)
-        r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
+        # |spec|^2 in place, kept complex with a zero imaginary part: irfft
+        # then makes no complex copy of a float input; all of it is freed
+        # before the fold below allocates
+        re, im = spec.real, spec.imag
+        re *= re
+        im *= im
+        re += im
+        im[:] = 0
+        r = np.fft.irfft(spec, n)
+        del spec, re, im
         off = np.flatnonzero(np.abs(r[1:p] - r[n - 1 : n - p : -1]) > p * _NUMERIC_TOL)
         if off.size:
             m = int(off[0]) + 1
@@ -157,17 +180,25 @@ class LegendreTable:
         return out
 
 
+def _quadratic_signs(p: int) -> np.ndarray:
+    """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
+    k and p - k have the same square, so k <= (p - 1) / 2 reach them all."""
+    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    k *= k
+    k %= p
+    signs = np.full(p, -1, dtype=np.int8)
+    signs[k] = 1
+    signs[0] = 1
+    return signs
+
+
 @lru_cache(maxsize=None)
 def legendre_table(p: int) -> LegendreTable:
     """The Legendre sign table: +1 on the nonzero squares mod p and at 0,
     -1 elsewhere (Euler's criterion, as in legendre, is the reference)."""
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
-    k = np.arange(1, p, dtype=np.int64)
-    signs = np.full(p, -1, dtype=np.int8)
-    signs[(k * k) % p] = 1
-    signs[0] = 1
-    return LegendreTable(prime=p, signs=signs)
+    return LegendreTable(prime=p, signs=_quadratic_signs(p))
 
 
 def gauss_sum(p: int, x: int) -> complex:
@@ -275,22 +306,40 @@ def fourier_of_density_factor(p: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """Exhaustive sup/inf of |P| away from 0, plus the parity class of the
-    Gauss sum: 'one' for real (p = 1 mod 4), 'imaginary-unit' for purely
+    """Sup/inf of |P| away from 0 and the sup of |P|^2, with the route
+    that gave them ('gauss-sum' for the closed form of a quadratic table,
+    'fft-scan' for an exhaustive scan), plus the parity class of the Gauss
+    sum: 'one' for real (p = 1 mod 4), 'imaginary-unit' for purely
     imaginary (p = 3 mod 4)."""
 
     prime: int
     min_modulus: float
     max_modulus: float
     delta_sign: str
+    density_sup: float
+    route: str
 
 
 def table_flatness_report(table: LegendreTable) -> FlatnessReport:
-    """Scan |P(x)| over every x != 0 and confirm the flatness window."""
+    """The extremes of |P(x)| over x != 0 and the sup of |P|^2, checked
+    against the flatness window.  For a quadratic table the Gauss sum fixes
+    them: 1 -/+ 1/sqrt(p) and (1 + 1/sqrt(p))^2 when p = 1 (mod 4),
+    sqrt(1 + 1/p) and 1 + 1/p when p = 3 (mod 4), and no P is formed.  Any
+    other table is scanned at every x."""
     p = table.prime
-    mods = np.abs(table_polynomial_values(table))[1:]
-    lo, hi = float(mods.min()), float(mods.max())
     root = math.sqrt(p)
+    if table.is_quadratic:
+        route = "gauss-sum"
+        if p % 4 == 1:
+            lo, hi, sup = 1 - 1 / root, 1 + 1 / root, (1 + 1 / root) ** 2
+        else:
+            lo = hi = math.sqrt(1 + 1 / p)
+            sup = 1 + 1 / p
+    else:
+        route = "fft-scan"
+        mods = np.abs(table_polynomial_values(table))[1:]
+        lo, hi = float(mods.min()), float(mods.max())
+        sup = float(table_density(table).max())
     if lo < 1 - 1 / root - _NUMERIC_TOL or hi > 1 + 1 / root + _NUMERIC_TOL:
         raise InternalConsistencyError(
             f"flatness window violated at p={p}: [{lo}, {hi}]"
@@ -300,6 +349,8 @@ def table_flatness_report(table: LegendreTable) -> FlatnessReport:
         min_modulus=lo,
         max_modulus=hi,
         delta_sign="one" if p % 4 == 1 else "imaginary-unit",
+        density_sup=sup,
+        route=route,
     )
 
 

@@ -26,9 +26,9 @@ from .charsums import (
     gauss_sum_all,
     legendre_symbols,
     legendre_table,
-    table_density,
     table_density_fourier_all,
     table_flatness_report,
+    table_polynomial_values,
 )
 from .cocycle import CocycleContext, build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
@@ -248,7 +248,7 @@ def _vector(g: GroupElement, cfg: GroupConfig) -> list[int]:
 
 
 def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    """Flatness scan per prime, density certificate, final verdict."""
+    """Flatness per prime, density certificate, final verdict."""
     cfg = resolve_group_config(rc)
     ctx = build_context(cfg)
     flatness = []
@@ -405,7 +405,7 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     group_order = math.prod(cfg.primes[:n])
     k_cap = min(rc.k_max, group_order)
     # Q never exceeds the stage-n density sup; it can falsify only a certificate
-    stage_sup = math.prod(float(table_density(t).max()) for t in ctx.tables[:n])
+    stage_sup = math.prod(table_flatness_report(t).density_sup for t in ctx.tables[:n])
     cert = sbh_verdict(ctx, rc.split_level, rc.assume_tail_rule).certificate
     per_k = []
     best_entry = None
@@ -450,8 +450,9 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Character-sum invariants over all odd primes up to pmax: Gauss sum
-    formula vs direct summation, parity class, flatness window, and the
-    two autocorrelation routes, each checked over a prime's whole table."""
+    formula vs direct summation, parity class, the flatness closed form
+    vs an FFT scan of |P|, and the two autocorrelation routes, each checked
+    over a prime's whole table."""
     if rc.pmax < 3:
         raise UsageError("pmax must be at least 3")
     if rc.pmax > 3000:
@@ -462,6 +463,8 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
     max_gauss_err = 0.0
     max_parity_err = 0.0
     max_density_err = 0.0
+    max_flatness_err = 0.0
+    flatness_ok = True
     closed_form_ok = True
     worst_prime = None
     for p in primes:
@@ -480,7 +483,16 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             worst_prime = p
         max_parity_err = max(max_parity_err, np.abs(off_axis).max())
         table = legendre_table.__wrapped__(p)  # uncached: freed with the next prime
-        table_flatness_report(table)  # raises on a window violation
+        # the Gauss-sum closed form (it raises on a window violation) against
+        # the exhaustive scan of |P| that it replaces everywhere else
+        flatness = table_flatness_report(table)
+        flatness_ok = flatness_ok and flatness.route == "gauss-sum"
+        mods = np.abs(table_polynomial_values(table))[1:]
+        max_flatness_err = max(
+            max_flatness_err,
+            abs(float(mods.min()) - flatness.min_modulus),
+            abs(float(mods.max()) - flatness.max_modulus),
+        )
         numerators = autocorrelation_numerators(table)
         # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
         closed = -1 + chi + chi[-np.arange(p) % p]
@@ -490,9 +502,11 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_density_err,
             np.abs(numerators / p - table_density_fourier_all(table)).max(),
         )
+    flatness_ok = flatness_ok and max_flatness_err <= rc.tolerance_transcendental
     ok = (
         max_gauss_err <= rc.tolerance_transcendental
         and max_parity_err <= rc.tolerance_transcendental
+        and flatness_ok
         and max_density_err <= rc.tolerance_numeric
         and closed_form_ok
     )
@@ -504,7 +518,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         "max_parity_error": max_parity_err,
         "max_density_route_error": max_density_err,
         "closed_form_matches": closed_form_ok,
-        "flatness_ok": True,
+        "flatness_ok": flatness_ok,
         "tolerance_transcendental": rc.tolerance_transcendental,
         "tolerance_numeric": rc.tolerance_numeric,
         "all_ok": ok,

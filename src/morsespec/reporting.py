@@ -16,7 +16,6 @@ a list may be given as an iterator.  csv_pieces does the same for CSV.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -28,6 +27,16 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
+
+# the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto,
+# about 3.4 MB of resident memory, for one short digest per report
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA = "morsespec-report/1"
 
@@ -194,7 +203,7 @@ def canonical_json(data) -> str:
 def config_digest(data) -> str:
     """Short stable digest of a configuration mapping."""
     blob = json.dumps(to_builtin(data), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def flatten(data, prefix: str = "") -> list[tuple[str, object]]:

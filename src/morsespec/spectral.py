@@ -13,8 +13,10 @@ arrays: each factor (r_n(j) + r_n(j - p_n)) / p_n comes from the
 zero-padded FFT autocorrelation r_n of the signs (see charsums).
 
 The measure with these coefficients has a density whose sup is the
-product of the per-coordinate sups.  An exhaustive scan bounds every
-coordinate up to a chosen split; for coordinates past the split kept
+product of the per-coordinate sups.  Every coordinate up to a chosen split
+is bounded by its own sup: in closed form from the Gauss sum for a
+quadratic-character table, by an exhaustive scan for any other (see
+charsums.table_flatness_report); for coordinates past the split kept
 under the growth floor p_n >= 5^(2(n+1)) the remaining product is at
 most exp(2.5 * 5^-(split+1)), since each factor is at most
 (1 + 5^-(n+1))^2 and log(1 + x) <= x.  A total below 2 certifies the
@@ -44,6 +46,7 @@ from .charsums import (
     autocorrelation_numerators,
     table_density,
     table_density_fourier_all,
+    table_flatness_report,
 )
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
@@ -72,6 +75,10 @@ def _checked_residues(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
     return residues % np.array(ctx.cfg.primes, dtype=np.int64)
 
 
+# rows of the numerator matrix turned into Python ints at once
+_ROW_BLOCK = 4096
+
+
 def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fraction]:
     """coeff of every row of a dense residue matrix (one column per
     configured prime) by the exact rational route: the product over the
@@ -86,8 +93,13 @@ def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fra
         lut = [autocorrelation_numerator(table, j) for j in shifts.tolist()]
         numerators[:, n] = np.array(lut, dtype=np.int64)[where]
     den = math.prod(ctx.cfg.primes)
-    # Python ints: the row products can outgrow int64
-    return [Fraction(math.prod(row), den) for row in numerators.tolist()]
+    # Python ints: the row products can outgrow int64; the rows become
+    # lists a block at a time, never the whole matrix at once
+    return [
+        Fraction(math.prod(row), den)
+        for start in range(0, len(numerators), _ROW_BLOCK)
+        for row in numerators[start : start + _ROW_BLOCK].tolist()
+    ]
 
 
 def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
@@ -192,12 +204,15 @@ def tail_density_bound(split_level: int) -> float:
 
 @dataclass(frozen=True)
 class DensityCertificate:
-    """Sup bound for the spectral density, split into an exhaustively
-    scanned finite part and an analytically bounded tail.
+    """Sup bound for the spectral density, split into a finite part (the
+    product of the per-coordinate sups up to the split) and an analytically
+    bounded tail.
 
     finite_window is the per-coordinate analytic window product
-    prod (1 + 1/sqrt(p_n))^2 over the scanned coordinates; the scan can
-    only sharpen it.  status is 'certified' when the total lands below 2,
+    prod (1 + 1/sqrt(p_n))^2 over the finite coordinates; their sups can
+    only sharpen it.  scanned_factors counts the finite coordinates whose
+    sup came from an exhaustive scan rather than the Gauss-sum closed
+    form.  status is 'certified' when the total lands below 2,
     'not-certified' when a valid total fails that threshold, and
     'inconclusive' when no growth rule covers the tail.
     """
@@ -209,6 +224,7 @@ class DensityCertificate:
     total_bound: float | None
     status: str
     sbh_certified: bool
+    scanned_factors: int
 
 
 def density_certificate(
@@ -216,8 +232,8 @@ def density_certificate(
     split_level: int | None = None,
     assume_tail_rule: bool = False,
 ) -> DensityCertificate:
-    """Certify sup(density) < 2 by exhaustive per-coordinate scans up to
-    the split and the growth-floor tail bound past it.
+    """Certify sup(density) < 2 by the per-coordinate sups up to the split
+    (table_flatness_report) and the growth-floor tail bound past it.
 
     The tail bound applies when the configuration is theorem-grade, or
     when assume_tail_rule asserts the growth floor for all coordinates
@@ -232,12 +248,15 @@ def density_certificate(
 
     finite_sup = 1.0
     finite_window = 1.0
+    scanned = 0
     for p, table in zip(cfg.primes[:m], ctx.tables[:m]):
-        finite_sup *= float(table_density(table).max())
+        flatness = table_flatness_report(table)
+        finite_sup *= flatness.density_sup
+        scanned += flatness.route == "fft-scan"
         finite_window *= (1.0 + 1.0 / math.sqrt(p)) ** 2
     if finite_sup > finite_window * (1.0 + 1e-9):
         raise InternalConsistencyError(
-            f"scanned density sup {finite_sup} exceeds analytic window {finite_window}"
+            f"finite density sup {finite_sup} exceeds analytic window {finite_window}"
         )
 
     tail_applies = cfg.mode == THEOREM_GRADE
@@ -266,6 +285,7 @@ def density_certificate(
         total_bound=total,
         status=status,
         sbh_certified=status == "certified",
+        scanned_factors=scanned,
     )
 
 
@@ -527,8 +547,14 @@ def sbh_verdict(
     cert = density_certificate(ctx, split_level=split_level, assume_tail_rule=assume_tail_rule)
     if cert.sbh_certified:
         verdict = "non-AT certified"
+        if cert.scanned_factors == 0:
+            source = "the Gauss sums bound"
+        elif cert.scanned_factors == cert.split_level:
+            source = "exhaustive scan bounds"
+        else:
+            source = "the Gauss sums and an exhaustive scan bound"
         reasons = (
-            f"exhaustive scan bounds the first {cert.split_level} density factors by {cert.finite_sup:.9f}",
+            f"{source} the first {cert.split_level} density factors by {cert.finite_sup:.9f}",
             f"the growth floor bounds the remaining factors by {cert.tail_bound:.9f}",
             f"sup of the spectral density is at most {cert.total_bound:.9f} < 2",
             "the sign involution commutes with every skew translation, so the bound applies to the flip factor",

@@ -237,6 +237,82 @@ def test_flatness_report_frozen_values():
     assert rep_big.max_modulus <= 1 + 1 / root + 1e-9
 
 
+def _fresh(p):
+    """A Legendre table with nothing cached, outside legendre_table's cache."""
+    return ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
+
+
+def test_quadratic_check():
+    for p in ODD_PRIMES_BELOW_500 + [15629]:
+        assert ms.legendre_table(p).is_quadratic, p
+        assert _fresh(p).is_quadratic, p
+    flipped = ms.legendre_table(29).signs.copy()
+    flipped[5] = -flipped[5]
+    assert not ms.LegendreTable(prime=29, signs=flipped).is_quadratic
+    assert not ms.LegendreTable(prime=3, signs=(1, -1, -1)).is_quadratic
+    # lengths that are no odd prime never pass, whatever the entries
+    assert not ms.LegendreTable(prime=9, signs=(1, 1, -1, -1, 1, -1, -1, 1, -1)).is_quadratic
+    assert not ms.LegendreTable(prime=2, signs=(1, 1)).is_quadratic
+    assert not ms.LegendreTable(prime=1, signs=(1,)).is_quadratic
+
+
+def test_quadratic_signs_match_euler_criterion():
+    for p in ODD_PRIMES_BELOW_500 + [390_647]:
+        signs = charsums._quadratic_signs(p)
+        assert signs.dtype == np.int8
+        assert signs[0] == 1
+        assert np.array_equal(signs[1:], legendre_symbols(p)[1:]), p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 631, 15629, 390_647])
+def test_flatness_closed_form_against_the_fft_scan(p):
+    # the primes of acceptance criterion 02 plus p_3; the scan may differ
+    # from the Gauss-sum values by float round-off and by nothing more
+    table = _fresh(p)
+    rep = ms.charsums.table_flatness_report(table)
+    assert rep.route == "gauss-sum"
+    assert "_polynomial" not in table.__dict__
+    assert "_density" not in table.__dict__
+    mods = np.abs(table_polynomial_values(table))[1:]
+    sup = table_density(table).max()
+    roundoff = 1e-13
+    assert abs(mods.min() - rep.min_modulus) <= roundoff
+    assert abs(mods.max() - rep.max_modulus) <= roundoff
+    assert abs(sup - rep.density_sup) <= roundoff
+    root = math.sqrt(p)
+    if p % 4 == 1:
+        assert (rep.min_modulus, rep.max_modulus) == (1 - 1 / root, 1 + 1 / root)
+        assert rep.density_sup == (1 + 1 / root) ** 2
+    else:
+        assert rep.min_modulus == rep.max_modulus == math.sqrt(1 + 1 / p)
+        assert rep.density_sup == 1 + 1 / p
+
+
+def test_a_flipped_entry_takes_the_scan_route():
+    # one flipped entry pushes |P| out of the window; only the scan sees it
+    signs = ms.legendre_table(29).signs.copy()
+    signs[5] = -signs[5]
+    table = ms.LegendreTable(prime=29, signs=signs)
+    with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
+        ms.charsums.table_flatness_report(table)
+    assert "_polynomial" in table.__dict__
+
+
+def test_a_negated_table_is_scanned_and_stays_flat():
+    # eps(k) = -(k|p) off 0 is no quadratic table but just as flat: the
+    # Gauss sum gives |1 -/+ g| / sqrt(p), the same extremes
+    for p in (29, 631):
+        signs = -ms.legendre_table(p).signs
+        signs[0] = 1
+        table = ms.LegendreTable(prime=p, signs=signs)
+        rep = ms.charsums.table_flatness_report(table)
+        assert rep.route == "fft-scan"
+        assert rep.density_sup == table_density(table).max()
+        closed = ms.flatness_report(p)
+        assert abs(rep.min_modulus - closed.min_modulus) < 1e-12
+        assert abs(rep.max_modulus - closed.max_modulus) < 1e-12
+
+
 def _autocorr_brute(p, j):
     table = ms.legendre_table(p).values
     return Fraction(sum(table[x] * table[(x + j) % p] for x in range(p)), p)
@@ -299,6 +375,17 @@ def test_density_route_matches_exact_numerators_at_every_shift():
         closed = (-1 + chi + chi[-np.arange(p) % p]) / p
         closed[0] = 1
         assert np.abs(table_density_fourier_all(ms.legendre_table(p)) - closed).max() < 1e-12, p
+
+
+@pytest.mark.parametrize("p", [3, 5, 29, 997, 15629])
+def test_density_fourier_is_bit_identical_to_the_reference(p):
+    # |rfft|^2 is formed in place; the folded result must not move by a bit
+    signs = ms.legendre_table(p).signs
+    n = 1 << (2 * p - 2).bit_length()
+    spec = np.fft.rfft(signs, n)
+    r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
+    reference = (r[:p] + r[n - p :]) / p
+    assert np.array_equal(table_density_fourier_all(_fresh(p)), reference)
 
 
 def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):

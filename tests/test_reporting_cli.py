@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -174,6 +177,20 @@ def test_config_digest_stability():
     assert d1 == d2
     assert d1 != d3
     assert len(d1) == 16
+
+
+def test_config_digest_is_sha256():
+    data = {"primes": [29, 631], "epsilon": Fraction(1, 20), "seed": 0}
+    blob = json.dumps(reporting.to_builtin(data), sort_keys=True, separators=(",", ":"))
+    assert reporting.config_digest(data) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib's OpenSSL module costs every command about 3.4 MB of RSS
+    code = "import sys, morsespec.cli; sys.exit('_hashlib' in sys.modules)"
+    src = str(Path(ms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_flatten_paths():
@@ -479,6 +496,47 @@ def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "200")
     assert code == 0 and report["results"]["all_ok"] is True
     assert cache.cache_info().currsize == 0
+
+
+def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
+    # the closed form must match the FFT scan of |P| within 1e-9
+    real = cli.table_flatness_report
+
+    def shifted(table):
+        rep = real(table)
+        if table.prime == 13:
+            rep = dataclasses.replace(rep, min_modulus=rep.min_modulus + 1e-6)
+        return rep
+
+    monkeypatch.setattr(cli, "table_flatness_report", shifted)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
+    assert code == 2
+    assert report["results"]["flatness_ok"] is False
+    assert report["results"]["all_ok"] is False
+
+
+def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
+    # every table passes the quadratic check, so flatness and the density
+    # sups come from the Gauss sums: no FFT runs, and no table keeps P or
+    # |P|^2 afterwards
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran for a quadratic table")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
+    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
+    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
+    code, report, _ = run_json(capsys, "certify", "--theorem", "4")
+    assert code == 0 and report["results"]["certificate"]["status"] == "certified"
+    code, report, _ = run_json(capsys, "sbh-search", "--primes", "29", "--k-max", "4")
+    assert code == 0 and report["results"]["stage_sup"] == (1 + 1 / 29**0.5) ** 2
+    primes = ms.theorem_primes(4)
+    assert cache.cache_info().currsize == len(primes)
+    for p in primes:
+        table = cache(p)
+        assert "_polynomial" not in table.__dict__, p
+        assert "_density" not in table.__dict__, p
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec.errors import BudgetError, ConfigError
+from morsespec import spectral
+from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
 
 CFG = ms.make_group_config([5, 7])
 CTX = ms.build_context(CFG)
@@ -100,6 +101,18 @@ def test_whole_array_routes_reduce_and_check_the_residue_matrix(ctx57):
             ms.spectral_coefficients(bad, ctx57)
         with pytest.raises(ConfigError, match="one column per configured prime"):
             ms.spectral_coefficients_from_density(bad, ctx57)
+
+
+def test_exact_route_converts_rows_in_blocks(ctx57, monkeypatch):
+    # blocks of 4 rows over the 35 rows of G_2: block edges fall inside
+    # the matrix and at its end, and the values must not change
+    residues = np.array(list(itertools.product(range(5), range(7))))
+    whole = ms.spectral_coefficients(residues, ctx57)
+    monkeypatch.setattr(spectral, "_ROW_BLOCK", 4)
+    assert ms.spectral_coefficients(residues, ctx57) == whole
+    for row, value in zip(residues.tolist(), whole):
+        g = ms.element(row, ctx57.cfg)
+        assert value == ms.spectral_coefficient(g, ctx57).value
 
 
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
@@ -236,6 +249,43 @@ def test_certificate_assumed_tail_rule(ctx29):
 def test_certificate_assumed_tail_rule_rejected_below_floor(ctx57):
     with pytest.raises(ConfigError):
         ms.density_certificate(ctx57, split_level=0, assume_tail_rule=True)
+
+
+def _custom_ctx(cfg, *tables):
+    return ms.CocycleContext(cfg=cfg, tables=tables)
+
+
+def _negated(p):
+    # eps(k) = -(k|p) off 0: flat, but no quadratic table
+    signs = -ms.legendre_table(p).signs
+    signs[0] = 1
+    return ms.LegendreTable(prime=p, signs=signs)
+
+
+def test_certificate_scans_a_flipped_table(cfg29):
+    signs = ms.legendre_table(29).signs.copy()
+    signs[5] = -signs[5]
+    table = ms.LegendreTable(prime=29, signs=signs)
+    with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
+        ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
+    assert "_density" in table.__dict__
+
+
+def test_certificate_and_verdict_name_the_scanned_factors(cfg29):
+    table = _negated(29)
+    cert = ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
+    assert cert.scanned_factors == 1
+    assert cert.finite_sup == ms.charsums.table_density(table).max()
+    assert cert.finite_sup == pytest.approx(ms.flatness_report(29).density_sup, abs=1e-12)
+    verdict = ms.sbh_verdict(_custom_ctx(cfg29, table), assume_tail_rule=True)
+    assert verdict.reasons[0].startswith("exhaustive scan bounds the first 1 density factors")
+    cfg = ms.make_group_config([29, 631])
+    mixed = ms.sbh_verdict(_custom_ctx(cfg, table, ms.legendre_table(631)), assume_tail_rule=True)
+    assert mixed.certificate.scanned_factors == 1
+    assert mixed.reasons[0].startswith("the Gauss sums and an exhaustive scan bound the first 2")
+    closed = ms.sbh_verdict(ms.build_context(cfg), assume_tail_rule=True)
+    assert closed.certificate.scanned_factors == 0
+    assert closed.reasons[0].startswith("the Gauss sums bound the first 2 density factors")
 
 
 def test_quadratic_form_frozen_pair(ctx57):
