@@ -91,7 +91,6 @@ from .spectral import (
     density_certificate,
     density_marginal,
     geometric_tail_bound,
-    make_probe,
     sbh_adversarial_search,
     sbh_quadratic_form,
     sbh_verdict,

@@ -21,43 +21,53 @@ coefficient of the density |P|^2 on the cyclic group, which provides an
 independent floating-point route to the same number.  On the whole circle
 |P|^2 is a trigonometric polynomial with coefficients r(m)/p, |m| < p,
 where r(m) = sum_x eps(x) eps(x + m) is the linear autocorrelation; so
-r = irfft(|rfft(eps, n)|^2, n), with the table zero-padded to a power of
-two n >= 2p - 1, is exact up to round-off.  On the p-th roots the lags m
-and m - p alias: c(j) = (r(j) + r(j - p)) / p.  As r(m) = r(-m), the
-symmetry of the computed r is its round-off check.
+r = irfft(|rfft(eps, n)|^2, n), with the table zero-padded to the
+smallest n >= 2p of the form 2^a 3^b 5^c, is exact up to round-off.  On
+the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
+As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
 The core routines accept any sign table (entries +/-1, entry 0 fixed to
 +1); the prime-keyed wrappers specialise to the Legendre table.  Each
 table is the single precomputation layer for its prime: it stores an int8
-sign array and derives an int64 copy for exact dot products, P, |P|^2,
-the density-route coefficients and the exact numerators at most once, on
-first use.  It also knows, by one exact O(p) comparison with the squares
-mask, whether it is the quadratic-character table.  If it is, the Gauss
-sum gives the extremes of |P| and the sup of |P|^2 in closed form, and
-table_flatness_report reads them from there without forming P; any other
-table is scanned through a prime-length FFT, which the tests and
-gauss-check keep as the reference for the closed form.  The numerators
-come per shift (a memo for callers that need a few) or for every shift at
-once (np.correlate of the signs as float64, one BLAS dot per shift, exact
-because every partial sum is an integer of magnitude at most p < 2^53).
-Both are direct summations over the table, never the closed form, so
-comparing them with it is a real check.
+sign array and derives P, |P|^2, the density-route coefficients and the
+exact numerators at most once, on first use.  It also knows whether it is
+the quadratic-character table: legendre_table builds it from the squares
+mask, and any other table is compared with that mask once, in O(p).  If
+it is, the Gauss sum gives the extremes of |P| and the sup of |P|^2 in
+closed form, and table_flatness_report reads them from there without
+forming P; any other table is scanned through a prime-length FFT, which
+the tests and gauss-check keep as the reference for the closed form.
+Likewise the numerators of a quadratic table come from the Jacobi sum,
+p * c(j) = -1 + chi(j) + chi(-j) for j != 0 with chi the table's own signs
+off 0: O(1) per shift and O(p) for all of them.  Any other table sums
+directly, one O(p) slice-pair dot per shift, or for every shift at once
+the window route (np.correlate of the signs as float64, one BLAS dot per
+shift, exact because every partial sum is an integer of magnitude at
+most p < 2^53), whose sum p^2 cost is refused past _SCAN_BUDGET.
+gauss-check compares the window route with the closed form, so that
+comparison stays a real check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InternalConsistencyError
+from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import is_prime
 
 # FFT round-off on the table sizes used here stays far below this.
 _NUMERIC_TOL = 1e-9
+
+# The window route costs sum p^2 terms: 2.4e8 at theorem stage 3, 1.5e11 at 4.
+_SCAN_BUDGET = 10**9
+
+# squares mod p formed this many at a time (an int64 chunk of 512 KiB)
+_SQUARE_CHUNK = 1 << 16
 
 
 def legendre(a: int, p: int) -> int:
@@ -98,8 +108,6 @@ class LegendreTable:
 
     prime: int
     signs: np.ndarray
-    # exact autocorrelation numerators, filled per shift j on demand
-    _numerators: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.prime
@@ -123,7 +131,7 @@ class LegendreTable:
     def is_quadratic(self) -> bool:
         """Whether this is the quadratic-character table: p an odd prime, +1
         at 0 and on the nonzero squares mod p, -1 elsewhere (compared
-        entry by entry with the squares mask)."""
+        entry by entry with the squares mask; legendre_table sets it)."""
         p = self.prime
         return p > 2 and is_prime(p) and np.array_equal(self.signs, _quadratic_signs(p))
 
@@ -148,7 +156,7 @@ class LegendreTable:
     def _density_fourier(self) -> np.ndarray:
         # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
         p = self.prime
-        n = 1 << (2 * p - 2).bit_length()
+        n = _fft_length(2 * p)
         spec = np.fft.rfft(self.signs, n)
         # |spec|^2 in place, kept complex with a zero imaginary part: irfft
         # then makes no complex copy of a float input; all of it is freed
@@ -172,23 +180,66 @@ class LegendreTable:
 
     @cached_property
     def _autocorrelation_numerators(self) -> np.ndarray:
-        # entry j is sum_x s(x + j) s(x), a direct float64 dot per shift (BLAS);
-        # every partial sum is an integer of magnitude <= p < 2^53, so exact
-        s = self.signs.astype(np.float64)
-        out = np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
+        if self.is_quadratic:
+            # the Jacobi sum: -1 + s[j] + s[p - j] for j != 0, and p at 0
+            s, p = self.signs, self.prime
+            out = np.empty(p, dtype=np.int64)
+            out[1:] = s[1:]
+            out[1:] += s[:0:-1]
+            out -= 1
+            out[0] = p
+        else:
+            out = window_autocorrelation_numerators(self)
         out.flags.writeable = False
         return out
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= m (m >= 1): pocketfft transforms
+    such lengths with its small-radix passes, and the next power of two
+    can be up to twice as long."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least odd * 2^a >= m
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def window_autocorrelation_numerators(table: LegendreTable) -> np.ndarray:
+    """p * c(j) for every shift j by direct summation over the table, never
+    the closed form: entry j is sum_x s(x + j) s(x), a float64 dot per
+    shift (BLAS); every partial sum is an integer of magnitude <= p < 2^53,
+    so exact.  Costs p^2 terms; a fresh int64 array."""
+    s = table.signs.astype(np.float64)
+    return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
+
+
+def check_scan_budget(tables, what: str) -> None:
+    """Refuse, before any scan, tables whose all-shift numerators would take
+    more than _SCAN_BUDGET window terms.  Quadratic tables read theirs off
+    the closed form in O(p) and do not count."""
+    cost = sum(t.prime**2 for t in tables if not t.is_quadratic)
+    if cost > _SCAN_BUDGET:
+        raise BudgetError(f"{what} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
+
+
 def _quadratic_signs(p: int) -> np.ndarray:
     """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
-    k and p - k have the same square, so k <= (p - 1) / 2 reach them all."""
-    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    k *= k
-    k %= p
+    k and p - k have the same square, so k <= (p - 1) / 2 reach them all;
+    they are squared a fixed-size chunk at a time."""
     signs = np.full(p, -1, dtype=np.int8)
-    signs[k] = 1
     signs[0] = 1
+    half = (p + 1) // 2
+    for start in range(1, half, _SQUARE_CHUNK):
+        k = np.arange(start, min(start + _SQUARE_CHUNK, half), dtype=np.int64)
+        k *= k
+        k %= p
+        signs[k] = 1
     return signs
 
 
@@ -198,7 +249,9 @@ def legendre_table(p: int) -> LegendreTable:
     -1 elsewhere (Euler's criterion, as in legendre, is the reference)."""
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
-    return LegendreTable(prime=p, signs=_quadratic_signs(p))
+    table = LegendreTable(prime=p, signs=_quadratic_signs(p))
+    table.__dict__["is_quadratic"] = True  # built from the squares mask itself
+    return table
 
 
 def gauss_sum(p: int, x: int) -> complex:
@@ -239,18 +292,22 @@ def table_density(table: LegendreTable) -> np.ndarray:
 
 
 def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
-    """p * c(j) as an exact integer: sum_x eps(x) eps(x + j)."""
-    j %= table.prime
-    memo = table._numerators
-    if j not in memo:
-        s, p = table._signs, table.prime
-        memo[j] = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
-    return memo[j]
+    """p * c(j) as an exact integer: sum_x eps(x) eps(x + j).  O(1) by the
+    closed form for a quadratic table, one O(p) slice-pair dot otherwise."""
+    p = table.prime
+    j %= p
+    if j == 0:
+        return p
+    if table.is_quadratic:
+        return -1 + int(table.signs[j]) + int(table.signs[p - j])
+    s = table._signs
+    return int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
 
 
 def autocorrelation_numerators(table: LegendreTable) -> np.ndarray:
-    """p * c(j) for every shift j at once (entry 0 is p), as exact int64
-    sums over the sign table; read-only and held on the table."""
+    """p * c(j) for every shift j at once (entry 0 is p), as exact int64:
+    the closed form for a quadratic table, the window route otherwise (see
+    check_scan_budget); read-only and held on the table."""
     return table._autocorrelation_numerators
 
 

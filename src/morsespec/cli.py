@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .charsums import (
-    autocorrelation_numerators,
     flatness_report,
     gauss_sum_all,
     legendre_symbols,
@@ -29,6 +28,7 @@ from .charsums import (
     table_density_fourier_all,
     table_flatness_report,
     table_polynomial_values,
+    window_autocorrelation_numerators,
 )
 from .cocycle import CocycleContext, build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
@@ -493,7 +493,8 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             abs(float(mods.min()) - flatness.min_modulus),
             abs(float(mods.max()) - flatness.max_modulus),
         )
-        numerators = autocorrelation_numerators(table)
+        # summed over the table, not read off the closed form it is checked against
+        numerators = window_autocorrelation_numerators(table)
         # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
         closed = -1 + chi + chi[-np.arange(p) % p]
         closed[0] = p

@@ -34,14 +34,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsums import autocorrelation_numerators
+from .charsums import autocorrelation_numerators, check_scan_budget
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
 from .reporting import write_atomic
-
-# The exact per-prime scans cost sum p^2: 2.4e8 at theorem stage 3, 1.5e11 at 4.
-_SCAN_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,7 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2."""
     size = level_group_order(n, ctx.cfg)
     tables = ctx.tables[:n]
-    cost = sum(t.prime**2 for t in tables)
-    if cost > _SCAN_BUDGET:
-        raise BudgetError(f"stage {n} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
+    check_scan_budget(tables, f"stage {n}")
     per_prime = []
     for t in tables:
         counts = Counter(autocorrelation_numerators(t).tolist())

@@ -44,6 +44,7 @@ import numpy as np
 from .charsums import (
     autocorrelation_numerator,
     autocorrelation_numerators,
+    check_scan_budget,
     table_density,
     table_density_fourier_all,
     table_flatness_report,
@@ -85,7 +86,7 @@ def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fra
     coordinates of the numerators p_n * c_n(r_n), over prod p_n.  A
     coordinate at residue 0 contributes p_n / p_n, so only the support
     counts.  Each distinct shift of a coordinate costs one per-shift
-    numerator, never the all-shift array."""
+    numerator (O(1) on a quadratic table), never the all-shift array."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
@@ -320,14 +321,6 @@ def sbh_quadratic_form(
     return total / k
 
 
-def make_probe(
-    theta: tuple[GroupElement, ...], signs: tuple[int, ...], ctx: CocycleContext
-) -> SbhProbe:
-    return SbhProbe(
-        theta=tuple(theta), signs=tuple(signs), value=sbh_quadratic_form(theta, signs, ctx)
-    )
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Best probe found for one subset size, how it was found, and how
@@ -407,6 +400,7 @@ def sbh_adversarial_search(
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
+    check_scan_budget(ctx.tables[:n], f"stage {n}")
     luts = [autocorrelation_numerators(t) for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

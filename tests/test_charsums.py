@@ -100,6 +100,26 @@ def test_autocorrelation_numerators_match_per_shift_and_closed_form():
         ], p
 
 
+def test_closed_form_numerators_match_slice_pair_dots_at_p3():
+    # p_3 = 390 647: the O(1) closed form against the O(p) direct sum at
+    # 200 seeded shifts, on the table's own signs
+    p = 390_647
+    table = ms.legendre_table(p)
+    s = table.signs.astype(np.int64)
+    numerators = autocorrelation_numerators(table)
+    shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
+    for j in shifts:
+        dot = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
+        assert numerators[j] == autocorrelation_numerator(table, j) == dot, j
+
+
+def test_closed_form_numerators_match_the_window_route_below_3000():
+    for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
+        table = ms.legendre_table(p)
+        window = charsums.window_autocorrelation_numerators(table)
+        assert np.array_equal(autocorrelation_numerators(table), window), p
+
+
 def test_autocorrelation_numerators_accept_custom_tables():
     rng = np.random.default_rng(11)
     for p in (3, 17, 101, 631):
@@ -256,12 +276,29 @@ def test_quadratic_check():
     assert not ms.LegendreTable(prime=1, signs=(1,)).is_quadratic
 
 
-def test_quadratic_signs_match_euler_criterion():
-    for p in ODD_PRIMES_BELOW_500 + [390_647]:
-        signs = charsums._quadratic_signs(p)
-        assert signs.dtype == np.int8
-        assert signs[0] == 1
-        assert np.array_equal(signs[1:], legendre_symbols(p)[1:]), p
+def test_quadratic_signs_match_euler_criterion(monkeypatch):
+    # the squares are formed in chunks; chunks of 7 put chunk edges inside
+    # every table here but the smallest
+    for chunk in (charsums._SQUARE_CHUNK, 7):
+        monkeypatch.setattr(charsums, "_SQUARE_CHUNK", chunk)
+        for p in ODD_PRIMES_BELOW_500 + [390_647]:
+            signs = charsums._quadratic_signs(p)
+            assert signs.dtype == np.int8
+            assert signs[0] == 1
+            assert np.array_equal(signs[1:], legendre_symbols(p)[1:]), (p, chunk)
+
+
+def test_legendre_table_knows_it_is_quadratic(monkeypatch):
+    table = ms.legendre_table.__wrapped__(29)
+    custom = _fresh(29)  # same signs, not built by legendre_table
+
+    def no_mask(p):
+        raise AssertionError("the squares mask was built a second time")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_mask)
+    assert table.is_quadratic
+    with pytest.raises(AssertionError, match="second time"):
+        custom.is_quadratic
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 631, 15629, 390_647])
@@ -366,7 +403,7 @@ def test_density_route_matches_exact_numerators_at_every_shift():
         route = table_density_fourier_all(table)
         assert not route.flags.writeable
         assert np.abs(route - autocorrelation_numerators(table) / p).max() < 1e-12, p
-    # p = 3 pads to n = 8, the smallest transform
+    # p = 3 pads to n = 6, the smallest transform
     assert table_density_fourier_all(ms.legendre_table(3)).tolist() == pytest.approx(
         [1, -1 / 3, -1 / 3], abs=1e-15
     )
@@ -381,11 +418,30 @@ def test_density_route_matches_exact_numerators_at_every_shift():
 def test_density_fourier_is_bit_identical_to_the_reference(p):
     # |rfft|^2 is formed in place; the folded result must not move by a bit
     signs = ms.legendre_table(p).signs
-    n = 1 << (2 * p - 2).bit_length()
+    n = charsums._fft_length(2 * p)
     spec = np.fft.rfft(signs, n)
     r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
     reference = (r[:p] + r[n - p :]) / p
     assert np.array_equal(table_density_fourier_all(_fresh(p)), reference)
+
+
+def _smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def test_density_route_length_is_five_smooth():
+    # lag -p must read zero, so n >= 2p; and never longer than the next
+    # power of two, the length used before
+    for p in ODD_PRIMES_BELOW_500 + [15629, 390_647, 9_765_629]:
+        n = charsums._fft_length(2 * p)
+        assert n >= 2 * p and _smooth(n), p
+        assert n <= 1 << (2 * p - 2).bit_length(), p
+        if p < 500:  # and the least such length
+            assert not any(_smooth(m) for m in range(2 * p, n)), p
+    assert charsums._fft_length(2 * 390_647) == 786_432  # p_3, against 1 048 576
 
 
 def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -373,17 +374,48 @@ def test_names_theorem_stage(capsys):
     assert res["delta_min"] == "13/29"
 
 
+def _custom_tables(p):
+    """The Legendre table with the square 1 flipped: not the quadratic
+    character, so its numerators need the window route."""
+    signs = ms.legendre_table.__wrapped__(p).signs.copy()
+    signs[1] = -1
+    return ms.LegendreTable(prime=p, signs=signs)
+
+
 def test_names_budget_exceeded(capsys, monkeypatch):
-    # stage 4 of the theorem primes needs about 1.5e11 exact
-    # autocorrelation terms; the budget refuses it before any scan
+    # on tables other than the quadratic character, stage 4 of the theorem
+    # primes needs about 1.5e11 exact window terms; the budget refuses it
+    # before any scan
     def no_scan(*args):
         raise AssertionError("autocorrelation scanned past the budget")
 
+    monkeypatch.setattr("morsespec.cocycle.legendre_table", _custom_tables)
+    monkeypatch.setattr("morsespec.charsums.window_autocorrelation_numerators", no_scan)
     monkeypatch.setattr("morsespec.diagnostics.autocorrelation_numerators", no_scan)
     code, out, err = run_cli(capsys, "names", "--theorem", "4")
     assert code == 64
     assert out == ""
     assert "budget" in err
+
+
+def test_names_and_search_at_theorem_stage_4(capsys):
+    # the quadratic tables' numerators come from the closed form in O(p),
+    # so stage 4 (sum p^2 = 1.5e11) runs
+    primes = ms.theorem_primes(4)
+    code, report, _ = run_json(capsys, "names", "--theorem", "4")
+    assert code == 0
+    res = report["results"]
+    size = math.prod(primes)
+    assert res["name_count"] == 2 * size
+    # the largest |c_p(j)| off j = 0 sets the closest pair of names
+    largest = max(abs(ms.autocorrelation_closed_form(p, j)) for p in primes for j in range(1, 29))
+    assert res["delta_min"] == ms.reporting.rational_str((1 - largest) / 2) == "13/29"
+    assert sum(row["count"] for row in res["histogram"]) == res["pair_count"]
+    code, report, _ = run_json(capsys, "sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4")
+    assert code == 0
+    res = report["results"]
+    assert res["falsification"] is False
+    assert [entry["mode"] for entry in res["per_k"]] == ["exhaustive"] + ["local"] * 3
 
 
 def test_gauss_check(capsys):
@@ -449,6 +481,24 @@ def test_gauss_check_flags_a_wrong_symbol(capsys, monkeypatch):
     assert report["results"]["closed_form_matches"] is False
 
 
+def test_gauss_check_compares_the_window_route(capsys, monkeypatch):
+    # the numerators checked against the closed form are summed over the
+    # table; one wrong entry must fail the check
+    window = ms.charsums.window_autocorrelation_numerators
+
+    def flipped(table):
+        out = window(table)
+        if table.prime == 13:
+            out[4] = -out[4]
+        return out
+
+    monkeypatch.setattr("morsespec.cli.window_autocorrelation_numerators", flipped)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
+    assert code == 2
+    assert report["results"]["closed_form_matches"] is False
+    assert report["results"]["all_ok"] is False
+
+
 def test_gauss_check_pmax_cap(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("a prime was scanned past the cap")
@@ -461,15 +511,16 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
 
 
 def test_coeffs_builds_no_all_shift_numerators(capsys, monkeypatch):
-    # the exact route reads one numerator per distinct shift; the all-shift
-    # array would cost sum p^2 (1.5e11 at the theorem-4 tables)
+    # the exact route reads one closed-form numerator per distinct shift
+    # off the int8 signs: neither the all-shift array nor the int64 copy
     cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
     monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
     monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
     code, report, _ = run_json(capsys, "coeffs", "--theorem", "3", "1,2,3", "5,0,77")
     assert code == 0 and report["results"]["routes_agree"] is True
-    assert "_autocorrelation_numerators" not in cache(15629).__dict__
-    assert sorted(cache(15629)._numerators) == [3, 77]
+    for p in ms.theorem_primes(3):
+        assert "_autocorrelation_numerators" not in cache(p).__dict__, p
+        assert "_signs" not in cache(p).__dict__, p
 
 
 def test_coeffs_level_spec_keeps_its_checks(capsys):

@@ -116,13 +116,22 @@ def test_exact_route_converts_rows_in_blocks(ctx57, monkeypatch):
 
 
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
-    # the all-shift array costs sum p^2; the exact route never builds it
+    # on quadratic tables the exact route reads the closed form off the
+    # int8 signs: no all-shift array and no int64 copy of the signs
     tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
     ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
-    ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
+    values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
+    assert values == [
+        ms.autocorrelation_closed_form(5, 1)
+        * ms.autocorrelation_closed_form(7, 2)
+        * ms.autocorrelation_closed_form(11, 3),
+        ms.autocorrelation_closed_form(11, 10),
+        ms.autocorrelation_closed_form(5, 4),
+    ]
     for table in tables:
+        assert table.is_quadratic
         assert "_autocorrelation_numerators" not in table.__dict__
-    assert sorted(tables[2]._numerators) == [0, 3, 10]
+        assert "_signs" not in table.__dict__
 
 
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
@@ -441,6 +450,29 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     # any table, pool or subset count is built
     with pytest.raises(BudgetError):
         ms.sbh_adversarial_search(3, 130_000, theorem_ctx)
+
+
+def test_search_refuses_over_budget_custom_tables(monkeypatch):
+    # tables other than the quadratic character need the sum p^2 window
+    # route for their lookup tables (1.5e11 terms at the theorem-4 primes);
+    # the shared budget refuses it before any scan
+    def no_scan(*args):
+        raise AssertionError("a lookup table was scanned past the budget")
+
+    cfg = ms.make_group_config(ms.theorem_primes(4), ms.THEOREM_GRADE)
+    tables = []
+    for p in cfg.primes:
+        signs = ms.legendre_table(p).signs.copy()
+        signs[1] = -1
+        tables.append(ms.LegendreTable(prime=p, signs=signs))
+    ctx = ms.CocycleContext(cfg=cfg, tables=tuple(tables))
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "autocorrelation_numerators", no_scan)
+        patch.setattr(ms.charsums, "window_autocorrelation_numerators", no_scan)
+        with pytest.raises(BudgetError, match="stage 4 needs .* scan terms"):
+            ms.sbh_adversarial_search(4, 3, ctx)
+    # stage 2 costs 4e5 terms and runs
+    assert ms.sbh_adversarial_search(2, 3, ctx, budget=10, restarts=1).mode == "local"
 
 
 def test_search_local_finds_known_optimum(ctx29):
