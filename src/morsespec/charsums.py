@@ -228,6 +228,13 @@ def check_scan_budget(tables, what: str) -> None:
         raise BudgetError(f"{what} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
 
 
+def check_table_prime(p: int) -> None:
+    """Refuse a prime whose table would square residues past int64:
+    _quadratic_signs squares every k <= (p - 1) / 2 in int64."""
+    if ((p - 1) // 2) ** 2 > 2**63 - 1:
+        raise ConfigError(f"the sign table for {p} would square residues past int64")
+
+
 def _quadratic_signs(p: int) -> np.ndarray:
     """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
     k and p - k have the same square, so k <= (p - 1) / 2 reach them all;
@@ -247,6 +254,7 @@ def _quadratic_signs(p: int) -> np.ndarray:
 def legendre_table(p: int) -> LegendreTable:
     """The Legendre sign table: +1 on the nonzero squares mod p and at 0,
     -1 elsewhere (Euler's criterion, as in legendre, is the reference)."""
+    check_table_prime(p)
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
     table = LegendreTable(prime=p, signs=_quadratic_signs(p))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .charsums import LegendreTable, legendre_table
+from .charsums import LegendreTable, check_table_prime, legendre_table
 from .errors import ConfigError
 from .odometer import (
     GroupConfig,
@@ -57,7 +57,10 @@ class CocycleContext:
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
-    """Assemble the per-prime sign tables."""
+    """Assemble the per-prime sign tables; every prime is checked before
+    the first table is built."""
+    for p in cfg.primes:
+        check_table_prime(p)
     tables = tuple(legendre_table(p) for p in cfg.primes)
     return CocycleContext(cfg=cfg, tables=tables)
 

@@ -34,11 +34,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .charsums import autocorrelation_numerators, check_scan_budget
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
 from .reporting import write_atomic
+
+# numerator values counted this many at a time (an int64 chunk of 8 MiB)
+_COUNT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,13 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     check_scan_budget(tables, f"stage {n}")
     per_prime = []
     for t in tables:
-        counts = Counter(autocorrelation_numerators(t).tolist())
+        numerators = autocorrelation_numerators(t)
+        counts: Counter = Counter()
+        # np.unique sorts a copy of what it is given, so it gets a chunk at a time
+        for start in range(0, t.prime, _COUNT_CHUNK):
+            chunk = numerators[start : start + _COUNT_CHUNK]
+            values, m = np.unique(chunk, return_counts=True)
+            counts.update(dict(zip(values.tolist(), m.tolist())))
         per_prime.append({Fraction(v, t.prime): m for v, m in counts.items()})
     histogram: Counter = Counter()
     for combo in itertools.product(*(counts.items() for counts in per_prime)):
@@ -173,6 +184,8 @@ def at_ball_bound(
     epsilon only the trivial bound |Lambda| is returned.
     """
     eps = Fraction(epsilon)
+    if eps < 0:
+        raise ConfigError(f"ball radius must be nonnegative, got {eps}")
     sep = separation if separation is not None else name_separation(n, ctx)
     if sep.level != n:
         raise ConfigError(f"separation report is for stage {sep.level}, not {n}")

@@ -64,6 +64,19 @@ def test_legendre_table_structure():
         ms.legendre_table(2)
 
 
+def test_legendre_table_refuses_primes_squared_past_int64(monkeypatch):
+    def no_table(p):
+        raise AssertionError(f"table for {p} built")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_table)
+    with pytest.raises(ConfigError, match="int64"):
+        ms.legendre_table(6_103_515_637)  # p_6 of the theorem sequence
+    # ((p - 1) // 2)^2 <= 2^63 - 1 exactly up to p = 6 074 001 000
+    charsums.check_table_prime(6_074_001_000)
+    with pytest.raises(ConfigError):
+        charsums.check_table_prime(6_074_001_001)
+
+
 def test_legendre_table_matches_euler_criterion():
     # the table is built from a mask of squares; Euler's criterion is the
     # reference route

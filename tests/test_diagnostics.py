@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
+from morsespec import diagnostics
 from morsespec.errors import BudgetError, ConfigError
 
 CFG5 = ms.make_group_config([5])
@@ -191,9 +192,13 @@ SMALL_STAGES = [
     SMALL_STAGES,
     ids=[f"{','.join(map(str, primes))}-stage{n}" for primes, n in SMALL_STAGES],
 )
-def test_separation_matches_atlas(primes, n):
+def test_separation_matches_atlas(primes, n, monkeypatch):
     ctx = ms.build_context(ms.make_group_config(primes))
-    assert ms.name_separation(n, ctx) == brute_separation(n, ctx)
+    brute = brute_separation(n, ctx)
+    assert ms.name_separation(n, ctx) == brute
+    # numerator values counted a few at a time, and across chunk seams
+    monkeypatch.setattr(diagnostics, "_COUNT_CHUNK", 3)
+    assert ms.name_separation(n, ctx) == brute
 
 
 def test_separation_frozen_small():
@@ -260,6 +265,12 @@ def test_ball_bound_large_radius(ctx57):
 
 def test_ball_bound_level_zero(ctx57):
     assert ms.at_ball_bound(0, Fraction(1, 4), ctx57) == Fraction(1, 2)
+
+
+def test_ball_bound_rejects_negative_radius(ctx57):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        ms.at_ball_bound(2, Fraction(-1, 20), ctx57)
+    assert ms.at_ball_bound(2, 0, ctx57) == Fraction(1, 2)
 
 
 def test_ball_bound_rejects_mismatched_report(ctx57):

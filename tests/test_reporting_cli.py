@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -186,12 +188,64 @@ def test_config_digest_is_sha256():
     assert reporting.config_digest(data) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+SRC = str(Path(ms.__file__).resolve().parents[1])
+THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code, env=None):
+    """Run code in a new interpreter with src on PYTHONPATH.  env, when
+    given, is the child's whole environment; otherwise it inherits this
+    process's, which importing morsespec.cli has changed."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def env_without_thread_settings():
+    return {k: v for k, v in os.environ.items() if k not in THREAD_SETTINGS}
+
+
 def test_cli_import_leaves_openssl_unloaded():
     # hashlib's OpenSSL module costs every command about 3.4 MB of RSS
     code = "import sys, morsespec.cli; sys.exit('_hashlib' in sys.modules)"
-    src = str(Path(ms.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert fresh_python(code).returncode == 0
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, morsespec; sys.exit('numpy' in sys.modules)"
+    assert fresh_python(code).returncode == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_runs_blas_on_one_thread():
+    code = (
+        "import os, morsespec.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+    res = fresh_python(code, env_without_thread_settings())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.parametrize("name", THREAD_SETTINGS)
+def test_cli_import_keeps_a_user_thread_setting(name):
+    code = "import os, morsespec.cli; print([os.environ.get(k) for k in {!r}])".format(
+        THREAD_SETTINGS
+    )
+    res = fresh_python(code, {**env_without_thread_settings(), name: "2"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == repr(["2" if k == name else None for k in THREAD_SETTINGS])
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    for module, names in ms._EXPORTS.items():
+        sub = importlib.import_module(f"morsespec.{module}")
+        for name in names:
+            assert getattr(ms, name) is getattr(sub, name), name
+    assert sorted(ms.__all__) == sorted(n for names in ms._EXPORTS.values() for n in names)
+    assert set(ms.__all__) <= set(dir(ms))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ms.no_such_name
 
 
 def test_flatten_paths():
@@ -639,6 +693,48 @@ def test_usage_errors(capsys):
         assert code == 64, argv
         assert out == ""
         assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # nan passes a "<= 0" test and then fails every comparison: a false exit 2
+        ("coeffs", "--primes", "5,7", "--tolerance-numeric", "nan"),
+        # inf turns the route comparison off
+        ("coeffs", "--primes", "5,7", "--tolerance-numeric", "inf"),
+        ("gauss-check", "--pmax", "5", "--tolerance-transcendental", "nan"),
+        ("names", "--primes", "5,7", "--epsilon", "-1"),
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert argv[-1] in err
+
+
+def test_bad_numeric_config_values_are_usage_errors(capsys, tmp_path):
+    for line in ("tolerance_numeric = inf", "epsilon = -1/20"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"primes = 5,7\n{line}\n")
+        code, out, err = run_cli(capsys, "names", "--config", str(cfg))
+        assert code == 64, line
+        assert out == ""
+        assert line.split(" = ")[1] in err
+
+
+def test_certify_refuses_theorem_7_before_building_a_table(capsys, monkeypatch):
+    # p_6 = 6 103 515 637 squares residues past int64; p_0..p_5 must not be built first
+    def no_table(p):
+        raise AssertionError(f"table for {p} built")
+
+    monkeypatch.setattr("morsespec.charsums._quadratic_signs", no_table)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--theorem", "7")
+    assert time.perf_counter() - start < 1.0
+    assert code == 64
+    assert out == ""
+    assert "6103515637" in err
 
 
 def test_bad_format_flag(capsys):
