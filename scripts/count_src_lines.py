@@ -1,7 +1,9 @@
-"""Count the lines of a source tree: all lines, and code lines (neither
-blank, nor comment-only, nor part of a docstring).
+"""Count the lines of a source tree or of one file: all lines, and code
+lines (neither blank, nor comment-only, nor part of a docstring).  A path
+that does not exist is an error (exit 1).
 
     python scripts/count_src_lines.py src
+    python scripts/count_src_lines.py src/morsespec/cli.py
 """
 
 import ast
@@ -38,7 +40,7 @@ def docstring_lines(tree: ast.AST) -> set[int]:
 
 def count(root: Path) -> tuple[int, int]:
     total = code = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         text = path.read_text()
         lines = set()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -50,5 +52,8 @@ def count(root: Path) -> tuple[int, int]:
 
 
 if __name__ == "__main__":
-    total, code = count(Path(sys.argv[1] if len(sys.argv) > 1 else "src"))
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
+    if not root.exists():
+        sys.exit(f"no such file or directory: {root}")
+    total, code = count(root)
     print(f"{total} lines, {code} code lines")

@@ -124,10 +124,6 @@ class LegendreTable:
         object.__setattr__(self, "signs", signs)
 
     @cached_property
-    def values(self) -> tuple[int, ...]:
-        return tuple(self.signs.tolist())
-
-    @cached_property
     def is_quadratic(self) -> bool:
         """Whether this is the quadratic-character table: p an odd prime, +1
         at 0 and on the nonzero squares mod p, -1 elsewhere (compared

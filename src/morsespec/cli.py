@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 # before numpy loads: no command runs threaded BLAS, and an idle OpenBLAS worker spins ~0.13 s of CPU
@@ -74,29 +74,6 @@ class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 64."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters: dataclass defaults, then config file
-    entries, then command-line flags, later layers winning."""
-
-    primes: tuple[int, ...] | None = None
-    theorem: int | None = None
-    level: int | None = None
-    k_max: int = 4
-    seed: int = 0
-    budget: int = 500_000
-    restarts: int = 32
-    epsilon: Fraction | None = None
-    split_level: int | None = None
-    assume_tail_rule: bool = False
-    tolerance_numeric: float = 1e-12
-    tolerance_transcendental: float = 1e-9
-    format: str = "json"
-    out: str | None = None
-    histogram_out: str | None = None
-    pmax: int = 200
-
-
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -120,24 +97,43 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"bad boolean {text!r}")
 
 
-_FIELD_PARSERS = {
-    "primes": _parse_primes,
-    "theorem": int,
-    "level": int,
-    "k_max": int,
-    "seed": int,
-    "budget": int,
-    "restarts": int,
-    "epsilon": _parse_epsilon,
-    "split_level": int,
-    "assume_tail_rule": _parse_bool,
-    "tolerance_numeric": float,
-    "tolerance_transcendental": float,
-    "format": str,
-    "out": str,
-    "histogram_out": str,
-    "pmax": int,
-}
+def _option(default, parse, help: str, echo: bool = True):
+    """A run option: the long flag is the field name with dashes, the
+    config-file key is the field name (dashes allowed), `parse` reads both,
+    and `echo` puts the value in the report's config echo."""
+    return field(default=default, metadata={"parse": parse, "help": help, "echo": echo})
+
+
+@dataclass
+class RunConfig:
+    """Resolved run parameters: dataclass defaults, then config file
+    entries, then command-line flags, later layers winning."""
+
+    primes: tuple[int, ...] | None = _option(None, _parse_primes, "comma-separated odd primes")
+    theorem: int | None = _option(None, int, "use the first N growth-floor primes", echo=False)
+    level: int | None = _option(None, int, "stage / truncation level for the command")
+    k_max: int = _option(4, int, "largest probe size")
+    seed: int = _option(0, int, "search seed")
+    budget: int = _option(500_000, int, "probe budget for searches")
+    restarts: int = _option(32, int, "local-search restarts")
+    epsilon: Fraction | None = _option(None, _parse_epsilon, "ball radius (rational, e.g. 1/20)")
+    split_level: int | None = _option(None, int, "certificate split point")
+    assume_tail_rule: bool = _option(
+        False, _parse_bool, "assert the growth floor for coordinates past the split"
+    )
+    tolerance_numeric: float = _option(1e-12, float, "tolerance of the float route comparisons")
+    tolerance_transcendental: float = _option(
+        1e-9, float, "tolerance of the Gauss-sum and flatness checks"
+    )
+    format: str = _option("json", str, "report format: json or csv")
+    out: str | None = _option(None, str, "also write the report to this path", echo=False)
+    histogram_out: str | None = _option(
+        None, str, "write the distance histogram CSV here", echo=False
+    )
+    pmax: int = _option(200, int, "prime range bound for gauss-check")
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -157,25 +153,23 @@ def load_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FIELD_PARSERS:
+        if key not in _PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _FIELD_PARSERS[key](value.strip())
+            out[key] = _PARSERS[key](value.strip())
         except (ValueError, TypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    rc = RunConfig()
-    if getattr(args, "config", None):
-        rc = replace(rc, **load_config_file(args.config))
-    overrides = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
-    rc = replace(rc, **overrides)
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {k: v for k, v in vars(args).items() if k in _PARSERS and v is not None}
+    if flags.keys() & {"primes", "theorem"}:
+        # a group chosen by flag replaces the file's choice, not joins it
+        values.pop("primes", None)
+        values.pop("theorem", None)
+    rc = RunConfig(**{**values, **flags})
     if rc.level is not None and rc.level < 1:
         raise UsageError("level must be at least 1")
     if rc.k_max < 1:
@@ -222,22 +216,10 @@ def _writing(path: str):
 
 
 def _config_echo(rc: RunConfig, cfg: GroupConfig | None) -> dict:
-    return {
-        "primes": list(cfg.primes) if cfg else None,
-        "mode": cfg.mode if cfg else None,
-        "level": rc.level,
-        "k_max": rc.k_max,
-        "seed": rc.seed,
-        "budget": rc.budget,
-        "restarts": rc.restarts,
-        "epsilon": rc.epsilon,
-        "split_level": rc.split_level,
-        "assume_tail_rule": rc.assume_tail_rule,
-        "tolerance_numeric": rc.tolerance_numeric,
-        "tolerance_transcendental": rc.tolerance_transcendental,
-        "format": rc.format,
-        "pmax": rc.pmax,
-    }
+    echo = {f.name: getattr(rc, f.name) for f in fields(RunConfig) if f.metadata["echo"]}
+    echo["primes"] = list(cfg.primes) if cfg else None
+    echo["mode"] = cfg.mode if cfg else None
+    return echo
 
 
 def _envelope(command: str, rc: RunConfig, cfg: GroupConfig | None, results: dict) -> dict:
@@ -556,28 +538,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--primes", type=_parse_primes, help="comma-separated odd primes")
-    common.add_argument("--theorem", type=int, help="use the first N growth-floor primes")
-    common.add_argument("--level", type=int, help="stage / truncation level for the command")
-    common.add_argument("--k-max", dest="k_max", type=int, help="largest probe size")
-    common.add_argument("--seed", type=int, help="search seed")
-    common.add_argument("--budget", type=int, help="probe budget for searches")
-    common.add_argument("--restarts", type=int, help="local-search restarts")
-    common.add_argument("--format", choices=("json", "csv"), help="report format")
-    common.add_argument("--epsilon", type=_parse_epsilon, help="ball radius (rational, e.g. 1/20)")
-    common.add_argument("--split-level", dest="split_level", type=int, help="certificate split point")
-    common.add_argument(
-        "--assume-tail-rule",
-        dest="assume_tail_rule",
-        action="store_true",
-        default=None,
-        help="assert the growth floor for coordinates past the split",
-    )
-    common.add_argument("--tolerance-numeric", dest="tolerance_numeric", type=float)
-    common.add_argument("--tolerance-transcendental", dest="tolerance_transcendental", type=float)
-    common.add_argument("--out", help="also write the report to this path")
-    common.add_argument("--histogram-out", dest="histogram_out", help="write the distance histogram CSV here")
-    common.add_argument("--pmax", type=int, help="prime range bound for gauss-check")
+    for f in fields(RunConfig):
+        parse = f.metadata["parse"]
+        # a bare switch; its None default leaves a config file's value standing
+        how = {"action": "store_true", "default": None} if parse is _parse_bool else {"type": parse}
+        common.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **how)
 
     parser = _Parser(prog="morsespec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

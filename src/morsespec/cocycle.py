@@ -69,9 +69,9 @@ def cocycle_value(x: tuple[int, ...], g: GroupElement, ctx: CocycleContext) -> i
     """w(x, g) in {+1, -1}; the empty product for the identity."""
     out = 1
     for idx, res in g.coords:
-        t = ctx.tables[idx].values
+        t = ctx.tables[idx].signs
         xi = x[idx]
-        out *= t[xi] * t[(xi + res) % ctx.cfg.primes[idx]]
+        out *= int(t[xi] * t[(xi + res) % ctx.cfg.primes[idx]])
     return out
 
 
@@ -79,7 +79,7 @@ def cocycle_at_zero(g: GroupElement, ctx: CocycleContext) -> int:
     """w0(g) = w(0, g) = prod of table entries at the residues of g."""
     out = 1
     for idx, res in g.coords:
-        out *= ctx.tables[idx].values[res]
+        out *= int(ctx.tables[idx].signs[res])
     return out
 
 

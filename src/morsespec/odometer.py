@@ -90,9 +90,6 @@ class GroupConfig:
     def level(self) -> int:
         return len(self.primes)
 
-    def prime(self, n: int) -> int:
-        return self.primes[n]
-
 
 def make_group_config(primes: Sequence[int], mode: str = EXPERIMENTAL) -> GroupConfig:
     """Validate and freeze a configuration.
@@ -226,11 +223,8 @@ def point(values: Sequence[int], cfg: GroupConfig) -> tuple[int, ...]:
     return tuple(int(v) % p for v, p in zip(values, cfg.primes))
 
 
-ZERO_POINT_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def zero_point(cfg: GroupConfig) -> tuple[int, ...]:
-    return ZERO_POINT_CACHE.setdefault(cfg.level, (0,) * cfg.level)
+    return (0,) * cfg.level
 
 
 def translate(x: tuple[int, ...], g: GroupElement, cfg: GroupConfig) -> tuple[int, ...]:

@@ -46,10 +46,6 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # exact types that to_builtin and flatten pass through unchanged
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 

@@ -18,7 +18,7 @@ def _cocycle_all_coordinates(x, g, ctx):
     out = 1
     for n, table in enumerate(ctx.tables):
         res = g.residue(n)
-        out *= table.values[x[n]] * table.values[(x[n] + res) % ctx.cfg.primes[n]]
+        out *= int(table.signs[x[n]]) * int(table.signs[(x[n] + res) % ctx.cfg.primes[n]])
     return out
 
 
@@ -46,8 +46,8 @@ def test_cocycle_value_matches_full_product(ctx57):
 def test_cocycle_value_on_array_built_tables(ctx57):
     cfg = ctx57.cfg
     tables = (
-        ms.LegendreTable(prime=5, signs=np.array(ctx57.tables[0].values, dtype=np.int8)),
-        ms.LegendreTable(prime=7, signs=list(ctx57.tables[1].values)),
+        ms.LegendreTable(prime=5, signs=np.array(ctx57.tables[0].signs, dtype=np.int8)),
+        ms.LegendreTable(prime=7, signs=ctx57.tables[1].signs.tolist()),
     )
     ctx = ms.CocycleContext(cfg=cfg, tables=tables)
     for x in ms.enumerate_points(cfg):

@@ -27,7 +27,7 @@ from morsespec import reporting
 
 def test_rational_round_trip():
     for frac in (Fraction(1, 5), Fraction(-3, 7), Fraction(0), Fraction(4), Fraction(36, 29)):
-        assert reporting.parse_rational(reporting.rational_str(frac)) == frac
+        assert Fraction(reporting.rational_str(frac)) == frac
     assert reporting.rational_str(Fraction(2)) == "2/1"
 
 
@@ -754,6 +754,86 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert report["config"]["k_max"] == 2          # file beats default
     assert report["config"]["seed"] == 9
     assert len(report["results"]["per_k"]) == 2
+
+
+@pytest.mark.parametrize(
+    "file_lines, argv, primes, mode",
+    [
+        # a flag choosing the group replaces the file's choice, whichever key each uses
+        ("theorem = 2\n", ["--primes", "29"], [29], "experimental"),
+        ("primes = 5,7\n", ["--theorem", "2"], [29, 631], "theorem-grade"),
+        ("primes = 5,7\ntheorem = 2\n", ["--primes", "29"], [29], "experimental"),
+    ],
+    ids=["file-theorem-flag-primes", "file-primes-flag-theorem", "file-both-flag-primes"],
+)
+def test_group_flag_replaces_the_files_group(capsys, tmp_path, file_lines, argv, primes, mode):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(file_lines + "seed = 9\n")
+    code, report, _ = run_json(capsys, "names", "--config", str(cfg), *argv)
+    assert code == 0
+    assert report["config"]["primes"] == primes
+    assert report["config"]["mode"] == mode
+    assert report["config"]["seed"] == 9  # the rest of the file still applies
+
+
+def test_both_group_keys_in_one_layer_are_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "names", "--primes", "5", "--theorem", "3")
+    assert (code, out) == (64, "")
+    assert "not both" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("primes = 5\ntheorem = 3\n")
+    code, out, err = run_cli(capsys, "names", "--config", str(cfg))
+    assert (code, out) == (64, "")
+    assert "not both" in err
+
+
+# one sample per RunConfig field, each unlike its default; a new field needs one here
+OPTION_SAMPLES = {
+    "primes": ("5,7", (5, 7)),
+    "theorem": ("2", 2),
+    "level": ("3", 3),
+    "k_max": ("5", 5),
+    "seed": ("7", 7),
+    "budget": ("1000", 1000),
+    "restarts": ("3", 3),
+    "epsilon": ("1/20", Fraction(1, 20)),
+    "split_level": ("1", 1),
+    "assume_tail_rule": ("true", True),
+    "tolerance_numeric": ("1e-10", 1e-10),
+    "tolerance_transcendental": ("1e-8", 1e-8),
+    "format": ("csv", "csv"),
+    "out": ("report.json", "report.json"),
+    "histogram_out": ("hist.csv", "hist.csv"),
+    "pmax": ("50", 50),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.RunConfig)])
+def test_flag_and_config_keys_agree(tmp_path, name):
+    text, expected = OPTION_SAMPLES[name]
+    assert getattr(cli.RunConfig(), name) != expected
+    flag = "--" + name.replace("_", "-")
+    flag_argv = [flag] if isinstance(expected, bool) else [flag, text]
+    configs = [cli.build_run_config(cli._build_parser().parse_args(["certify", *flag_argv]))]
+    for key in {name, name.replace("_", "-")}:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        args = cli._build_parser().parse_args(["certify", "--config", str(cfg)])
+        configs.append(cli.build_run_config(args))
+    for rc in configs:
+        assert rc == dataclasses.replace(cli.RunConfig(), **{name: expected})
+
+
+def test_config_echo_keys():
+    cfg = ms.make_group_config((5, 7))
+    echo = cli._config_echo(cli.RunConfig(primes=(5, 7), seed=3), cfg)
+    assert set(echo) == {
+        "primes", "mode", "level", "k_max", "seed", "budget", "restarts", "epsilon",
+        "split_level", "assume_tail_rule", "tolerance_numeric",
+        "tolerance_transcendental", "format", "pmax",
+    }
+    assert (echo["primes"], echo["mode"], echo["seed"]) == ([5, 7], "experimental", 3)
+    assert cli._config_echo(cli.RunConfig(), None)["primes"] is None
 
 
 def test_cache_dir_option_removed(capsys, tmp_path):
