@@ -69,6 +69,9 @@ _SCAN_BUDGET = 10**9
 # squares mod p formed this many at a time (an int64 chunk of 512 KiB)
 _SQUARE_CHUNK = 1 << 16
 
+# table entries checked for +/-1 this many at a time
+_SIGN_CHUNK = 1 << 16
+
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1} via Euler's criterion."""
@@ -116,9 +119,12 @@ class LegendreTable:
             raise ConfigError(f"table for {p} has shape {signs.shape}, not ({p},)")
         if signs[0] != 1:
             raise ConfigError("table entry at 0 must be +1")
-        # compared before the cast, which would truncate 1.5 to 1
-        if not ((signs == 1) | (signs == -1)).all():
-            raise ConfigError("table entries must be +1 or -1")
+        # compared before the cast, which would truncate 1.5 to 1, and a
+        # chunk at a time, so that the masks stay small beside the table
+        for start in range(0, p, _SIGN_CHUNK):
+            chunk = signs[start : start + _SIGN_CHUNK]
+            if not ((chunk == 1) | (chunk == -1)).all():
+                raise ConfigError("table entries must be +1 or -1")
         signs = signs.astype(np.int8)  # a copy: the caller's array stays writeable
         signs.flags.writeable = False
         object.__setattr__(self, "signs", signs)
@@ -253,8 +259,12 @@ def legendre_table(p: int) -> LegendreTable:
     check_table_prime(p)
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
-    table = LegendreTable(prime=p, signs=_quadratic_signs(p))
-    table.__dict__["is_quadratic"] = True  # built from the squares mask itself
+    signs = _quadratic_signs(p)
+    signs.flags.writeable = False
+    # the squares mask is a table by construction: adopted as it is, with
+    # neither the entry check nor the defensive copy of __post_init__
+    table = object.__new__(LegendreTable)
+    table.__dict__.update(prime=p, signs=signs, is_quadratic=True)
     return table
 
 

@@ -475,7 +475,7 @@ def sbh_adversarial_search(
                     pool = np.setdiff1d(np.arange(m), combo)
                 else:
                     pool = np.array(rng.sample(range(m), 64), dtype=np.int64)
-                    pool = pool[~np.isin(pool, combo)]
+                    pool = pool[(pool[:, None] != combo).all(axis=1)]
                 if pool.size:
                     # swapping combo[i] for pool[v] drops row[i] and adds
                     # pool[v]'s pairs with the other members

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,32 @@ def test_table_validation():
         ms.LegendreTable(prime=3, signs=np.array([[1, 1, -1]], dtype=np.int8))
     with pytest.raises(ConfigError):
         ms.LegendreTable(prime=3, signs=np.array([1, 2, -1], dtype=np.int8))
+
+
+def test_table_check_reaches_every_chunk():
+    p = 3 * charsums._SIGN_CHUNK + 5
+    for bad in (charsums._SIGN_CHUNK - 1, 2 * charsums._SIGN_CHUNK, p - 1):
+        signs = np.ones(p)
+        signs[bad] = 0.5
+        with pytest.raises(ConfigError, match=r"\+1 or -1"):
+            ms.LegendreTable(prime=p, signs=signs)
+
+
+def test_tables_are_built_without_table_sized_temporaries():
+    # legendre_table adopts its squares mask as it is, and the entry check
+    # of any other table runs in chunks: only the kept int8 array is p bytes
+    p = 9_765_629  # p_4: the chunks of squares are small beside it
+    tracemalloc.start()
+    try:
+        table = charsums.legendre_table.__wrapped__(p)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ms.LegendreTable(prime=p, signs=table.signs)
+        _, checked = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 1.2 * p  # the table and two int64 chunks of squares
+    assert checked < 2.2 * p  # the table and its copy
 
 
 def test_table_accepts_sequences_and_arrays():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -235,6 +236,56 @@ def test_cli_import_keeps_a_user_thread_setting(name):
     res = fresh_python(code, {**env_without_thread_settings(), name: "2"})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == repr(["2" if k == name else None for k in THREAD_SETTINGS])
+
+
+# registered before the CLI runs, so it runs after the handlers the CLI registers
+FREEZE_OBSERVER = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+)
+
+
+def freeze_count_at_exit(stderr):
+    return int(re.search(r"freeze count (\d+)", stderr).group(1))
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["--pmax", "3"], 0), (["--pmax", "2"], 64)])
+def test_process_entry_freezes_the_collector_at_exit(argv, exit_code):
+    code = FREEZE_OBSERVER + (
+        "import runpy\n"
+        f"sys.argv = ['morsespec', 'gauss-check', *{argv!r}]\n"
+        "runpy.run_module('morsespec.cli', run_name='__main__')\n"
+    )
+    res = fresh_python(code)
+    assert res.returncode == exit_code, res.stderr
+    assert freeze_count_at_exit(res.stderr) > 0
+    if exit_code == 0:
+        assert json.loads(res.stdout)["results"]["all_ok"] is True
+
+
+def test_main_leaves_the_collector_alone():
+    code = FREEZE_OBSERVER + (
+        "import morsespec.cli as cli\n"
+        "sys.exit(cli.main(['gauss-check', '--pmax', '3']))\n"
+    )
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert freeze_count_at_exit(res.stderr) == 0
+
+
+def test_console_script_and_module_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["morsespec"]
+    module, _, func = script.partition(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({func}())"]
 
 
 def test_lazy_exports_are_the_submodules_objects():
@@ -859,6 +910,18 @@ def test_certify_lists_asserted_tail_rule(capsys):
     assert verdict["verdict"] == "non-AT certified"
     assert len(verdict["assumptions"]) == 2
     assert "growth floor" in verdict["assumptions"][1]
+
+
+@pytest.mark.parametrize(
+    "line", ["primes = 5,x", "epsilon = 1/0", "assume_tail_rule = maybe", "level = x"]
+)
+def test_bad_config_values_name_their_file_and_line(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    code, out, err = run_cli(capsys, "names", "--config", str(cfg))
+    assert (code, out) == (64, "")
+    key = line.split(" = ")[0]
+    assert err.startswith(f"usage error: {cfg}:2: bad value for {key}: "), err
 
 
 def test_config_file_unknown_key(capsys, tmp_path):
