@@ -18,13 +18,9 @@ _EXPORTS = {
     "charsums": (
         "FlatnessReport",
         "LegendreTable",
-        "autocorrelation",
         "autocorrelation_closed_form",
-        "character_polynomial",
         "character_polynomial_values",
-        "density_values",
         "flatness_report",
-        "fourier_of_density_factor",
         "gauss_sum",
         "gauss_sum_all",
         "gauss_sum_brute",

@@ -27,11 +27,12 @@ the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
 As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
 The core routines accept any sign table (entries +/-1, entry 0 fixed to
-+1); the prime-keyed wrappers specialise to the Legendre table.  Each
-table is the single precomputation layer for its prime: it stores an int8
-sign array and derives P, |P|^2, the density-route coefficients and the
-exact numerators at most once, on first use.  It also knows whether it is
-the quadratic-character table: legendre_table builds it from the squares
++1); legendre_table builds the Legendre one.  Each table is the single
+precomputation layer for its prime: it stores an int8 sign array, and its
+attributes polynomial (P), density (|P|^2), density_fourier (the
+density-route coefficients) and numerators (the exact p * c(j)) are each
+derived at most once, on first use.  It also knows whether it is the
+quadratic-character table: legendre_table builds it from the squares
 mask, and any other table is compared with that mask once, in O(p).  If
 it is, the Gauss sum gives the extremes of |P| and the sup of |P|^2 in
 closed form, and table_flatness_report reads them from there without
@@ -40,7 +41,7 @@ the tests and gauss-check keep as the reference for the closed form.
 Likewise the numerators of a quadratic table come from the Jacobi sum,
 p * c(j) = -1 + chi(j) + chi(-j) for j != 0 with chi the table's own signs
 off 0: O(1) per shift and O(p) for all of them.  Any other table sums
-directly, one O(p) slice-pair dot per shift, or for every shift at once
+directly, one O(p) slice-pair sum per shift, or for every shift at once
 the window route (np.correlate of the signs as float64, one BLAS dot per
 shift, exact because every partial sum is an integer of magnitude at
 most p < 2^53), whose sum p^2 cost is refused past _SCAN_BUDGET.
@@ -117,7 +118,7 @@ class LegendreTable:
         signs = np.asarray(self.signs)
         if signs.shape != (p,):
             raise ConfigError(f"table for {p} has shape {signs.shape}, not ({p},)")
-        if signs[0] != 1:
+        if p < 1 or signs[0] != 1:
             raise ConfigError("table entry at 0 must be +1")
         # compared before the cast, which would truncate 1.5 to 1, and a
         # chunk at a time, so that the masks stay small beside the table
@@ -137,25 +138,23 @@ class LegendreTable:
         p = self.prime
         return p > 2 and is_prime(p) and np.array_equal(self.signs, _quadratic_signs(p))
 
-    # int64, not int8: np.dot and @ accumulate in the operands' dtype
     @cached_property
-    def _signs(self) -> np.ndarray:
-        return self.signs.astype(np.int64)
-
-    @cached_property
-    def _polynomial(self) -> np.ndarray:
+    def polynomial(self) -> np.ndarray:
+        """P(x) for every x mod p, by a prime-length FFT."""
         # np.fft.fft applies exp(-2 pi i k x / p), the sign convention above
         return np.fft.fft(self.signs.astype(np.complex128)) / math.sqrt(self.prime)
 
     @cached_property
-    def _density(self) -> np.ndarray:
+    def density(self) -> np.ndarray:
+        """|P(x)|^2 for every x mod p; averages to exactly 1."""
         # a fresh float array: (vals * vals.conj()).real would be a view that
         # keeps the complex product alive
-        vals = self._polynomial
+        vals = self.polynomial
         return vals.real**2 + vals.imag**2
 
     @cached_property
-    def _density_fourier(self) -> np.ndarray:
+    def density_fourier(self) -> np.ndarray:
+        """c(j) for every shift j by the zero-padded density route; read-only."""
         # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
         p = self.prime
         n = _fft_length(2 * p)
@@ -181,7 +180,8 @@ class LegendreTable:
         return out
 
     @cached_property
-    def _autocorrelation_numerators(self) -> np.ndarray:
+    def numerators(self) -> np.ndarray:
+        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only."""
         if self.is_quadratic:
             # the Jacobi sum: -1 + s[j] + s[p - j] for j != 0, and p at 0
             s, p = self.signs, self.prime
@@ -295,70 +295,22 @@ def gauss_sum_all(p: int) -> np.ndarray:
     return np.fft.fft(counts.astype(np.complex128))
 
 
-def table_polynomial_values(table: LegendreTable) -> np.ndarray:
-    """P(x) for all x at once."""
-    return table._polynomial
-
-
-def table_density(table: LegendreTable) -> np.ndarray:
-    """|P(x)|^2 for all x; averages to exactly 1."""
-    return table._density
-
-
 def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
     """p * c(j) as an exact integer: sum_x eps(x) eps(x + j).  O(1) by the
-    closed form for a quadratic table, one O(p) slice-pair dot otherwise."""
+    closed form for a quadratic table, one O(p) slice-pair sum otherwise."""
     p = table.prime
     j %= p
     if j == 0:
         return p
+    s = table.signs
     if table.is_quadratic:
-        return -1 + int(table.signs[j]) + int(table.signs[p - j])
-    s = table._signs
-    return int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
-
-
-def autocorrelation_numerators(table: LegendreTable) -> np.ndarray:
-    """p * c(j) for every shift j at once (entry 0 is p), as exact int64:
-    the closed form for a quadratic table, the window route otherwise (see
-    check_scan_budget); read-only and held on the table."""
-    return table._autocorrelation_numerators
-
-
-def table_autocorrelation(table: LegendreTable, j: int) -> Fraction:
-    """c(j) as an exact rational, computed from the sign table itself."""
-    j %= table.prime
-    if j == 0:
-        return Fraction(1)
-    return Fraction(autocorrelation_numerator(table, j), table.prime)
-
-
-def table_density_fourier(table: LegendreTable, j: int) -> float:
-    """j-th Fourier coefficient (1/p) sum_x |P(x)|^2 exp(+2 pi i j x / p) by
-    the zero-padded route.  It must agree with table_autocorrelation(table, j)
-    up to round-off; the two routes share no code past the sign array."""
-    return float(table._density_fourier[j % table.prime])
-
-
-def table_density_fourier_all(table: LegendreTable) -> np.ndarray:
-    """Every table_density_fourier value at once; read-only, held on the table."""
-    return table._density_fourier
+        return -1 + int(s[j]) + int(s[p - j])
+    # int8 products of +/-1 cannot overflow; they are summed in int64
+    return int((s[: p - j] * s[j:]).sum(dtype=np.int64) + (s[p - j :] * s[:j]).sum(dtype=np.int64))
 
 
 def character_polynomial_values(p: int) -> np.ndarray:
-    return table_polynomial_values(legendre_table(p))
-
-
-def character_polynomial(p: int, x: int) -> complex:
-    return complex(character_polynomial_values(p)[x % p])
-
-
-def density_values(p: int) -> np.ndarray:
-    return table_density(legendre_table(p))
-
-
-def autocorrelation(p: int, j: int) -> Fraction:
-    return table_autocorrelation(legendre_table(p), j)
+    return legendre_table(p).polynomial
 
 
 def autocorrelation_closed_form(p: int, j: int) -> Fraction:
@@ -369,10 +321,6 @@ def autocorrelation_closed_form(p: int, j: int) -> Fraction:
     if j == 0:
         return Fraction(1)
     return Fraction(-1 + legendre(j, p) + legendre(p - j, p), p)
-
-
-def fourier_of_density_factor(p: int, j: int) -> float:
-    return table_density_fourier(legendre_table(p), j)
 
 
 @dataclass(frozen=True)
@@ -408,9 +356,9 @@ def table_flatness_report(table: LegendreTable) -> FlatnessReport:
             sup = 1 + 1 / p
     else:
         route = "fft-scan"
-        mods = np.abs(table_polynomial_values(table))[1:]
+        mods = np.abs(table.polynomial)[1:]
         lo, hi = float(mods.min()), float(mods.max())
-        sup = float(table_density(table).max())
+        sup = float(table.density.max())
     if lo < 1 - 1 / root - _NUMERIC_TOL or hi > 1 + 1 / root + _NUMERIC_TOL:
         raise InternalConsistencyError(
             f"flatness window violated at p={p}: [{lo}, {hi}]"

@@ -32,9 +32,7 @@ from .charsums import (
     gauss_sum_all,
     legendre_symbols,
     legendre_table,
-    table_density_fourier_all,
     table_flatness_report,
-    table_polynomial_values,
     window_autocorrelation_numerators,
 )
 from .cocycle import CocycleContext, build_context
@@ -60,6 +58,8 @@ from .reporting import (
     write_atomic,
 )
 from .spectral import (
+    _check_score_range,
+    density_certificate,
     sbh_adversarial_search,
     sbh_verdict,
     spectral_coefficients,
@@ -142,9 +142,9 @@ def load_config_file(path: str) -> dict[str, object]:
     """Flat 'key = value' lines; # starts a comment; keys match the
     command-line flags."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, object] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -397,9 +397,10 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
         raise UsageError(f"level {n} exceeds the {cfg.level} configured primes")
     group_order = math.prod(cfg.primes[:n])
     k_cap = min(rc.k_max, group_order)
+    _check_score_range(n, k_cap, group_order)  # before any search, not at the k that fails
     # Q never exceeds the stage-n density sup; it can falsify only a certificate
     stage_sup = math.prod(table_flatness_report(t).density_sup for t in ctx.tables[:n])
-    cert = sbh_verdict(ctx, rc.split_level, rc.assume_tail_rule).certificate
+    cert = density_certificate(ctx, rc.split_level, rc.assume_tail_rule)
     per_k = []
     best_entry = None
     for k in range(1, k_cap + 1):
@@ -480,7 +481,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         # the exhaustive scan of |P| that it replaces everywhere else
         flatness = table_flatness_report(table)
         flatness_ok = flatness_ok and flatness.route == "gauss-sum"
-        mods = np.abs(table_polynomial_values(table))[1:]
+        mods = np.abs(table.polynomial)[1:]
         max_flatness_err = max(
             max_flatness_err,
             abs(float(mods.min()) - flatness.min_modulus),
@@ -494,7 +495,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         closed_form_ok = closed_form_ok and np.array_equal(numerators, closed)
         max_density_err = max(
             max_density_err,
-            np.abs(numerators / p - table_density_fourier_all(table)).max(),
+            np.abs(numerators / p - table.density_fourier).max(),
         )
     flatness_ok = flatness_ok and max_flatness_err <= rc.tolerance_transcendental
     ok = (
@@ -567,15 +568,18 @@ def main(argv: list[str] | None = None) -> int:
         rc = build_run_config(args)
         report, code = _COMMANDS[args.command](rc, args)
         pieces = report_pieces(report, rc.format)
-        if rc.out:
-            # the whole file first, then the same bytes to stdout
-            with _writing(rc.out):
-                write_atomic(rc.out, pieces)
-                written = open(rc.out)
-            with written:
-                shutil.copyfileobj(written, sys.stdout)
-        else:
-            sys.stdout.writelines(pieces)
+        # a closed stdout is an unwritable output like any other
+        with _writing("stdout"):
+            if rc.out:
+                # the whole file first, then the same bytes to stdout
+                with _writing(rc.out):
+                    write_atomic(rc.out, pieces)
+                    written = open(rc.out)
+                with written:
+                    shutil.copyfileobj(written, sys.stdout)
+            else:
+                sys.stdout.writelines(pieces)
+            sys.stdout.flush()
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -601,7 +605,13 @@ def run() -> int:
     itself freezes nothing: in-process callers keep their collector.
     """
     atexit.register(gc.freeze)
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main() has reported the closed stdout; the flush at exit must not fail again (exit 120)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

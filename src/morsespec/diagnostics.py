@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsums import autocorrelation_numerators, check_scan_budget
+from .charsums import check_scan_budget
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
@@ -144,11 +144,10 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     check_scan_budget(tables, f"stage {n}")
     per_prime = []
     for t in tables:
-        numerators = autocorrelation_numerators(t)
         counts: Counter = Counter()
         # np.unique sorts a copy of what it is given, so it gets a chunk at a time
         for start in range(0, t.prime, _COUNT_CHUNK):
-            chunk = numerators[start : start + _COUNT_CHUNK]
+            chunk = t.numerators[start : start + _COUNT_CHUNK]
             values, m = np.unique(chunk, return_counts=True)
             counts.update(dict(zip(values.tolist(), m.tolist())))
         per_prime.append({Fraction(v, t.prime): m for v, m in counts.items()})

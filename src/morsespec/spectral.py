@@ -41,14 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import (
-    autocorrelation_numerator,
-    autocorrelation_numerators,
-    check_scan_budget,
-    table_density,
-    table_density_fourier_all,
-    table_flatness_report,
-)
+from .charsums import autocorrelation_numerator, check_scan_budget, table_flatness_report
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (
@@ -111,7 +104,7 @@ def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext
     residues = _checked_residues(residues, ctx)
     out = np.ones(len(residues))
     for n, table in enumerate(ctx.tables):
-        out *= table_density_fourier_all(table)[residues[:, n]]
+        out *= table.density_fourier[residues[:, n]]
     return out
 
 
@@ -165,7 +158,7 @@ def density_marginal(n: int, ctx: CocycleContext, budget: int = 10**6) -> Densit
         raise BudgetError(f"marginal on {size} points exceeds budget {budget}")
     values = np.ones(())
     for table in ctx.tables[:n]:
-        values = np.multiply.outer(values, table_density(table))
+        values = np.multiply.outer(values, table.density)
     return DensityMarginal(level=n, values=values)
 
 
@@ -351,6 +344,13 @@ def _pattern_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
 _SCORE_CHUNK = 1 << 13
 
 
+def _check_score_range(n: int, k: int, m: int) -> None:
+    """Refuse a search for k-subsets of G_n, |G_n| = m, whose int64 scores
+    could overflow; a probe of one element scores nothing."""
+    if k > 1 and k * k * m >= 2**62:
+        raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
+
+
 def sbh_adversarial_search(
     n: int,
     k: int,
@@ -396,12 +396,11 @@ def sbh_adversarial_search(
             mode="exhaustive",
             evaluations=1,
         )
-    if k * k * m >= 2**62:
-        raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
+    _check_score_range(n, k, m)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
     check_scan_budget(ctx.tables[:n], f"stage {n}")
-    luts = [autocorrelation_numerators(t) for t in ctx.tables[:n]]
+    luts = [t.numerators for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the

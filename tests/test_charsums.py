@@ -11,20 +11,15 @@ from hypothesis import strategies as st
 
 import morsespec as ms
 from morsespec import charsums
-from morsespec.charsums import (
-    autocorrelation_numerator,
-    autocorrelation_numerators,
-    legendre_symbols,
-    table_autocorrelation,
-    table_density,
-    table_density_fourier,
-    table_density_fourier_all,
-    table_polynomial_values,
-)
+from morsespec.charsums import autocorrelation_numerator, legendre_symbols
 from morsespec.errors import ConfigError, InternalConsistencyError
 
 ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
+
+
+def _autocorrelation(p, j):
+    return Fraction(autocorrelation_numerator(ms.legendre_table(p), j), p)
 
 
 def test_legendre_matches_sympy():
@@ -104,8 +99,8 @@ def test_legendre_symbols_refuse_int64_overflow():
 def test_autocorrelation_numerators_match_per_shift_and_closed_form():
     for p in ODD_PRIMES_BELOW_500 + [15629]:
         table = ms.legendre_table(p)
-        numerators = autocorrelation_numerators(table)
-        assert numerators is autocorrelation_numerators(table)  # held on the table
+        numerators = table.numerators
+        assert numerators is table.numerators  # held on the table
         assert not numerators.flags.writeable
         assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
         assert numerators.tolist() == [
@@ -119,7 +114,7 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
     p = 390_647
     table = ms.legendre_table(p)
     s = table.signs.astype(np.int64)
-    numerators = autocorrelation_numerators(table)
+    numerators = table.numerators
     shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
     for j in shifts:
         dot = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
@@ -130,7 +125,7 @@ def test_closed_form_numerators_match_the_window_route_below_3000():
     for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
         table = ms.legendre_table(p)
         window = charsums.window_autocorrelation_numerators(table)
-        assert np.array_equal(autocorrelation_numerators(table), window), p
+        assert np.array_equal(table.numerators, window), p
 
 
 def test_autocorrelation_numerators_accept_custom_tables():
@@ -138,9 +133,9 @@ def test_autocorrelation_numerators_accept_custom_tables():
     for p in (3, 17, 101, 631):
         values = (1,) + tuple(rng.choice([-1, 1], size=p - 1).tolist())
         table = ms.LegendreTable(prime=p, signs=values)
-        numerators = autocorrelation_numerators(table)
+        numerators = table.numerators
         assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
-        assert np.abs(table_density_fourier_all(table) - numerators / p).max() < 1e-12, p
+        assert np.abs(table.density_fourier - numerators / p).max() < 1e-12, p
 
 
 def test_table_validation():
@@ -158,6 +153,8 @@ def test_table_validation():
         ms.LegendreTable(prime=3, signs=np.array([[1, 1, -1]], dtype=np.int8))
     with pytest.raises(ConfigError):
         ms.LegendreTable(prime=3, signs=np.array([1, 2, -1], dtype=np.int8))
+    with pytest.raises(ConfigError, match="entry at 0"):
+        ms.LegendreTable(prime=0, signs=())
 
 
 def test_table_check_reaches_every_chunk():
@@ -194,7 +191,7 @@ def test_table_accepts_sequences_and_arrays():
         assert table.signs.dtype == np.int8
         assert not table.signs.flags.writeable
         assert tuple(table.signs.tolist()) == expected
-        assert autocorrelation_numerators(table).tolist() == [5, 1, -3, -3, 1]
+        assert table.numerators.tolist() == [5, 1, -3, -3, 1]
     assert caller.flags.writeable  # the table keeps a copy
     # identity equality and hashing: one table per prime from legendre_table
     assert ms.legendre_table(5) == ms.legendre_table(5)
@@ -250,12 +247,12 @@ def _poly_direct(p, x):
 def test_character_polynomial_against_direct_sum():
     for p in (5, 7, 13, 29):
         for x in range(p):
-            assert abs(ms.character_polynomial(p, x) - _poly_direct(p, x)) < 1e-10
+            assert abs(ms.character_polynomial_values(p)[x] - _poly_direct(p, x)) < 1e-10
 
 
 def test_character_polynomial_at_zero():
     for p in (5, 7, 29, 631):
-        assert abs(ms.character_polynomial(p, 0) - 1 / math.sqrt(p)) < 1e-12
+        assert abs(ms.character_polynomial_values(p)[0] - 1 / math.sqrt(p)) < 1e-12
 
 
 def test_flatness_two_value_structure_for_1_mod_4():
@@ -347,10 +344,9 @@ def test_flatness_closed_form_against_the_fft_scan(p):
     table = _fresh(p)
     rep = ms.charsums.table_flatness_report(table)
     assert rep.route == "gauss-sum"
-    assert "_polynomial" not in table.__dict__
-    assert "_density" not in table.__dict__
-    mods = np.abs(table_polynomial_values(table))[1:]
-    sup = table_density(table).max()
+    assert set(table.__dict__) <= {"prime", "signs", "is_quadratic"}
+    mods = np.abs(table.polynomial)[1:]
+    sup = table.density.max()
     roundoff = 1e-13
     assert abs(mods.min() - rep.min_modulus) <= roundoff
     assert abs(mods.max() - rep.max_modulus) <= roundoff
@@ -371,7 +367,7 @@ def test_a_flipped_entry_takes_the_scan_route():
     table = ms.LegendreTable(prime=29, signs=signs)
     with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
         ms.charsums.table_flatness_report(table)
-    assert "_polynomial" in table.__dict__
+    assert "polynomial" in table.__dict__
 
 
 def test_a_negated_table_is_scanned_and_stays_flat():
@@ -383,7 +379,7 @@ def test_a_negated_table_is_scanned_and_stays_flat():
         table = ms.LegendreTable(prime=p, signs=signs)
         rep = ms.charsums.table_flatness_report(table)
         assert rep.route == "fft-scan"
-        assert rep.density_sup == table_density(table).max()
+        assert rep.density_sup == table.density.max()
         closed = ms.flatness_report(p)
         assert abs(rep.min_modulus - closed.min_modulus) < 1e-12
         assert abs(rep.max_modulus - closed.max_modulus) < 1e-12
@@ -397,29 +393,29 @@ def _autocorr_brute(p, j):
 def test_autocorrelation_against_brute_force():
     for p in (3, 5, 7, 11, 13, 29, 47):
         for j in range(p):
-            assert ms.autocorrelation(p, j) == _autocorr_brute(p, j)
+            assert _autocorrelation(p, j) == _autocorr_brute(p, j)
 
 
 def test_autocorrelation_frozen_values():
-    assert ms.autocorrelation(5, 0) == 1
-    assert ms.autocorrelation(5, 1) == Fraction(1, 5)
-    assert ms.autocorrelation(5, 2) == Fraction(-3, 5)
+    assert _autocorrelation(5, 0) == 1
+    assert _autocorrelation(5, 1) == Fraction(1, 5)
+    assert _autocorrelation(5, 2) == Fraction(-3, 5)
     # -1 is a non-residue mod 7, so every off-zero value collapses to -1/7
     for j in range(1, 7):
-        assert ms.autocorrelation(7, j) == Fraction(-1, 7)
+        assert _autocorrelation(7, j) == Fraction(-1, 7)
 
 
 def test_autocorrelation_closed_form_matches_everywhere():
     for p in [q for q in range(3, 500) if sympy.isprime(q)]:
         for j in range(p):
-            assert ms.autocorrelation(p, j) == ms.autocorrelation_closed_form(p, j)
+            assert _autocorrelation(p, j) == ms.autocorrelation_closed_form(p, j)
 
 
 def test_autocorrelation_symmetry_and_size():
     for p in (5, 7, 11, 29, 631):
         for j in range(1, p):
-            c = ms.autocorrelation(p, j)
-            assert c == ms.autocorrelation(p, p - j)
+            c = _autocorrelation(p, j)
+            assert c == _autocorrelation(p, p - j)
             assert abs(c) <= Fraction(3, p)
 
 
@@ -427,30 +423,30 @@ def test_density_fourier_route_agrees_with_autocorrelation():
     for p in (5, 7, 11, 29, 631):
         for j in range(p):
             assert abs(
-                float(ms.autocorrelation(p, j)) - ms.fourier_of_density_factor(p, j)
+                float(_autocorrelation(p, j)) - ms.legendre_table(p).density_fourier[j]
             ) < 1e-12
     # large prime: spot checks
     for j in (0, 1, 2, 7814, 15628):
         assert abs(
-            float(ms.autocorrelation(15629, j)) - ms.fourier_of_density_factor(15629, j)
+            float(_autocorrelation(15629, j)) - ms.legendre_table(15629).density_fourier[j]
         ) < 1e-12
 
 
 def test_density_route_matches_exact_numerators_at_every_shift():
     for p in ODD_PRIMES_BELOW_500:
         table = ms.legendre_table(p)
-        route = table_density_fourier_all(table)
+        route = table.density_fourier
         assert not route.flags.writeable
-        assert np.abs(route - autocorrelation_numerators(table) / p).max() < 1e-12, p
+        assert np.abs(route - table.numerators / p).max() < 1e-12, p
     # p = 3 pads to n = 6, the smallest transform
-    assert table_density_fourier_all(ms.legendre_table(3)).tolist() == pytest.approx(
+    assert ms.legendre_table(3).density_fourier.tolist() == pytest.approx(
         [1, -1 / 3, -1 / 3], abs=1e-15
     )
     for p in (15629, 390_647):
         chi = legendre_symbols(p)
         closed = (-1 + chi + chi[-np.arange(p) % p]) / p
         closed[0] = 1
-        assert np.abs(table_density_fourier_all(ms.legendre_table(p)) - closed).max() < 1e-12, p
+        assert np.abs(ms.legendre_table(p).density_fourier - closed).max() < 1e-12, p
 
 
 @pytest.mark.parametrize("p", [3, 5, 29, 997, 15629])
@@ -461,7 +457,7 @@ def test_density_fourier_is_bit_identical_to_the_reference(p):
     spec = np.fft.rfft(signs, n)
     r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
     reference = (r[:p] + r[n - p :]) / p
-    assert np.array_equal(table_density_fourier_all(_fresh(p)), reference)
+    assert np.array_equal(_fresh(p).density_fourier, reference)
 
 
 def _smooth(n):
@@ -494,36 +490,36 @@ def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
     monkeypatch.setattr(charsums.np.fft, "irfft", skewed)
     table = ms.LegendreTable(prime=7, signs=ms.legendre_table(7).signs)  # nothing cached yet
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
-        table_density_fourier(table, 1)
+        table.density_fourier
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
-        table_density_fourier_all(table)
+        table.density_fourier  # the failure is not cached
 
 
 def test_density_mean_is_one():
     for p in (5, 7, 29, 631, 15629):
-        assert abs(ms.density_values(p).mean() - 1.0) < 1e-12
+        assert abs(ms.legendre_table(p).density.mean() - 1.0) < 1e-12
 
 
 def test_table_level_routines_accept_custom_tables():
     table = ms.LegendreTable(prime=3, signs=(1, -1, -1))
-    dens = table_density(table)
+    dens = table.density
     assert abs(dens.mean() - 1.0) < 1e-12
-    assert table_autocorrelation(table, 0) == 1
+    assert Fraction(autocorrelation_numerator(table, 0), 3) == 1
     # brute: (1*-1) + (-1*-1) + (-1*1) = -1
-    assert table_autocorrelation(table, 1) == Fraction(-1, 3)
+    assert Fraction(autocorrelation_numerator(table, 1), 3) == Fraction(-1, 3)
     assert autocorrelation_numerator(table, 1) == -1
-    assert abs(table_density_fourier(table, 1) - float(Fraction(-1, 3))) < 1e-12
-    assert table_polynomial_values(table).shape == (3,)
+    assert abs(table.density_fourier[1] - float(Fraction(-1, 3))) < 1e-12
+    assert table.polynomial.shape == (3,)
 
 
 def test_cached_density_owns_its_data():
     # a view such as (P * conj(P)).real would keep the complex product alive
     for p in (5, 29, 15629):
         table = ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
-        dens = table_density(table)
+        dens = table.density
         assert dens.dtype == np.float64
         assert dens.base is None and dens.flags.owndata, p
-        vals = table_polynomial_values(table)
+        vals = table.polynomial
         assert np.array_equal(dens, (vals * vals.conj()).real), p
 
 
@@ -539,7 +535,7 @@ def test_all_shift_numerators_match_an_int64_window_sum():
     for table in tables:
         s = table.signs.astype(np.int64)
         window = np.array([np.dot(np.roll(s, -j), s) for j in range(table.prime)])
-        numerators = autocorrelation_numerators(table)
+        numerators = table.numerators
         assert numerators.dtype == np.int64
         assert not numerators.flags.writeable
         assert np.array_equal(numerators, window), table.prime

@@ -428,6 +428,27 @@ def test_sbh_search_k_cap_at_group_order(capsys):
     assert len(report["results"]["per_k"]) == 3
 
 
+def test_sbh_search_refuses_an_overflowing_k_before_any_search(capsys, monkeypatch):
+    # k = 250 at stage 4 overflows the int64 scores; the refusal comes before
+    # the first search, not after the searches for k = 1..203
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before the k refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "sbh_adversarial_search", no_search)
+        code, out, err = run_cli(
+            capsys, "sbh-search", "--theorem", "4", "--level", "4", "--k-max", "250"
+        )
+    assert (code, out) == (64, "")
+    score = 250**2 * math.prod(ms.theorem_primes(4))
+    assert err == f"budget exceeded: k^2 * |G_4| = {score} overflows the int64 scores\n"
+    # a k = 1 probe scores nothing, so it runs at any stage
+    code, report, _ = run_json(
+        capsys, "sbh-search", "--theorem", "5", "--level", "5", "--k-max", "1"
+    )
+    assert code == 0 and report["results"]["best"]["value"] == "1/1"
+
+
 def test_coeffs_default_level(capsys):
     code, report, _ = run_json(capsys, "coeffs", "--primes", "5,7")
     assert code == 0
@@ -496,7 +517,6 @@ def test_names_budget_exceeded(capsys, monkeypatch):
 
     monkeypatch.setattr("morsespec.cocycle.legendre_table", _custom_tables)
     monkeypatch.setattr("morsespec.charsums.window_autocorrelation_numerators", no_scan)
-    monkeypatch.setattr("morsespec.diagnostics.autocorrelation_numerators", no_scan)
     code, out, err = run_cli(capsys, "names", "--theorem", "4")
     assert code == 64
     assert out == ""
@@ -549,10 +569,11 @@ def _gauss_check_per_element(pmax):
                 max_gauss, worst = err, p
             parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
             max_parity = max(max_parity, parity)
+        table = ms.legendre_table(p)
         for j in range(p):
-            c = ms.autocorrelation(p, j)
+            c = Fraction(ms.charsums.autocorrelation_numerator(table, j), p)
             closed_form_ok = closed_form_ok and c == ms.autocorrelation_closed_form(p, j)
-            max_density = max(max_density, abs(float(c) - ms.fourier_of_density_factor(p, j)))
+            max_density = max(max_density, abs(float(c) - float(table.density_fourier[j])))
     return max_gauss, worst, max_parity, max_density, closed_form_ok
 
 
@@ -617,15 +638,14 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
 
 def test_coeffs_builds_no_all_shift_numerators(capsys, monkeypatch):
     # the exact route reads one closed-form numerator per distinct shift
-    # off the int8 signs: neither the all-shift array nor the int64 copy
+    # off the int8 signs: the tables cache only the density route's array
     cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
     monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
     monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
     code, report, _ = run_json(capsys, "coeffs", "--theorem", "3", "1,2,3", "5,0,77")
     assert code == 0 and report["results"]["routes_agree"] is True
     for p in ms.theorem_primes(3):
-        assert "_autocorrelation_numerators" not in cache(p).__dict__, p
-        assert "_signs" not in cache(p).__dict__, p
+        assert set(cache(p).__dict__) <= {"prime", "signs", "is_quadratic", "density_fourier"}, p
 
 
 def test_coeffs_level_spec_keeps_its_checks(capsys):
@@ -691,8 +711,7 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
     assert cache.cache_info().currsize == len(primes)
     for p in primes:
         table = cache(p)
-        assert "_polynomial" not in table.__dict__, p
-        assert "_density" not in table.__dict__, p
+        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "numerators"}, p
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -924,6 +943,15 @@ def test_bad_config_values_name_their_file_and_line(capsys, tmp_path, line):
     assert err.startswith(f"usage error: {cfg}:2: bad value for {key}: "), err
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"primes = 5,7\n# caf\xe9\n")
+    code, out, err = run_cli(capsys, "names", "--config", str(cfg))
+    assert (code, out) == (64, "")
+    assert err.startswith(f"usage error: cannot read config file {cfg}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_config_file_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("primes = 5,7\nmystery = 1\n")
@@ -976,6 +1004,36 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"usage error: cannot write {target}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["coeffs", "--primes", "5,7,11,13"], 100),  # a 1 MB report
+        (["coeffs", "--primes", "5,7,11,13", "--out", "{tmp}/r.json"], 100),
+        (["gauss-check", "--pmax", "3"], 0),  # all of it still buffered at the close
+    ],
+)
+def test_closed_stdout_is_a_usage_error(tmp_path, argv, read):
+    # the reader takes `read` bytes and closes the pipe; stdout is block
+    # buffered, as for a user, so the flush at exit has bytes left to fail on
+    # unless the process entry has put them aside
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "morsespec.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 64, err
+    assert err.startswith("usage error: cannot write stdout: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_unwritable_histogram_out_is_a_usage_error(capsys, tmp_path):

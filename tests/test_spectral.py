@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import morsespec as ms
 from morsespec import spectral
+from morsespec.charsums import autocorrelation_numerator
 from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
 
 CFG = ms.make_group_config([5, 7])
@@ -84,8 +85,8 @@ def test_whole_array_routes_match_the_per_coordinate_products(ctx5711):
         want_q, want_x = Fraction(1), 1.0
         for p, r in zip(cfg.primes, row):
             if r:
-                want_q *= ms.autocorrelation(p, r)
-            want_x *= ms.fourier_of_density_factor(p, r)
+                want_q *= Fraction(autocorrelation_numerator(ms.legendre_table(p), r), p)
+            want_x *= float(ms.legendre_table(p).density_fourier[r])
         assert q == want_q, row
         assert x == want_x, row
 
@@ -117,7 +118,7 @@ def test_exact_route_converts_rows_in_blocks(ctx57, monkeypatch):
 
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
     # on quadratic tables the exact route reads the closed form off the
-    # int8 signs: no all-shift array and no int64 copy of the signs
+    # int8 signs: nothing else is cached on the tables
     tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
     ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
@@ -130,8 +131,7 @@ def test_exact_route_reads_only_per_shift_numerators(cfg5711):
     ]
     for table in tables:
         assert table.is_quadratic
-        assert "_autocorrelation_numerators" not in table.__dict__
-        assert "_signs" not in table.__dict__
+        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic"}
 
 
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
@@ -149,9 +149,8 @@ def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
         ms.spectral_coefficient(g, ctx)
         ms.spectral_coefficient_from_density(g, ctx)
     for table in tables:
-        assert "_density_fourier" in table.__dict__
-        assert "_polynomial" not in table.__dict__
-        assert "_density" not in table.__dict__
+        assert "density_fourier" in table.__dict__
+        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "density_fourier"}
 
 
 def test_density_marginal_basics(ctx57):
@@ -163,8 +162,8 @@ def test_density_marginal_basics(ctx57):
     assert marg.sup <= window + 1e-12
     assert marg.low >= 0.0
     # product structure: stage-2 marginal is the outer product of stages
-    d5 = ms.density_values(5)
-    d7 = ms.density_values(7)
+    d5 = ms.legendre_table(5).density
+    d7 = ms.legendre_table(7).density
     expected_sup = d5.max() * d7.max()
     assert marg.sup == pytest.approx(expected_sup, abs=1e-12)
 
@@ -277,14 +276,14 @@ def test_certificate_scans_a_flipped_table(cfg29):
     table = ms.LegendreTable(prime=29, signs=signs)
     with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
         ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
-    assert "_density" in table.__dict__
+    assert "density" in table.__dict__
 
 
 def test_certificate_and_verdict_name_the_scanned_factors(cfg29):
     table = _negated(29)
     cert = ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
     assert cert.scanned_factors == 1
-    assert cert.finite_sup == ms.charsums.table_density(table).max()
+    assert cert.finite_sup == table.density.max()
     assert cert.finite_sup == pytest.approx(ms.flatness_report(29).density_sup, abs=1e-12)
     verdict = ms.sbh_verdict(_custom_ctx(cfg29, table), assume_tail_rule=True)
     assert verdict.reasons[0].startswith("exhaustive scan bounds the first 1 density factors")
@@ -467,7 +466,6 @@ def test_search_refuses_over_budget_custom_tables(monkeypatch):
         tables.append(ms.LegendreTable(prime=p, signs=signs))
     ctx = ms.CocycleContext(cfg=cfg, tables=tuple(tables))
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "autocorrelation_numerators", no_scan)
         patch.setattr(ms.charsums, "window_autocorrelation_numerators", no_scan)
         with pytest.raises(BudgetError, match="stage 4 needs .* scan terms"):
             ms.sbh_adversarial_search(4, 3, ctx)
