@@ -1,0 +1,90 @@
+"""Compare one CLI command's child CPU time and peak RSS between two source
+trees, in alternating pairs.
+
+    python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 -- coeffs --primes 5,7,11,13
+
+Each run is one `python -m morsespec.cli <argv>` child with PYTHONPATH set
+to the tree, stdout and stderr sent to /dev/null, reaped with os.wait4 for
+its own user + system CPU time and peak RSS.  One untimed run per tree
+comes first, then the pairs; pair i runs OLD first when i is even and NEW
+first when it is odd.  The script prints each side's median and quartiles,
+the median of the paired differences (new - old) and how many pairs each
+side won; ties count for neither.  It exits 1 if the two trees' runs end
+with different exit codes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run(src: str, argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, CPU seconds and peak RSS in MB of one CLI child."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "morsespec.cli", *argv],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+
+
+def summary(values: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"median {median:.4f}  quartiles {q1:.4f} .. {q3:.4f}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        usage="%(prog)s OLD_SRC NEW_SRC [--pairs N] -- CLI_ARG...",
+        description=__doc__.split("\n\n")[0],
+    )
+    parser.add_argument("old_src", help="source tree of the parent, e.g. a checkout's src")
+    parser.add_argument("new_src", help="source tree of the change")
+    parser.add_argument("--pairs", type=int, default=10, help="number of alternating pairs")
+    own = sys.argv[1:]
+    split = own.index("--") if "--" in own else len(own)
+    args = parser.parse_args(own[:split])
+    argv = own[split + 1 :]
+    if not argv or args.pairs < 1:
+        parser.error("give --pairs >= 1 and the CLI arguments after --")
+
+    sides = {"old": args.old_src, "new": args.new_src}
+    codes = {name: {run(src, argv)[0]} for name, src in sides.items()}  # untimed
+    cpu = {name: [] for name in sides}
+    rss = {name: [] for name in sides}
+    for i in range(args.pairs):
+        for name in ("old", "new") if i % 2 == 0 else ("new", "old"):
+            code, cpu_s, rss_mb = run(sides[name], argv)
+            codes[name].add(code)
+            cpu[name].append(cpu_s)
+            rss[name].append(rss_mb)
+
+    print(f"argv: {' '.join(argv)}  pairs: {args.pairs}")
+    for name, src in sides.items():
+        print(f"{name} ({src}) exit {sorted(codes[name])}")
+        print(f"  cpu_s        {summary(cpu[name])}")
+        print(f"  peak_rss_mb  {summary(rss[name])}")
+    for metric, values in (("cpu_s", cpu), ("peak_rss_mb", rss)):
+        diffs = [new - old for old, new in zip(values["old"], values["new"])]
+        new_wins = sum(d < 0 for d in diffs)
+        old_wins = sum(d > 0 for d in diffs)
+        print(
+            f"{metric} new - old: median {statistics.median(diffs):+.4f}; "
+            f"new lower in {new_wins}, old lower in {old_wins} of {len(diffs)} pairs"
+        )
+    if codes["old"] != codes["new"]:
+        print("exit codes differ between the trees", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import gc
 import itertools
 import math
+import operator
 import os
 import shutil
 import sys
@@ -52,7 +54,9 @@ from .odometer import (
 )
 from .reporting import (
     SCHEMA,
+    Table,
     config_digest,
+    rational_strs,
     report_pieces,
     timestamp,
     write_atomic,
@@ -62,7 +66,7 @@ from .spectral import (
     density_certificate,
     sbh_adversarial_search,
     sbh_verdict,
-    spectral_coefficients,
+    spectral_coefficient_ratios,
     spectral_coefficients_from_density,
 )
 
@@ -328,14 +332,19 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = resolve_group_config(rc)
     ctx = build_context(cfg)
     residues = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
-    exact = spectral_coefficients(residues, ctx)
+    numerators, denominators = spectral_coefficient_ratios(residues, ctx)
     numeric = spectral_coefficients_from_density(residues, ctx)
-    discrepancy = np.abs(np.array([float(q) for q in exact]) - numeric)
+    # int true division rounds correctly, so these are float(Fraction) of each
+    exact = np.fromiter(map(operator.truediv, numerators, denominators), float, len(numerators))
+    discrepancy = np.abs(exact - numeric)
     max_discrepancy = float(discrepancy.max(initial=0.0))
-    # built as the report is written, one row at a time
-    rows = (
-        {"element": vec.tolist(), "rational": q, "numeric": float(x), "discrepancy": float(d)}
-        for vec, q, x, d in zip(residues, exact, numeric, discrepancy)
+    rows = Table(
+        {
+            "element": residues,
+            "rational": rational_strs(numerators, denominators),
+            "numeric": numeric,
+            "discrepancy": discrepancy,
+        }
     )
     agree = max_discrepancy <= rc.tolerance_numeric
     results = {
@@ -562,6 +571,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout():
+    """sys.stdout, which is None in a process started with file
+    descriptor 1 closed."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -576,9 +593,9 @@ def main(argv: list[str] | None = None) -> int:
                     write_atomic(rc.out, pieces)
                     written = open(rc.out)
                 with written:
-                    shutil.copyfileobj(written, sys.stdout)
+                    shutil.copyfileobj(written, _stdout())
             else:
-                sys.stdout.writelines(pieces)
+                _stdout().writelines(pieces)
             sys.stdout.flush()
         return code
     except UsageError as exc:
@@ -606,6 +623,8 @@ def run() -> int:
     """
     atexit.register(gc.freeze)
     code = main()
+    if sys.stdout is None:
+        return code
     try:
         sys.stdout.flush()
     except OSError:

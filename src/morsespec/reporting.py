@@ -11,7 +11,8 @@ json_pieces renders report objects directly, in the exact bytes of
 json.dumps(to_builtin(x), sort_keys=True, indent=2) + "\n", but without
 the intermediate copy or the pure-Python encoder that indent selects, and
 in pieces as they are read, so a report can be written while it is built:
-a list may be given as an iterator.  csv_pieces does the same for CSV.
+a list may be given as an iterator, and a list of rows as a Table of
+columns.  csv_pieces does the same for CSV.
 """
 
 from __future__ import annotations
@@ -46,6 +47,43 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def rational_strs(numerators, denominators) -> list[str]:
+    """rational_str of each reduced numerator / positive denominator pair,
+    without building the Fractions."""
+    return list(map("{}/{}".format, numerators, denominators))
+
+
+# rows a Table converts and renders at a time: a whole column at once
+# would hold a Python object per cell
+_ROWS = 128
+
+
+class Table:
+    """A list of rows held as named columns, each a 1-D array (one value
+    per row), a 2-D array (one list per row) or a list.  The writers take
+    it as the list of {name: column[i]} dicts, which it never builds: JSON
+    is rendered a batch of rows at a time, a column at a time."""
+
+    def __init__(self, columns: dict):
+        self.columns = {str(name): column for name, column in columns.items()}
+        lengths = {len(column) for column in self.columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        if any(isinstance(c, np.ndarray) and c.ndim not in (1, 2) for c in self.columns.values()):
+            raise ValueError("table columns must be 1-D or 2-D arrays or lists")
+        self.length = lengths.pop() if lengths else 0
+
+    def __iter__(self):
+        """The rows as dicts, array cells as built-in values, converted a
+        batch of rows at a time."""
+        names = list(self.columns)
+        for start in range(0, self.length, _ROWS):
+            batches = [column[start : start + _ROWS] for column in self.columns.values()]
+            cells = [b.tolist() if isinstance(b, np.ndarray) else b for b in batches]
+            for row in zip(*cells):
+                yield dict(zip(names, row))
+
+
 # exact types that to_builtin and flatten pass through unchanged
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -78,7 +116,7 @@ def _builtin(obj, sequence):
         return _builtin(_fields(obj), sequence)
     if isinstance(obj, dict):
         return {str(k): _builtin(v, sequence) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, Iterator)):
+    if isinstance(obj, (list, tuple, Iterator, Table)):
         return sequence(_builtin(v, sequence) for v in obj)
     return obj
 
@@ -113,7 +151,7 @@ def _leaf(obj) -> str | None:
         return f'"{rational_str(obj)}"'
     if isinstance(obj, np.generic):
         return _leaf(obj.item())
-    if isinstance(obj, (dict, list, tuple, Iterator, np.ndarray)) or (
+    if isinstance(obj, (dict, list, tuple, Iterator, np.ndarray, Table)) or (
         is_dataclass(obj) and not isinstance(obj, type)
     ):
         return None
@@ -146,6 +184,9 @@ def _json_parts(obj, nl: str, parts: list[str]):
     away."""
     kind = type(obj)
     if kind is not dict and kind is not list:
+        if isinstance(obj, Table):
+            yield from _table_parts(obj, nl, parts)
+            return
         if isinstance(obj, (np.ndarray, np.generic)):
             # a 0-d array holds a scalar, a structured scalar a tuple
             obj = obj.tolist()
@@ -176,6 +217,67 @@ def _json_parts(obj, nl: str, parts: list[str]):
             yield
         sep = "," + inner
     parts.append(nl + closer if sep[0] == "," else opener + closer)
+
+
+def _table_parts(table: Table, nl: str, parts: list[str]):
+    """_json_parts for a Table: one % template per row, with a slot per
+    1-D column and per column of a 2-D one, filled from each column's
+    text a batch of rows at a time.  Each batch goes out as it is made."""
+    if not table.length:
+        parts.append("[]")
+        return
+    row_nl = nl + "  "
+    cell_nl = row_nl + "  "
+    fields, slots = [], []
+    for name in sorted(table.columns):
+        column = table.columns[name]
+        key = cell_nl + _encode_str(name).replace("%", "%%") + ": "
+        if isinstance(column, np.ndarray) and column.ndim == 2:
+            item_nl = cell_nl + "  "
+            width = column.shape[1]
+            items = ",".join([item_nl + "%s"] * width)
+            fields.append(key + ("[" + items + cell_nl + "]" if width else "[]"))
+            slots += [(column[:, i], item_nl) for i in range(width)]
+        else:
+            fields.append(key + "%s")
+            slots.append((column, cell_nl))
+    row = "{" + ",".join(fields) + row_nl + "}" if fields else "{}"
+    sep = "[" + row_nl
+    for start in range(0, table.length, _ROWS):
+        texts = [_texts(column[start : start + _ROWS], item_nl) for column, item_nl in slots]
+        if slots:
+            rows = map(row.__mod__, zip(*texts))
+        else:
+            rows = itertools.repeat(row, min(_ROWS, table.length - start))
+        parts.append(sep + ("," + row_nl).join(rows))
+        sep = "," + row_nl
+        yield
+    parts.append(nl + "]")
+
+
+def _texts(cells, nl: str):
+    """The JSON text of each cell of a column slice, values at indentation
+    nl: C-level maps over float64 and int arrays and lists of strings,
+    _leaf otherwise."""
+    if isinstance(cells, np.ndarray):
+        kind = cells.dtype.kind
+        if kind in "iu" or (cells.dtype == np.float64 and np.isfinite(cells).all()):
+            return map(repr, cells.tolist())
+        cells = cells.tolist()
+    elif set(map(type, cells)) == {str}:
+        return map(_encode_str, cells)
+    return map(_cell, cells, itertools.repeat(nl))
+
+
+def _cell(obj, nl: str) -> str:
+    """The whole JSON text of a value at indentation nl."""
+    text = _leaf(obj)
+    if text is None:
+        parts: list[str] = []
+        for _ in _json_parts(obj, nl, parts):
+            pass
+        text = "".join(parts)
+    return text
 
 
 def json_pieces(data):
@@ -211,7 +313,7 @@ def flatten(data, prefix: str = "") -> list[tuple[str, object]]:
 def _flat(data, prefix: str):
     if isinstance(data, dict):
         children = ((f"{prefix}.{key}" if prefix else str(key), data[key]) for key in sorted(data))
-    elif isinstance(data, (list, tuple, Iterator)):
+    elif isinstance(data, (list, tuple, Iterator, Table)):
         children = ((f"{prefix}[{i}]", item) for i, item in enumerate(data))
     else:
         yield prefix, data

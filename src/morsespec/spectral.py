@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,13 +74,16 @@ def _checked_residues(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
 _ROW_BLOCK = 4096
 
 
-def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fraction]:
+def spectral_coefficient_ratios(
+    residues: np.ndarray, ctx: CocycleContext
+) -> tuple[list[int], list[int]]:
     """coeff of every row of a dense residue matrix (one column per
-    configured prime) by the exact rational route: the product over the
-    coordinates of the numerators p_n * c_n(r_n), over prod p_n.  A
-    coordinate at residue 0 contributes p_n / p_n, so only the support
-    counts.  Each distinct shift of a coordinate costs one per-shift
-    numerator (O(1) on a quadratic table), never the all-shift array."""
+    configured prime) by the exact rational route, as reduced numerators
+    and positive denominators: the product over the coordinates of the
+    numerators p_n * c_n(r_n), over prod p_n.  A coordinate at residue 0
+    contributes p_n / p_n, so only the support counts.  Each distinct
+    shift of a coordinate costs one per-shift numerator (O(1) on a
+    quadratic table), never the all-shift array."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
@@ -89,11 +93,21 @@ def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fra
     den = math.prod(ctx.cfg.primes)
     # Python ints: the row products can outgrow int64; the rows become
     # lists a block at a time, never the whole matrix at once
-    return [
-        Fraction(math.prod(row), den)
+    products = [
+        product
         for start in range(0, len(numerators), _ROW_BLOCK)
-        for row in numerators[start : start + _ROW_BLOCK].tolist()
+        for product in map(math.prod, numerators[start : start + _ROW_BLOCK].tolist())
     ]
+    divisors = list(map(math.gcd, products, itertools.repeat(den)))
+    return (
+        list(map(operator.floordiv, products, divisors)),
+        list(map(operator.floordiv, itertools.repeat(den), divisors)),
+    )
+
+
+def spectral_coefficients(residues: np.ndarray, ctx: CocycleContext) -> list[Fraction]:
+    """spectral_coefficient_ratios as Fractions."""
+    return list(map(Fraction, *spectral_coefficient_ratios(residues, ctx)))
 
 
 def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:

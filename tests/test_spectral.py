@@ -116,6 +116,23 @@ def test_exact_route_converts_rows_in_blocks(ctx57, monkeypatch):
         assert value == ms.spectral_coefficient(g, ctx57).value
 
 
+def test_exact_ratios_stay_exact_past_int64():
+    # prod p_n > 2^63, so the all-zero row's numerator outgrows int64; each
+    # ratio is the reduced Fraction, and int true division is its float
+    primes = (100003, 100019, 100043, 100049)
+    assert math.prod(primes) > 2**63
+    ctx = ms.build_context(ms.make_group_config(primes))
+    residues = np.array([[0, 0, 0, 0], [0, 0, 0, 5], [1, 2, 3, 4], [7, 0, 0, 99999]])
+    numerators, denominators = spectral.spectral_coefficient_ratios(residues, ctx)
+    for row, num, den in zip(residues.tolist(), numerators, denominators):
+        want = Fraction(1)
+        for p, r in zip(primes, row):
+            if r:
+                want *= Fraction(autocorrelation_numerator(ms.legendre_table(p), r), p)
+        assert (num, den) == (want.numerator, want.denominator), row
+        assert num / den == float(want), row
+
+
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
     # on quadratic tables the exact route reads the closed form off the
     # int8 signs: nothing else is cached on the tables
