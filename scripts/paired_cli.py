@@ -9,8 +9,11 @@ its own user + system CPU time and peak RSS.  One untimed run per tree
 comes first, then the pairs; pair i runs OLD first when i is even and NEW
 first when it is odd.  The script prints each side's median and quartiles,
 the median of the paired differences (new - old) and how many pairs each
-side won; ties count for neither.  It exits 1 if the two trees' runs end
-with different exit codes.
+side won; ties count for neither.  It ends with one verdict line per
+metric: `gain` when NEW is lower in at least nine tenths of the pairs and
+the medians differ by more than OLD's interquartile range, `regression`
+when the same holds with the sides swapped, `unresolved` otherwise.  It
+exits 1 if the two trees' runs end with different exit codes.
 """
 
 from __future__ import annotations
@@ -36,9 +39,24 @@ def run(src: str, argv: list[str]) -> tuple[int, float, float]:
     return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(values: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = quartiles(values)
     return f"median {median:.4f}  quartiles {q1:.4f} .. {q3:.4f}"
+
+
+def verdict(old: list[float], new: list[float]) -> str:
+    """gain, regression or unresolved for lower-is-better paired runs."""
+    q1, median, q3 = quartiles(old)
+    gap = statistics.median(new) - median
+    # pairs won by the side the medians favour
+    won = sum((n - o) * gap > 0 for o, n in zip(old, new))
+    if abs(gap) > q3 - q1 and 10 * won >= 9 * len(old):
+        return "gain" if gap < 0 else "regression"
+    return "unresolved"
 
 
 def main() -> int:
@@ -80,6 +98,8 @@ def main() -> int:
             f"{metric} new - old: median {statistics.median(diffs):+.4f}; "
             f"new lower in {new_wins}, old lower in {old_wins} of {len(diffs)} pairs"
         )
+    for metric, values in (("cpu_s", cpu), ("peak_rss_mb", rss)):
+        print(f"{metric} verdict: {verdict(values['old'], values['new'])}")
     if codes["old"] != codes["new"]:
         print("exit codes differ between the trees", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ each public name below is imported from its submodule on first access.
 """
 
 import importlib
+import importlib.util
+import sys
 
 # submodule -> the public names it provides
 _EXPORTS = {
@@ -111,6 +113,19 @@ _SUBMODULES = (*_EXPORTS, "reporting")
 
 __all__ = list(_OWNER)
 __version__ = "0.1.0"
+
+
+def lazy_numpy():
+    """numpy, loaded on the first read of one of its attributes (importlib's
+    LazyLoader); one already imported is returned as it is.  The submodules
+    bind np through this, so a command that reads no array loads no numpy."""
+    module = sys.modules.get("numpy")
+    if module is None:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def __getattr__(name: str):

@@ -28,19 +28,21 @@ As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
 The core routines accept any sign table (entries +/-1, entry 0 fixed to
 +1); legendre_table builds the Legendre one.  Each table is the single
-precomputation layer for its prime: it stores an int8 sign array, and its
+precomputation layer for its prime: it holds an int8 sign array, and its
 attributes polynomial (P), density (|P|^2), density_fourier (the
 density-route coefficients) and numerators (the exact p * c(j)) are each
 derived at most once, on first use.  It also knows whether it is the
-quadratic-character table: legendre_table builds it from the squares
-mask, and any other table is compared with that mask once, in O(p).  If
-it is, the Gauss sum gives the extremes of |P| and the sup of |P|^2 in
-closed form, and table_flatness_report reads them from there without
-forming P; any other table is scanned through a prime-length FFT, which
-the tests and gauss-check keep as the reference for the closed form.
+quadratic-character table: legendre_table's tables are by construction,
+and build their squares mask only when signs is first read; any other
+table is compared with that mask once, in O(p).  If it is, the Gauss sum
+gives the extremes of |P| and the sup of |P|^2 in closed form, and
+table_flatness_report reads them from there without forming P or reading
+a sign; any other table is scanned through a prime-length FFT, which the
+tests and gauss-check keep as the reference for the closed form.
 Likewise the numerators of a quadratic table come from the Jacobi sum,
 p * c(j) = -1 + chi(j) + chi(-j) for j != 0 with chi the table's own signs
-off 0: O(1) per shift and O(p) for all of them.  Any other table sums
+off 0: O(1) per shift and O(p) for all of them, and numerator_counts
+gives their value counts from p alone.  Any other table sums
 directly, one O(p) slice-pair sum per shift, or for every shift at once
 the window route (np.correlate of the signs as float64, one BLAS dot per
 shift, exact because every partial sum is an integer of magnitude at
@@ -52,14 +54,16 @@ comparison stays a real check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+from . import lazy_numpy
 from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import is_prime
+
+np = lazy_numpy()
 
 # FFT round-off on the table sizes used here stays far below this.
 _NUMERIC_TOL = 1e-9
@@ -72,6 +76,9 @@ _SQUARE_CHUNK = 1 << 16
 
 # table entries checked for +/-1 this many at a time
 _SIGN_CHUNK = 1 << 16
+
+# numerator values counted this many at a time (an int64 chunk of 8 MiB)
+_COUNT_CHUNK = 1 << 20
 
 
 def legendre(a: int, p: int) -> int:
@@ -252,20 +259,50 @@ def _quadratic_signs(p: int) -> np.ndarray:
     return signs
 
 
+class _SquaresTable(LegendreTable):
+    """The table legendre_table makes: the squares mask is a table by
+    construction, so it is adopted as it is, with neither the entry check
+    nor the defensive copy of __post_init__, when signs is first read."""
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        signs = _quadratic_signs(self.prime)
+        signs.flags.writeable = False
+        return signs
+
+
 @lru_cache(maxsize=None)
 def legendre_table(p: int) -> LegendreTable:
     """The Legendre sign table: +1 on the nonzero squares mod p and at 0,
-    -1 elsewhere (Euler's criterion, as in legendre, is the reference)."""
+    -1 elsewhere (Euler's criterion, as in legendre, is the reference).
+    The prime is checked here; the squares mask is built on the first read
+    of signs, so what needs only p (flatness, density sups, numerator
+    counts) builds none."""
     check_table_prime(p)
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
-    signs = _quadratic_signs(p)
-    signs.flags.writeable = False
-    # the squares mask is a table by construction: adopted as it is, with
-    # neither the entry check nor the defensive copy of __post_init__
-    table = object.__new__(LegendreTable)
-    table.__dict__.update(prime=p, signs=signs, is_quadratic=True)
+    table = object.__new__(_SquaresTable)
+    table.__dict__.update(prime=p, is_quadratic=True)
     return table
+
+
+def numerator_counts(table: LegendreTable) -> dict[int, int]:
+    """How many shifts j give each value of p * c(j).  For a quadratic table
+    the Jacobi sum and chi(-1) fix them from p alone: 1 and -3 occur
+    (p - 1) / 2 times each when p = 1 (mod 4), -1 occurs p - 1 times when
+    p = 3 (mod 4), and p once, at j = 0.  Any other table counts its
+    numerators."""
+    p = table.prime
+    if table.is_quadratic:
+        if p % 4 == 1:
+            return {1: (p - 1) // 2, -3: (p - 1) // 2, p: 1}
+        return {-1: p - 1, p: 1}
+    counts: Counter = Counter()
+    # np.unique sorts a copy of what it is given, so it gets a chunk at a time
+    for start in range(0, p, _COUNT_CHUNK):
+        values, m = np.unique(table.numerators[start : start + _COUNT_CHUNK], return_counts=True)
+        counts.update(dict(zip(values.tolist(), m.tolist())))
+    return counts
 
 
 def gauss_sum(p: int, x: int) -> complex:

@@ -27,8 +27,8 @@ from fractions import Fraction
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
+# numpy itself loads on first use, which certify and names never make
+from . import lazy_numpy
 from .charsums import (
     flatness_report,
     gauss_sum_all,
@@ -69,6 +69,8 @@ from .spectral import (
     spectral_coefficient_ratios,
     spectral_coefficients_from_density,
 )
+
+np = lazy_numpy()
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1

@@ -34,16 +34,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .charsums import check_scan_budget
+from .charsums import check_scan_budget, numerator_counts
 from .cocycle import CocycleContext, cocycle_at_zero
 from .errors import BudgetError, ConfigError
 from .odometer import GroupElement, add, enumerate_level_group, level_group_order
 from .reporting import write_atomic
-
-# numerator values counted this many at a time (an int64 chunk of 8 MiB)
-_COUNT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -142,15 +137,7 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     size = level_group_order(n, ctx.cfg)
     tables = ctx.tables[:n]
     check_scan_budget(tables, f"stage {n}")
-    per_prime = []
-    for t in tables:
-        counts: Counter = Counter()
-        # np.unique sorts a copy of what it is given, so it gets a chunk at a time
-        for start in range(0, t.prime, _COUNT_CHUNK):
-            chunk = t.numerators[start : start + _COUNT_CHUNK]
-            values, m = np.unique(chunk, return_counts=True)
-            counts.update(dict(zip(values.tolist(), m.tolist())))
-        per_prime.append({Fraction(v, t.prime): m for v, m in counts.items()})
+    per_prime = [{Fraction(v, t.prime): m for v, m in numerator_counts(t).items()} for t in tables]
     histogram: Counter = Counter()
     for combo in itertools.product(*(counts.items() for counts in per_prime)):
         c = math.prod(value for value, _ in combo)

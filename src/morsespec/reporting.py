@@ -27,7 +27,9 @@ from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
+from . import lazy_numpy
+
+np = lazy_numpy()
 
 # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto,
 # about 3.4 MB of resident memory, for one short digest per report
@@ -108,16 +110,17 @@ def _builtin(obj, sequence):
         return obj
     if isinstance(obj, Fraction):
         return rational_str(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return sequence(_builtin(v, sequence) for v in obj.tolist())
     if is_dataclass(obj) and not isinstance(obj, type):
         return _builtin(_fields(obj), sequence)
     if isinstance(obj, dict):
         return {str(k): _builtin(v, sequence) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, Iterator, Table)):
         return sequence(_builtin(v, sequence) for v in obj)
+    # numpy last, so that a report without arrays does not load it
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return sequence(_builtin(v, sequence) for v in obj.tolist())
     return obj
 
 
@@ -136,8 +139,8 @@ def _float_json(x: float) -> str:
 
 def _leaf(obj) -> str | None:
     """JSON text of a leaf, or None for a container.  Past the fast path
-    for exact str, float and int, each case comes in the order to_builtin
-    and then json take it."""
+    for exact str, float, int, dict, list, None and bools, each case comes
+    in the order to_builtin and then json take it."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -147,22 +150,24 @@ def _leaf(obj) -> str | None:
         return int.__repr__(obj)
     if kind is dict or kind is list:
         return None
-    if isinstance(obj, Fraction):
-        return f'"{rational_str(obj)}"'
-    if isinstance(obj, np.generic):
-        return _leaf(obj.item())
-    if isinstance(obj, (dict, list, tuple, Iterator, np.ndarray, Table)) or (
-        is_dataclass(obj) and not isinstance(obj, type)
-    ):
-        return None
-    if isinstance(obj, str):
-        return _encode_str(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
+    if isinstance(obj, Fraction):
+        return f'"{rational_str(obj)}"'
+    if isinstance(obj, (dict, list, tuple, Iterator, Table)) or (
+        is_dataclass(obj) and not isinstance(obj, type)
+    ):
+        return None
+    if isinstance(obj, np.generic):
+        return _leaf(obj.item())
+    if isinstance(obj, np.ndarray):
+        return None
+    if isinstance(obj, str):
+        return _encode_str(obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
@@ -187,15 +192,16 @@ def _json_parts(obj, nl: str, parts: list[str]):
         if isinstance(obj, Table):
             yield from _table_parts(obj, nl, parts)
             return
-        if isinstance(obj, (np.ndarray, np.generic)):
-            # a 0-d array holds a scalar, a structured scalar a tuple
+        if is_dataclass(obj):
+            obj = _fields(obj)
+        elif not isinstance(obj, (dict, list, tuple, Iterator)):
+            # what else _leaf leaves is numpy's: a 0-d array holds a
+            # scalar, a structured scalar a tuple
             obj = obj.tolist()
             text = _leaf(obj)
             if text is not None:
                 parts.append(text)
                 return
-        elif is_dataclass(obj):
-            obj = _fields(obj)
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         keys = sorted(items)

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from . import lazy_numpy
 from .charsums import autocorrelation_numerator, check_scan_budget, table_flatness_report
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
@@ -52,6 +51,8 @@ from .odometer import (
     level_group_order,
     sub,
 )
+
+np = lazy_numpy()
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,25 @@ def _fresh(p):
     return ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
 
 
+def test_numerator_counts_closed_form_against_the_numerators():
+    # the value counts from p alone, before any sign is built, against
+    # np.unique of the numerators summed over the table (p < 3000) or read
+    # off the Jacobi sum (p_3); sum counts = p, and sum value * count =
+    # (sum_x s(x))^2 = 1
+    for p in [q for q in range(3, 3000) if sympy.isprime(q)] + [390_647]:
+        table = ms.legendre_table.__wrapped__(p)  # uncached: freed with the next prime
+        counts = charsums.numerator_counts(table)
+        assert "signs" not in table.__dict__, p
+        if p < 3000:
+            numerators = charsums.window_autocorrelation_numerators(table)
+        else:
+            numerators = table.numerators
+        values, m = np.unique(numerators, return_counts=True)
+        assert counts == dict(zip(values.tolist(), m.tolist())), p
+        assert sum(counts.values()) == p
+        assert sum(v * c for v, c in counts.items()) == 1
+
+
 def test_quadratic_check():
     for p in ODD_PRIMES_BELOW_500 + [15629]:
         assert ms.legendre_table(p).is_quadratic, p

@@ -278,8 +278,10 @@ def test_package_import_loads_no_numpy():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_import_runs_blas_on_one_thread():
+    # importing the CLI loads no numpy; its first use does, and starts OpenBLAS
     code = (
         "import os, morsespec.cli\n"
+        "morsespec.cli.np.ones(1)\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
     )
     res = fresh_python(code, env_without_thread_settings())
@@ -295,6 +297,43 @@ def test_cli_import_keeps_a_user_thread_setting(name):
     res = fresh_python(code, {**env_without_thread_settings(), name: "2"})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == repr(["2" if k == name else None for k in THREAD_SETTINGS])
+
+
+def numpy_submodules_at_exit(argv):
+    """The process of `morsespec <argv>` (of `import morsespec.cli` alone
+    for no argv): its result, and the numpy submodules loaded at its exit.
+    The lazy numpy module itself is always there."""
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('numpy.')),"
+        " file=sys.stderr))\n"
+        "import morsespec.cli as cli\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "sys.exit(cli.run() if sys.argv[1:] else 0)\n"
+    )
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    return res, ast.literal_eval(res.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["certify", "--theorem", "4"],
+        ["names", "--primes", "5,7,11"],
+        ["sbh-search", "--theorem", "6", "--level", "6", "--k-max", "1"],
+    ],
+)
+def test_closed_form_commands_load_no_numpy(argv):
+    # every number these print comes from p alone, so numpy never loads
+    assert numpy_submodules_at_exit(argv)[1] == []
+
+
+def test_coeffs_loads_numpy_on_first_use():
+    res, loaded = numpy_submodules_at_exit(["coeffs", "--primes", "5,7"])
+    assert loaded
+    assert strip_timestamp(res.stdout) == strip_timestamp((GOLDEN / "coeffs_5_7.json").read_text())
 
 
 # registered before the CLI runs, so it runs after the handlers the CLI registers
@@ -771,6 +810,45 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
     for p in primes:
         table = cache(p)
         assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "numerators"}, p
+
+
+def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
+    # the certificate, the name counts and a k = 1 search need only the
+    # primes; the squares mask of p_5 = 244 140 683 alone would take 244 MB
+    def no_table(p):
+        raise AssertionError(f"table for {p} built")
+
+    monkeypatch.setattr("morsespec.charsums._quadratic_signs", no_table)
+    code, stage5, _ = run_json(capsys, "certify", "--theorem", "5")
+    assert code == 0
+    code, report, _ = run_json(capsys, "certify", "--theorem", "6")
+    assert code == 0
+    res = report["results"]
+    assert res["verdict"]["verdict"] == "non-AT certified"
+    assert res["certificate"]["total_bound"] <= stage5["results"]["certificate"]["total_bound"]
+    code, report, _ = run_json(capsys, "names", "--theorem", "6")
+    assert code == 0
+    res = report["results"]
+    assert res["delta_min"] == "13/29"
+    assert res["pair_count"] == math.comb(2 * math.prod(ms.theorem_primes(6)), 2)
+    argv = ("sbh-search", "--theorem", "6", "--level", "6", "--k-max", "1")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["results"]["best"]["value"] == "1/1"
+
+
+def test_tables_build_their_signs_on_first_read(capsys, monkeypatch):
+    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
+    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
+    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
+    for argv in (["certify"], ["names"], ["sbh-search", "--k-max", "1"]):
+        code, _, _ = run_cli(capsys, *argv, "--theorem", "1")
+        assert code == 0
+        assert set(cache(29).__dict__) == {"prime", "is_quadratic"}, argv
+    code, _, _ = run_cli(capsys, "sbh-search", "--theorem", "1", "--k-max", "4")
+    assert code == 0
+    assert "signs" in cache(29).__dict__
+    assert cache(29).signs.tolist() == [ms.legendre(k, 29) or 1 for k in range(29)]
 
 
 GOLDEN = Path(__file__).parent / "golden"
