@@ -6,37 +6,50 @@ trees, in alternating pairs.
 Each run is one `python -m morsespec.cli <argv>` child with PYTHONPATH set
 to the tree, stdout and stderr sent to /dev/null, reaped with os.wait4 for
 its own user + system CPU time and peak RSS.  One untimed run per tree
-comes first, then the pairs; pair i runs OLD first when i is even and NEW
-first when it is odd.  The script prints each side's median and quartiles,
-the median of the paired differences (new - old) and how many pairs each
-side won; ties count for neither.  It ends with one verdict line per
-metric: `gain` when NEW is lower in at least nine tenths of the pairs and
-the medians differ by more than OLD's interquartile range, `regression`
-when the same holds with the sides swapped, `unresolved` otherwise.  It
-exits 1 if the two trees' runs end with different exit codes.
+comes first, its stdout kept in a temporary file, then the pairs; pair i
+runs OLD first when i is even and NEW first when it is odd.  The script
+prints each side's median and quartiles, the median of the paired
+differences (new - old) and how many pairs each side won; ties count for
+neither.  It ends with one verdict line per metric: `gain` when NEW is
+lower in at least nine tenths of the pairs and the medians differ by more
+than OLD's interquartile range, `regression` when the same holds with the
+sides swapped, `unresolved` otherwise.  It exits 1 if the two trees' runs
+end with different exit codes, or if their untimed runs print different
+stdout once the report's timestamp line is removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
-def run(src: str, argv: list[str]) -> tuple[int, float, float]:
+def run(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> tuple[int, float, float]:
     """Exit code, CPU seconds and peak RSS in MB of one CLI child."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.Popen(
         [sys.executable, "-m", "morsespec.cli", *argv],
         env=env,
-        stdout=subprocess.DEVNULL,
+        stdout=stdout,
         stderr=subprocess.DEVNULL,
     )
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+
+
+def untimed_stdout(src: str, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout, timestamp line removed, of one CLI child."""
+    with tempfile.TemporaryFile("w+") as out:
+        code = run(src, argv, out)[0]
+        out.seek(0)
+        text = out.read()
+    return code, re.sub(r'^(\s*"timestamp": "[^"]*",?|timestamp,.*)\n', "", text, flags=re.M)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -75,7 +88,8 @@ def main() -> int:
         parser.error("give --pairs >= 1 and the CLI arguments after --")
 
     sides = {"old": args.old_src, "new": args.new_src}
-    codes = {name: {run(src, argv)[0]} for name, src in sides.items()}  # untimed
+    first = {name: untimed_stdout(src, argv) for name, src in sides.items()}
+    codes = {name: {code} for name, (code, _) in first.items()}
     cpu = {name: [] for name in sides}
     rss = {name: [] for name in sides}
     for i in range(args.pairs):
@@ -102,6 +116,9 @@ def main() -> int:
         print(f"{metric} verdict: {verdict(values['old'], values['new'])}")
     if codes["old"] != codes["new"]:
         print("exit codes differ between the trees", file=sys.stderr)
+        return 1
+    if first["old"][1] != first["new"][1]:
+        print("stdout differs between the trees, timestamp aside", file=sys.stderr)
         return 1
     return 0
 

@@ -7,23 +7,22 @@ certificate values round-trip without float corruption, and the only
 run-dependent field is the timestamp, which consumers exclude when
 comparing runs.
 
-json_pieces renders report objects directly, in the exact bytes of
-json.dumps(to_builtin(x), sort_keys=True, indent=2) + "\n", but without
-the intermediate copy or the pure-Python encoder that indent selects, and
-in pieces as they are read, so a report can be written while it is built:
-a list may be given as an iterator, and a list of rows as a Table of
-columns.  csv_pieces does the same for CSV.
+A report is a dict with str keys whose values are dicts, lists, tuples,
+str, int, float, bool, None, Fraction, numpy scalars and arrays, and
+Tables.  Every writer converts the values json does not know through one
+hook, _plain.  json_pieces renders the report with json.dumps, sort_keys
+and indent=2, each Table standing in as a placeholder string, then
+streams each Table's rows in its place a batch at a time, so the one big
+list of a report is never held as text or as row dicts.  csv_pieces
+flattens the same data to dotted-path rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import tempfile
-from collections.abc import Iterator
-from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -86,149 +85,30 @@ class Table:
                 yield dict(zip(names, row))
 
 
-# exact types that to_builtin and flatten pass through unchanged
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def to_builtin(obj):
-    """Recursively convert report payloads to JSON-ready built-ins:
-    rationals to strings, numpy scalars and arrays to Python numbers and
-    lists, dataclasses and mappings to dicts, iterators to lists."""
-    return _builtin(obj, list)
-
-
-def _fields(obj) -> dict:
-    """A dataclass instance's fields by name, values unconverted."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def _builtin(obj, sequence):
-    """to_builtin, with each list built by sequence from an iterator over
-    its converted items: list copies the whole tree, iter converts a list's
-    items only as they are read."""
-    if type(obj) in _SCALARS:
-        return obj
+def _plain(obj):
+    """json.dumps' default hook: a Fraction as "num/den", a numpy scalar
+    or array as built-ins.  numpy comes last, so that a report without
+    arrays does not load it."""
     if isinstance(obj, Fraction):
         return rational_str(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _builtin(_fields(obj), sequence)
-    if isinstance(obj, dict):
-        return {str(k): _builtin(v, sequence) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, Iterator, Table)):
-        return sequence(_builtin(v, sequence) for v in obj)
-    # numpy last, so that a report without arrays does not load it
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return sequence(_builtin(v, sequence) for v in obj.tolist())
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(data, default=_plain) -> str:
+    return json.dumps(data, sort_keys=True, indent=2, default=default)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _leaf(obj) -> str | None:
-    """JSON text of a leaf, or None for a container.  Past the fast path
-    for exact str, float, int, dict, list, None and bools, each case comes
-    in the order to_builtin and then json take it."""
-    kind = type(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if kind is float:
-        return _float_json(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is dict or kind is list:
-        return None
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, Fraction):
-        return f'"{rational_str(obj)}"'
-    if isinstance(obj, (dict, list, tuple, Iterator, Table)) or (
-        is_dataclass(obj) and not isinstance(obj, type)
-    ):
-        return None
-    if isinstance(obj, np.generic):
-        return _leaf(obj.item())
-    if isinstance(obj, np.ndarray):
-        return None
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_json(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# parts (JSON) or lines (CSV) gathered into each piece the writers yield:
-# one write per part would cost more than the rendering, and the whole
-# report costs memory that grows with it
-_BATCH = 1024
-
-
-def _json_parts(obj, nl: str, parts: list[str]):
-    """Append the JSON text of obj, a value _leaf does not render, at the
-    indentation nl ("\\n" plus two spaces per level) to parts.  A dict,
-    list or iterator is rendered child by child, and the generator yields,
-    with no value, whenever parts holds a batch, for the caller to take it
-    away."""
-    kind = type(obj)
-    if kind is not dict and kind is not list:
-        if isinstance(obj, Table):
-            yield from _table_parts(obj, nl, parts)
-            return
-        if is_dataclass(obj):
-            obj = _fields(obj)
-        elif not isinstance(obj, (dict, list, tuple, Iterator)):
-            # what else _leaf leaves is numpy's: a 0-d array holds a
-            # scalar, a structured scalar a tuple
-            obj = obj.tolist()
-            text = _leaf(obj)
-            if text is not None:
-                parts.append(text)
-                return
-    if isinstance(obj, dict):
-        items = {str(k): v for k, v in obj.items()}
-        keys = sorted(items)
-        opener, closer = "{", "}"
-        children = zip([f"{_encode_str(k)}: " for k in keys], [items[k] for k in keys])
-    else:
-        opener, closer = "[", "]"
-        children = zip(itertools.repeat(""), obj)
-    inner = nl + "  "
-    sep = opener + inner
-    for key, child in children:
-        text = _leaf(child)
-        if text is None:
-            parts.append(sep + key)
-            yield from _json_parts(child, inner, parts)
-        else:
-            parts.append(sep + key + text)
-        if len(parts) >= _BATCH:
-            yield
-        sep = "," + inner
-    parts.append(nl + closer if sep[0] == "," else opener + closer)
-
-
 def _table_parts(table: Table, nl: str, parts: list[str]):
-    """_json_parts for a Table: one % template per row, with a slot per
-    1-D column and per column of a 2-D one, filled from each column's
-    text a batch of rows at a time.  Each batch goes out as it is made."""
+    """Append the JSON text of a Table at the indentation nl ("\\n" plus
+    two spaces per level) to parts: one % template per row, with a slot
+    per 1-D column and per column of a 2-D one, filled from each column's
+    text a batch of rows at a time.  The generator yields, with no value,
+    after each batch, for the caller to take parts away."""
     if not table.length:
         parts.append("[]")
         return
@@ -264,7 +144,7 @@ def _table_parts(table: Table, nl: str, parts: list[str]):
 def _texts(cells, nl: str):
     """The JSON text of each cell of a column slice, values at indentation
     nl: C-level maps over float64 and int arrays and lists of strings,
-    _leaf otherwise."""
+    json.dumps otherwise."""
     if isinstance(cells, np.ndarray):
         kind = cells.dtype.kind
         if kind in "iu" or (cells.dtype == np.float64 and np.isfinite(cells).all()):
@@ -272,32 +152,35 @@ def _texts(cells, nl: str):
         cells = cells.tolist()
     elif set(map(type, cells)) == {str}:
         return map(_encode_str, cells)
-    return map(_cell, cells, itertools.repeat(nl))
-
-
-def _cell(obj, nl: str) -> str:
-    """The whole JSON text of a value at indentation nl."""
-    text = _leaf(obj)
-    if text is None:
-        parts: list[str] = []
-        for _ in _json_parts(obj, nl, parts):
-            pass
-        text = "".join(parts)
-    return text
+    return [_dumps(cell).replace("\n", nl) for cell in cells]
 
 
 def json_pieces(data):
-    """canonical_json(data) in pieces, each rendered when it is read."""
-    text = _leaf(data)
-    if text is not None:
-        yield text + "\n"
-        return
-    parts: list[str] = []
-    for _ in _json_parts(data, "\n", parts):
+    """canonical_json(data) in pieces: the text json.dumps makes of the
+    report with each Table as a placeholder, and in the placeholder's
+    place the Table's rows, a batch at a time, at its line's indentation."""
+    tables: list[Table] = []
+    # per call, so that no string in the report can pass for a placeholder
+    token = os.urandom(16).hex()
+
+    def default(obj):
+        if isinstance(obj, Table):
+            tables.append(obj)
+            return f"{token}{len(tables) - 1}"
+        return _plain(obj)
+
+    head, *rest = (_dumps(data, default) + "\n").split(f'"{token}')
+    for piece in rest:
+        line = head[head.rfind("\n") + 1 :]
+        yield head
+        index, head = piece.split('"', 1)
+        parts: list[str] = []
+        nl = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        for _ in _table_parts(tables[int(index)], nl, parts):
+            yield "".join(parts)
+            parts.clear()
         yield "".join(parts)
-        parts.clear()
-    parts.append("\n")
-    yield "".join(parts)
+    yield head
 
 
 def canonical_json(data) -> str:
@@ -306,23 +189,26 @@ def canonical_json(data) -> str:
 
 def config_digest(data) -> str:
     """Short stable digest of a configuration mapping."""
-    blob = json.dumps(to_builtin(data), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"), default=_plain)
     return sha256(blob.encode()).hexdigest()[:16]
 
 
-def flatten(data, prefix: str = "") -> list[tuple[str, object]]:
-    """Dotted-path key/value rows for CSV output; list and iterator items
-    are indexed."""
-    return list(_flat(data, prefix))
+# exact types that CSV writes as they are
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _flat(data, prefix: str):
+    """Dotted-path (key, value) rows of data for CSV: dict keys sorted,
+    list, tuple and Table items indexed, other leaves through _plain."""
     if isinstance(data, dict):
-        children = ((f"{prefix}.{key}" if prefix else str(key), data[key]) for key in sorted(data))
-    elif isinstance(data, (list, tuple, Iterator, Table)):
+        children = ((f"{prefix}.{key}" if prefix else key, data[key]) for key in sorted(data))
+    elif isinstance(data, (list, tuple, Table)):
         children = ((f"{prefix}[{i}]", item) for i, item in enumerate(data))
-    else:
+    elif type(data) in _SCALARS:
         yield prefix, data
+        return
+    else:
+        yield from _flat(_plain(data), prefix)
         return
     for path, item in children:
         if type(item) in _SCALARS:
@@ -331,13 +217,19 @@ def _flat(data, prefix: str):
             yield from _flat(item, path)
 
 
+# lines gathered into each piece csv_pieces yields: one write per line
+# would cost more than the rendering, and the whole report costs memory
+# that grows with it
+_BATCH = 1024
+
+
 def csv_pieces(data):
-    """render_csv(data) in pieces of lines, each line converted and
-    flattened when it is read."""
+    """render_csv(data) in pieces of lines, each line flattened when it
+    is read."""
     lines = ["key,value\n"]
-    for path, value in _flat(_builtin(data, iter), ""):
+    for path, value in _flat(data, ""):
         text = "" if value is None else str(value)
-        if "," in text or '"' in text or "\n" in text:
+        if "," in text or '"' in text or "\n" in text or "\r" in text:
             text = '"' + text.replace('"', '""') + '"'
         lines.append(f"{path},{text}\n")
         if len(lines) >= _BATCH:

@@ -1,8 +1,10 @@
 import ast
+import csv
 import dataclasses
 import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -33,25 +35,19 @@ def test_rational_round_trip():
 
 
 def test_to_builtin_conversions():
-    @dataclasses.dataclass
-    class Box:
-        x: Fraction
-        y: tuple
-
     data = {
         "f": Fraction(1, 3),
         "arr": np.array([1.0, 2.0]),
         "scalar": np.float64(0.5),
-        "box": Box(x=Fraction(-1, 7), y=(1, 2)),
+        "pair": [Fraction(-1, 7), (1, 2)],
         "nested": [Fraction(2, 5), {"inner": np.int64(3)}],
     }
-    out = reporting.to_builtin(data)
+    out = json.loads(reporting.canonical_json(data))
     assert out["f"] == "1/3"
     assert out["arr"] == [1.0, 2.0]
     assert out["scalar"] == 0.5
-    assert out["box"] == {"x": "-1/7", "y": [1, 2]}
+    assert out["pair"] == ["-1/7", [1, 2]]
     assert out["nested"] == ["2/5", {"inner": 3}]
-    json.dumps(out)  # everything must be JSON-serializable
 
 
 def test_canonical_json_is_sorted_and_terminated():
@@ -61,15 +57,23 @@ def test_canonical_json_is_sorted_and_terminated():
     assert text.endswith("\n")
 
 
+def builtin(obj):
+    """The built-in value the writers render obj as: a Fraction as its
+    string, numpy values through tolist, a Table as its row dicts."""
+    if isinstance(obj, Fraction):
+        return reporting.rational_str(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return builtin(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: builtin(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, reporting.Table)):
+        return [builtin(v) for v in obj]
+    return obj
+
+
 def json_oracle(data):
     """The reference rendering canonical_json must reproduce byte for byte."""
-    return json.dumps(reporting.to_builtin(data), sort_keys=True, indent=2) + "\n"
-
-
-@dataclasses.dataclass
-class Pair:
-    rational: Fraction
-    payload: object
+    return json.dumps(builtin(data), sort_keys=True, indent=2) + "\n"
 
 
 report_leaves = st.one_of(
@@ -89,25 +93,6 @@ report_leaves = st.one_of(
     ),
 )
 
-
-class Lazy(list):
-    """A list that fresh() turns into a new single-pass generator."""
-
-
-def fresh(tree):
-    """A copy of tree with a new generator for each Lazy list, so that
-    each rendering of it reads the generators once."""
-    if isinstance(tree, Lazy):
-        return (fresh(v) for v in tree)
-    if isinstance(tree, dict):
-        return {k: fresh(v) for k, v in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return type(tree)(fresh(v) for v in tree)
-    if isinstance(tree, Pair):
-        return Pair(rational=tree.rational, payload=fresh(tree.payload))
-    return tree
-
-
 table_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300])
 big_fractions = st.fractions() | st.builds(
     Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)
@@ -115,9 +100,9 @@ big_fractions = st.fractions() | st.builds(
 
 
 @st.composite
-def tables(draw, cells=report_leaves):
+def tables(draw, cells):
     """A Table of a few rows, each column drawn from the kinds cmd_coeffs
-    uses and from lists of any report values (cells)."""
+    uses and from lists of any report values without a Table (cells)."""
     rows = draw(st.integers(0, 4))
     cells_per_row = functools.partial(st.lists, min_size=rows, max_size=rows)
     column = st.one_of(
@@ -131,16 +116,17 @@ def tables(draw, cells=report_leaves):
     return reporting.Table({name: draw(column) for name in names})
 
 
-report_trees = st.recursive(
-    report_leaves | tables(),
-    lambda children: st.one_of(
+def containers(children):
+    return st.one_of(
         st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(Lazy),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), children, max_size=4),
-        st.builds(Pair, rational=st.fractions(), payload=children),
-        tables(children),
-    ),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    )
+
+
+report_trees = st.recursive(
+    report_leaves | tables(st.recursive(report_leaves, containers, max_leaves=5)),
+    containers,
     max_leaves=25,
 )
 
@@ -148,13 +134,11 @@ report_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(data=report_trees)
 def test_canonical_json_matches_json_dumps(data):
-    expected = json_oracle(fresh(data))
-    assert "".join(reporting.json_pieces(fresh(data))) == expected
-    assert reporting.canonical_json(fresh(data)) == expected
-    # read lazily, CSV flattens the same rows as from a materialised copy
-    assert reporting.render_csv(fresh(data)) == reporting.render_csv(
-        reporting.to_builtin(fresh(data))
-    )
+    expected = json_oracle(data)
+    assert "".join(reporting.json_pieces(data)) == expected
+    assert reporting.canonical_json(data) == expected
+    # CSV flattens a Table and numpy values as it does their built-in values
+    assert reporting.render_csv(data) == reporting.render_csv(builtin(data))
 
 
 def row_dicts(n):
@@ -168,9 +152,15 @@ def row_table(n):
 
 
 def test_table_renders_as_its_rows():
-    # rows across several batches, and a table that is not the last child
-    assert reporting.canonical_json([row_table(300), 1]) == json_oracle([list(row_dicts(300)), 1])
-    assert reporting.render_csv(row_table(300)) == reporting.render_csv(list(row_dicts(300)))
+    # rows across several batches, a table that is not the last child,
+    # tables at two depths, and a table that is the whole report
+    rows = list(row_dicts(300))
+    assert reporting.canonical_json([row_table(300), 1]) == json_oracle([rows, 1])
+    nested = {"a": row_table(3), "b": [{"c": row_table(300)}, "x"]}
+    assert reporting.canonical_json(nested) == json_oracle(nested)
+    assert reporting.canonical_json(row_table(300)) == json_oracle(rows)
+    assert reporting.canonical_json(reporting.Table({})) == "[]\n"
+    assert reporting.render_csv(row_table(300)) == reporting.render_csv(rows)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +172,10 @@ def test_table_refuses_ragged_or_deep_columns(columns):
         reporting.Table(columns)
 
 
-def assert_streamed_heap_stays_far_below_its_length(report, fmt):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_table_heap_stays_far_below_its_length(fmt):
+    # the columns exist before tracing starts; the rows' text must not pile up
+    report = {"results": {"rows": row_table(50_000), "count": 50_000}}
     # a writer that renders the whole report first holds at least its length
     length = 0
     tracemalloc.start()
@@ -196,28 +189,15 @@ def assert_streamed_heap_stays_far_below_its_length(report, fmt):
     assert peak < length / 10
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_streamed_report_heap_stays_far_below_its_length(fmt):
-    report = {"results": {"rows": row_dicts(50_000), "count": 50_000}}
-    assert_streamed_heap_stays_far_below_its_length(report, fmt)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_streamed_table_heap_stays_far_below_its_length(fmt):
-    # the columns exist before tracing starts; the rows' text must not pile up
-    report = {"results": {"rows": row_table(50_000), "count": 50_000}}
-    assert_streamed_heap_stays_far_below_its_length(report, fmt)
-
-
 def test_canonical_json_edge_values():
     data = {
         "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1],
         "big": 10**40,
         "text": "caf\u00e9 \u2603 \x00\x1f\t\n\"\\",
-        7: {"empty_list": [], "empty_dict": {}, "empty_tuple": ()},
+        "empty": {"empty_list": [], "empty_dict": {}, "empty_tuple": ()},
         "array": np.arange(6.0).reshape(2, 3),
         "objects": np.array([Fraction(1, 3), None], dtype=object),
-        "pair": Pair(rational=Fraction(-2, 4), payload=(np.int64(-5), np.bool_(True))),
+        "pair": [Fraction(-2, 4), (np.int64(-5), np.bool_(True))],
     }
     assert reporting.canonical_json(data) == json_oracle(data)
     assert reporting.canonical_json([]) == "[]\n"
@@ -244,8 +224,8 @@ def test_config_digest_stability():
 
 def test_config_digest_is_sha256():
     data = {"primes": [29, 631], "epsilon": Fraction(1, 20), "seed": 0}
-    blob = json.dumps(reporting.to_builtin(data), sort_keys=True, separators=(",", ":"))
-    assert reporting.config_digest(data) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    blob = b'{"epsilon":"1/20","primes":[29,631],"seed":0}'
+    assert reporting.config_digest(data) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 SRC = str(Path(ms.__file__).resolve().parents[1])
@@ -398,12 +378,8 @@ def test_lazy_exports_are_the_submodules_objects():
 
 
 def test_flatten_paths():
-    flat = reporting.flatten({"b": [10, {"z": 1}], "a": Fraction(1, 2)})
-    assert flat == [
-        ("a", Fraction(1, 2)),
-        ("b[0]", 10),
-        ("b[1].z", 1),
-    ]
+    rows = reporting.render_csv({"b": [10, {"z": 1}], "a": Fraction(1, 2)})
+    assert rows.splitlines() == ["key,value", "a,1/2", "b[0],10", "b[1].z,1"]
 
 
 def test_render_csv_quoting():
@@ -412,6 +388,15 @@ def test_render_csv_quoting():
     assert lines[0] == "key,value"
     assert lines[1] == 'msg,"has,comma ""and"" quotes"'
     assert lines[2] == "n,3"
+    # a bare carriage return would end the row for a CSV reader
+    for end in ("\n", "\r", "\r\n"):
+        data = {"file": f"/tmp/h{end}x.csv", "msg": f'a "b"{end}c,d'}
+        rows = reporting.render_csv(data)
+        assert list(csv.reader(io.StringIO(rows, newline=""))) == [
+            ["key", "value"],
+            ["file", data["file"]],
+            ["msg", data["msg"]],
+        ]
 
 
 def test_write_atomic(tmp_path):
@@ -870,6 +855,8 @@ GOLDEN = Path(__file__).parent / "golden"
             ["coeffs", "--theorem", "3", "1,2,3", "0,0,0", "28,630,15628", "5,0,77", "0,1"],
         ),
         ("coeffs_5_7_csv", ["coeffs", "--primes", "5,7", "--format", "csv"]),
+        ("gauss_check_300", ["gauss-check", "--pmax", "300"]),
+        ("certify_theorem_3", ["certify", "--theorem", "3", "--format", "csv"]),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):
