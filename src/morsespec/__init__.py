@@ -20,12 +20,10 @@ _EXPORTS = {
     "charsums": (
         "FlatnessReport",
         "LegendreTable",
-        "autocorrelation_closed_form",
         "character_polynomial_values",
         "flatness_report",
         "gauss_sum",
         "gauss_sum_all",
-        "gauss_sum_brute",
         "legendre",
         "legendre_table",
     ),
@@ -42,15 +40,9 @@ _EXPORTS = {
         "zero_extension_point",
     ),
     "diagnostics": (
-        "FunnyWord",
-        "NameAtlas",
         "SeparationReport",
         "at_ball_bound",
-        "complement",
-        "hamming",
-        "name_atlas",
         "name_separation",
-        "name_word",
         "write_histogram_csv",
     ),
     "errors": (
@@ -88,13 +80,11 @@ _EXPORTS = {
     ),
     "spectral": (
         "DensityCertificate",
-        "DensityMarginal",
         "SbhProbe",
         "SbhVerdict",
         "SearchResult",
         "SpectralCoefficient",
         "density_certificate",
-        "density_marginal",
         "geometric_tail_bound",
         "sbh_adversarial_search",
         "sbh_quadratic_form",

@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import lazy_numpy
@@ -318,12 +317,6 @@ def gauss_sum(p: int, x: int) -> complex:
     return complex(0.0, -chi * root)
 
 
-def gauss_sum_brute(p: int, x: int) -> complex:
-    """Same sum by direct summation; the slow cross-check route."""
-    k = np.arange(p, dtype=np.int64)
-    return complex(np.exp(-2j * np.pi * ((k * k * x) % p) / p).sum())
-
-
 def gauss_sum_all(p: int) -> np.ndarray:
     """Every quadratic Gauss sum mod p at once: entry x holds
     sum_k exp(-2 pi i k^2 x / p), via the FFT of the histogram of squares."""
@@ -348,16 +341,6 @@ def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
 
 def character_polynomial_values(p: int) -> np.ndarray:
     return legendre_table(p).polynomial
-
-
-def autocorrelation_closed_form(p: int, j: int) -> Fraction:
-    """c_p(j) = (-1 + (j|p) + (-j|p)) / p for j != 0, specific to the
-    Legendre table.  Independent of the summation route; used as a
-    cross-check."""
-    j %= p
-    if j == 0:
-        return Fraction(1)
-    return Fraction(-1 + legendre(j, p) + legendre(p - j, p), p)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .charsums import (
     table_flatness_report,
     window_autocorrelation_numerators,
 )
-from .cocycle import CocycleContext, build_context
+from .cocycle import build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
 from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (

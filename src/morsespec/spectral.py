@@ -142,41 +142,6 @@ def spectral_coefficient_from_density(g: GroupElement, ctx: CocycleContext) -> f
     return float(spectral_coefficients_from_density(_residue_row(g, ctx), ctx)[0])
 
 
-@dataclass(frozen=True)
-class DensityMarginal:
-    """Product of the first `level` coordinate densities, tabulated on the
-    finite quotient; values has shape (p_0, ..., p_{level-1}) and is
-    indexable by dense residue vectors."""
-
-    level: int
-    values: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        return float(self.values.max()) if self.values.size else 1.0
-
-    @property
-    def low(self) -> float:
-        return float(self.values.min()) if self.values.size else 1.0
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean()) if self.values.size else 1.0
-
-
-def density_marginal(n: int, ctx: CocycleContext, budget: int = 10**6) -> DensityMarginal:
-    """Tabulate the stage-n density marginal exhaustively."""
-    if not 0 <= n <= ctx.cfg.level:
-        raise ConfigError(f"stage {n} outside 0..{ctx.cfg.level}")
-    size = level_group_order(n, ctx.cfg)
-    if size > budget:
-        raise BudgetError(f"marginal on {size} points exceeds budget {budget}")
-    values = np.ones(())
-    for table in ctx.tables[:n]:
-        values = np.multiply.outer(values, table.density)
-    return DensityMarginal(level=n, values=values)
-
-
 def geometric_tail_bound(a: float) -> float:
     """prod_{j>=1} (1 + a^j) <= exp(a / (1 - a)) for 0 < a < 1, via
     log(1 + x) <= x and the geometric series."""

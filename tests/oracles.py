@@ -1,0 +1,120 @@
+"""Brute-force routes that the tests compare the package against.
+
+No command and no acceptance criterion calls these: each is the slow,
+direct form of something the package computes in closed form or in bulk.
+
+- gauss_sum_brute: a quadratic Gauss sum by direct summation
+  (charsums.gauss_sum and gauss_sum_all are checked against it);
+- autocorrelation_closed_form: c_p(j) by Euler's criterion, as an exact
+  Fraction (the numerators of a Legendre table are checked against it);
+- FunnyWord, complement, hamming, name_word, NameAtlas, name_atlas: the
+  exhaustive word atlas of a stage and its exact Hamming distances
+  (diagnostics.name_separation is checked against it).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from morsespec.charsums import legendre
+from morsespec.cocycle import CocycleContext, cocycle_at_zero
+from morsespec.errors import BudgetError, ConfigError
+from morsespec.odometer import GroupElement, add, enumerate_level_group, level_group_order
+
+
+def gauss_sum_brute(p: int, x: int) -> complex:
+    """sum_k exp(-2 pi i k^2 x / p) by direct summation; the slow
+    cross-check route."""
+    k = np.arange(p, dtype=np.int64)
+    return complex(np.exp(-2j * np.pi * ((k * k * x) % p) / p).sum())
+
+
+def autocorrelation_closed_form(p: int, j: int) -> Fraction:
+    """c_p(j) = (-1 + (j|p) + (-j|p)) / p for j != 0, specific to the
+    Legendre table.  Independent of the summation route; used as a
+    cross-check."""
+    j %= p
+    if j == 0:
+        return Fraction(1)
+    return Fraction(-1 + legendre(j, p) + legendre(p - j, p), p)
+
+
+@dataclass(frozen=True)
+class FunnyWord:
+    """A {0,1}-word indexed by an ordered list of group elements."""
+
+    domain: tuple[GroupElement, ...]
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.domain:
+            raise ConfigError("word domain must be nonempty")
+        if len(self.domain) != len(self.bits):
+            raise ConfigError(f"{len(self.domain)} indices but {len(self.bits)} bits")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ConfigError("bits must be 0 or 1")
+        if len({g.coords for g in self.domain}) != len(self.domain):
+            raise ConfigError("domain elements must be distinct")
+
+
+def complement(word: FunnyWord) -> FunnyWord:
+    return FunnyWord(domain=word.domain, bits=tuple(1 - b for b in word.bits))
+
+
+def hamming(w1: FunnyWord, w2: FunnyWord) -> Fraction:
+    """Fraction of positions that differ; exact."""
+    if w1.domain is not w2.domain and w1.domain != w2.domain:
+        raise ConfigError("words are indexed by different domains")
+    differ = sum(a != b for a, b in zip(w1.bits, w2.bits))
+    return Fraction(differ, len(w1.bits))
+
+
+def name_word(h: GroupElement, gamma: int, n: int, ctx: CocycleContext) -> FunnyWord:
+    """The common word of every point in the stage-n piece indexed by h,
+    on the fiber side gamma: bit 0 at g iff w0(g+h) * w0(h) * gamma = 1."""
+    if gamma not in (-1, 1):
+        raise ConfigError("gamma must be +1 or -1")
+    if h.max_index() >= n:
+        raise ConfigError(f"index element must lie in G_{n}")
+    cfg = ctx.cfg
+    domain = tuple(enumerate_level_group(n, cfg))
+    zh = cocycle_at_zero(h, ctx)
+    bits = tuple(
+        0 if cocycle_at_zero(add(g, h, cfg), ctx) * zh * gamma == 1 else 1
+        for g in domain
+    )
+    return FunnyWord(domain=domain, bits=bits)
+
+
+@dataclass(frozen=True)
+class NameAtlas:
+    """All 2|G_n| words at a stage, in (piece, sign) order with signs +1
+    then -1 per piece; immutable once built.  class_measure is the mass
+    each word class carries; the classes tile the extension."""
+
+    level: int
+    keys: tuple[tuple[GroupElement, int], ...]
+    words: tuple[FunnyWord, ...]
+    class_measure: Fraction
+
+    def word(self, h: GroupElement, gamma: int) -> FunnyWord:
+        return self.words[self.keys.index((h, gamma))]
+
+
+def name_atlas(n: int, ctx: CocycleContext, max_names: int = 100_000) -> NameAtlas:
+    """Build every word of the stage exhaustively, on one shared domain."""
+    count = 2 * level_group_order(n, ctx.cfg)
+    if count > max_names:
+        raise BudgetError(f"stage {n} needs {count} names, budget is {max_names}")
+    domain = tuple(enumerate_level_group(n, ctx.cfg))
+    keys = tuple((h, gamma) for h in domain for gamma in (1, -1))
+    words = tuple(FunnyWord(domain, name_word(*key, n, ctx).bits) for key in keys)
+    return NameAtlas(
+        level=n,
+        keys=keys,
+        words=words,
+        class_measure=Fraction(1, count),
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import morsespec as ms
 from morsespec import charsums
 from morsespec.errors import BudgetError, ConfigError
+from oracles import FunnyWord, complement, hamming, name_atlas, name_word
 
 CFG5 = ms.make_group_config([5])
 CTX5 = ms.build_context(CFG5)
@@ -17,43 +18,43 @@ CTX5 = ms.build_context(CFG5)
 
 def test_funny_word_validation():
     dom = tuple(ms.enumerate_level_group(1, CFG5))
-    ms.FunnyWord(domain=dom, bits=(0, 1, 0, 1, 1))
+    FunnyWord(domain=dom, bits=(0, 1, 0, 1, 1))
     with pytest.raises(ConfigError):
-        ms.FunnyWord(domain=dom, bits=(0, 1))
+        FunnyWord(domain=dom, bits=(0, 1))
     with pytest.raises(ConfigError):
-        ms.FunnyWord(domain=dom, bits=(0, 1, 2, 0, 0))
+        FunnyWord(domain=dom, bits=(0, 1, 2, 0, 0))
     with pytest.raises(ConfigError):
-        ms.FunnyWord(domain=(dom[0], dom[0]), bits=(0, 1))
+        FunnyWord(domain=(dom[0], dom[0]), bits=(0, 1))
     with pytest.raises(ConfigError):
-        ms.FunnyWord(domain=(), bits=())
+        FunnyWord(domain=(), bits=())
 
 
 def test_complement_flips_every_bit():
     dom = tuple(ms.enumerate_level_group(1, CFG5))
-    word = ms.FunnyWord(domain=dom, bits=(0, 0, 1, 1, 0))
-    assert ms.complement(word).bits == (1, 1, 0, 0, 1)
-    assert ms.complement(ms.complement(word)) == word
+    word = FunnyWord(domain=dom, bits=(0, 0, 1, 1, 0))
+    assert complement(word).bits == (1, 1, 0, 0, 1)
+    assert complement(complement(word)) == word
 
 
 def test_hamming_basic_cases():
     dom = tuple(ms.enumerate_level_group(1, CFG5))
-    a = ms.FunnyWord(domain=dom, bits=(0, 0, 1, 1, 0))
-    b = ms.FunnyWord(domain=dom, bits=(0, 1, 1, 0, 0))
-    assert ms.hamming(a, a) == 0
-    assert ms.hamming(a, b) == Fraction(2, 5)
-    assert ms.hamming(a, ms.complement(a)) == 1
+    a = FunnyWord(domain=dom, bits=(0, 0, 1, 1, 0))
+    b = FunnyWord(domain=dom, bits=(0, 1, 1, 0, 0))
+    assert hamming(a, a) == 0
+    assert hamming(a, b) == Fraction(2, 5)
+    assert hamming(a, complement(a)) == 1
 
 
 def test_hamming_rejects_mismatched_domains(ctx57):
     dom5 = tuple(ms.enumerate_level_group(1, CFG5))
     dom57 = tuple(ms.enumerate_level_group(2, ctx57.cfg))[:5]
-    a = ms.FunnyWord(domain=dom5, bits=(0,) * 5)
-    b = ms.FunnyWord(domain=dom57, bits=(0,) * 5)
+    a = FunnyWord(domain=dom5, bits=(0,) * 5)
+    b = FunnyWord(domain=dom57, bits=(0,) * 5)
     with pytest.raises(ConfigError):
-        ms.hamming(a, b)
-    c = ms.FunnyWord(domain=dom5[:3], bits=(0,) * 3)
+        hamming(a, b)
+    c = FunnyWord(domain=dom5[:3], bits=(0,) * 3)
     with pytest.raises(ConfigError):
-        ms.hamming(a, c)
+        hamming(a, c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,25 +65,25 @@ def test_hamming_rejects_mismatched_domains(ctx57):
 )
 def test_hamming_triangle_inequality(b1, b2, b3):
     dom = tuple(ms.enumerate_level_group(1, CFG5))
-    w1, w2, w3 = (ms.FunnyWord(domain=dom, bits=b) for b in (b1, b2, b3))
-    assert ms.hamming(w1, w3) <= ms.hamming(w1, w2) + ms.hamming(w2, w3)
+    w1, w2, w3 = (FunnyWord(domain=dom, bits=b) for b in (b1, b2, b3))
+    assert hamming(w1, w3) <= hamming(w1, w2) + hamming(w2, w3)
 
 
 def test_name_word_frozen_base_name():
     # base class of stage 1 over p=5: bit at g is 0 iff z(g) = +1,
     # and the zero-values of the table product are (1,1,-1,-1,1)
-    word = ms.name_word(ms.IDENTITY, 1, 1, CTX5)
+    word = name_word(ms.IDENTITY, 1, 1, CTX5)
     assert word.bits == (0, 0, 1, 1, 0)
-    flipped = ms.name_word(ms.IDENTITY, -1, 1, CTX5)
+    flipped = name_word(ms.IDENTITY, -1, 1, CTX5)
     assert flipped.bits == (1, 1, 0, 0, 1)
-    assert flipped == ms.complement(word)
+    assert flipped == complement(word)
 
 
 def test_name_word_oracle_exhaustive():
     # independent route: bit 0 exactly when z(g+h) z(h) gamma = 1
     for h in ms.enumerate_level_group(1, CFG5):
         for gamma in (1, -1):
-            word = ms.name_word(h, gamma, 1, CTX5)
+            word = name_word(h, gamma, 1, CTX5)
             for g, bit in zip(word.domain, word.bits):
                 z = ms.cocycle_at_zero(ms.add(g, h, CFG5), CTX5) * ms.cocycle_at_zero(
                     h, CTX5
@@ -92,26 +93,26 @@ def test_name_word_oracle_exhaustive():
 
 def test_name_word_validation():
     with pytest.raises(ConfigError):
-        ms.name_word(ms.IDENTITY, 0, 1, CTX5)
+        name_word(ms.IDENTITY, 0, 1, CTX5)
     wide = ms.element([0, 1], ms.make_group_config([5, 7]))
     with pytest.raises(ConfigError):
-        ms.name_word(wide, 1, 1, CTX5)
+        name_word(wide, 1, 1, CTX5)
 
 
 def test_atlas_structure(ctx57):
-    atlas = ms.name_atlas(2, ctx57)
+    atlas = name_atlas(2, ctx57)
     assert atlas.level == 2
     assert len(atlas.words) == 70  # 2 |G_2|
     assert atlas.class_measure == Fraction(1, 70)
     assert len(set(atlas.words)) == 70
     # gamma-flip pairs are complements of each other
     for h in ms.enumerate_level_group(2, ctx57.cfg):
-        assert atlas.word(h, -1) == ms.complement(atlas.word(h, 1))
+        assert atlas.word(h, -1) == complement(atlas.word(h, 1))
 
 
 def test_atlas_budget():
     with pytest.raises(BudgetError) as err:
-        ms.name_atlas(1, CTX5, max_names=4)
+        name_atlas(1, CTX5, max_names=4)
     assert "10" in str(err.value)
 
 
@@ -121,24 +122,24 @@ def test_pairwise_distance_law(ctx57):
     # checked against direct hamming counts for every pair and sign
     cfg = ctx57.cfg
     n = 2
-    atlas = ms.name_atlas(n, ctx57)
+    atlas = name_atlas(n, ctx57)
     elems = list(ms.enumerate_level_group(n, cfg))
     for h, hp in itertools.product(elems, elems):
         coeff = ms.spectral_coefficient(ms.sub(hp, h, cfg), ctx57).value
         zz = ms.cocycle_at_zero(h, ctx57) * ms.cocycle_at_zero(hp, ctx57)
         for gamma, gammap in itertools.product((1, -1), (1, -1)):
             predicted = (1 - gamma * gammap * zz * coeff) / 2
-            actual = ms.hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
+            actual = hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
             assert actual == predicted
 
 
 def test_distance_is_not_translation_invariant():
     # pairs with equal difference can sit at different distances: over
     # p=5 the pair (0,3) is at 1/5 while (1,4) is at 4/5
-    atlas = ms.name_atlas(1, CTX5)
+    atlas = name_atlas(1, CTX5)
     e = lambda r: ms.element([r], CFG5)
-    d03 = ms.hamming(atlas.word(e(0), 1), atlas.word(e(3), 1))
-    d14 = ms.hamming(atlas.word(e(1), 1), atlas.word(e(4), 1))
+    d03 = hamming(atlas.word(e(0), 1), atlas.word(e(3), 1))
+    d14 = hamming(atlas.word(e(1), 1), atlas.word(e(4), 1))
     assert d03 == Fraction(1, 5)
     assert d14 == Fraction(4, 5)
     assert d03 != d14
@@ -148,7 +149,7 @@ def test_distance_twisted_invariance():
     # what IS invariant: the distance depends on h' - h only through the
     # correction factor gamma gamma' z(h) z(h'); fixing that product
     # pins the distance
-    atlas = ms.name_atlas(1, CTX5)
+    atlas = name_atlas(1, CTX5)
     elems = list(ms.enumerate_level_group(1, CFG5))
     seen = {}
     for h, hp in itertools.product(elems, elems):
@@ -160,7 +161,7 @@ def test_distance_twisted_invariance():
                 * ms.cocycle_at_zero(hp, CTX5)
             )
             key = (ms.sub(hp, h, CFG5).coords, twist)
-            d = ms.hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
+            d = hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
             assert seen.setdefault(key, d) == d
 
 
@@ -174,16 +175,16 @@ def flip_square_one(table):
 def brute_separation(n, ctx):
     """The separation report from every word of the atlas.  With the words'
     bits as the rows of W and S = 1 - 2W, words a and b differ in
-    (L - S_a . S_b) / 2 of their L bits; ms.hamming must agree on a few
+    (L - S_a . S_b) / 2 of their L bits; hamming must agree on a few
     hundred pairs."""
-    atlas = ms.name_atlas(n, ctx)
+    atlas = name_atlas(n, ctx)
     signs = 1 - 2 * np.array([word.bits for word in atlas.words], dtype=np.int64)
     count, length = signs.shape
     differ = (length - signs @ signs.T) // 2
     a, b = np.triu_indices(count, 1)
     step = max(1, len(a) // 300)
     for i, j in zip(a[::step].tolist(), b[::step].tolist()):
-        assert ms.hamming(atlas.words[i], atlas.words[j]) == Fraction(int(differ[i, j]), length)
+        assert hamming(atlas.words[i], atlas.words[j]) == Fraction(int(differ[i, j]), length)
     values, counts = np.unique(differ[a, b], return_counts=True)
     return ms.SeparationReport(
         level=n,

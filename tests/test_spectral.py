@@ -11,6 +11,7 @@ import morsespec as ms
 from morsespec import spectral
 from morsespec.charsums import autocorrelation_numerator
 from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
+from oracles import autocorrelation_closed_form
 
 CFG = ms.make_group_config([5, 7])
 CTX = ms.build_context(CFG)
@@ -140,11 +141,11 @@ def test_exact_route_reads_only_per_shift_numerators(cfg5711):
     ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
     assert values == [
-        ms.autocorrelation_closed_form(5, 1)
-        * ms.autocorrelation_closed_form(7, 2)
-        * ms.autocorrelation_closed_form(11, 3),
-        ms.autocorrelation_closed_form(11, 10),
-        ms.autocorrelation_closed_form(5, 4),
+        autocorrelation_closed_form(5, 1)
+        * autocorrelation_closed_form(7, 2)
+        * autocorrelation_closed_form(11, 3),
+        autocorrelation_closed_form(11, 10),
+        autocorrelation_closed_form(5, 4),
     ]
     for table in tables:
         assert table.is_quadratic
@@ -168,33 +169,6 @@ def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
     for table in tables:
         assert "density_fourier" in table.__dict__
         assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "density_fourier"}
-
-
-def test_density_marginal_basics(ctx57):
-    marg = ms.density_marginal(2, ctx57)
-    assert marg.level == 2
-    assert marg.values.shape == (5, 7)
-    assert marg.mean == pytest.approx(1.0, abs=1e-12)
-    window = (1 + 1 / math.sqrt(5)) ** 2 * (1 + 1 / math.sqrt(7)) ** 2
-    assert marg.sup <= window + 1e-12
-    assert marg.low >= 0.0
-    # product structure: stage-2 marginal is the outer product of stages
-    d5 = ms.legendre_table(5).density
-    d7 = ms.legendre_table(7).density
-    expected_sup = d5.max() * d7.max()
-    assert marg.sup == pytest.approx(expected_sup, abs=1e-12)
-
-
-def test_density_marginal_level_zero(ctx57):
-    marg = ms.density_marginal(0, ctx57)
-    assert marg.values.shape == ()
-    assert float(marg.values) == pytest.approx(1.0)
-    assert marg.sup == 1.0
-
-
-def test_density_marginal_budget(ctx5711):
-    with pytest.raises(BudgetError):
-        ms.density_marginal(3, ctx5711, budget=100)
 
 
 def test_geometric_tail_bound_dominates_partial_products():
