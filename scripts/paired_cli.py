@@ -2,15 +2,18 @@
 trees, in alternating pairs.
 
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 -- coeffs --primes 5,7,11,13
+    python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 --
 
 Each run is one `python -m morsespec.cli <argv>` child with PYTHONPATH set
 to the tree, stdout and stderr sent to /dev/null, reaped with os.wait4 for
-its own user + system CPU time and peak RSS.  One untimed run per tree
-comes first, its stdout kept in a temporary file, then the pairs; pair i
-runs OLD first when i is even and NEW first when it is odd.  The script
-prints each side's median and quartiles, the median of the paired
-differences (new - old) and how many pairs each side won; ties count for
-neither.  It ends with one verdict line per metric: `gain` when NEW is
+its own user + system CPU time and peak RSS.  With nothing after `--`,
+each child is `python -c "import morsespec.cli"` instead: the start-up
+that every command pays, which prints nothing to compare.  One untimed
+run per tree comes first, its stdout kept in a temporary file, then the
+pairs; pair i runs OLD first when i is even and NEW first when it is
+odd.  The script prints each side's median and quartiles, the median of
+the paired differences (new - old) and how many pairs each side won; ties
+count for neither.  It ends with one verdict line per metric: `gain` when NEW is
 lower in at least nine tenths of the pairs and the medians differ by more
 than OLD's interquartile range, `regression` when the same holds with the
 sides swapped, `unresolved` otherwise.  It exits 1 if the two trees' runs
@@ -30,10 +33,12 @@ import tempfile
 
 
 def run(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> tuple[int, float, float]:
-    """Exit code, CPU seconds and peak RSS in MB of one CLI child."""
+    """Exit code, CPU seconds and peak RSS in MB of one CLI child, or of
+    a bare import of morsespec.cli when argv is empty."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = ["-m", "morsespec.cli", *argv] if argv else ["-c", "import morsespec.cli"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "morsespec.cli", *argv],
+        [sys.executable, *child],
         env=env,
         stdout=stdout,
         stderr=subprocess.DEVNULL,
@@ -74,7 +79,7 @@ def verdict(old: list[float], new: list[float]) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        usage="%(prog)s OLD_SRC NEW_SRC [--pairs N] -- CLI_ARG...",
+        usage="%(prog)s OLD_SRC NEW_SRC [--pairs N] -- [CLI_ARG...]",
         description=__doc__.split("\n\n")[0],
     )
     parser.add_argument("old_src", help="source tree of the parent, e.g. a checkout's src")
@@ -84,8 +89,8 @@ def main() -> int:
     split = own.index("--") if "--" in own else len(own)
     args = parser.parse_args(own[:split])
     argv = own[split + 1 :]
-    if not argv or args.pairs < 1:
-        parser.error("give --pairs >= 1 and the CLI arguments after --")
+    if "--" not in own or args.pairs < 1:
+        parser.error("give --pairs >= 1 and --, then the CLI arguments if any")
 
     sides = {"old": args.old_src, "new": args.new_src}
     first = {name: untimed_stdout(src, argv) for name, src in sides.items()}
@@ -99,7 +104,7 @@ def main() -> int:
             cpu[name].append(cpu_s)
             rss[name].append(rss_mb)
 
-    print(f"argv: {' '.join(argv)}  pairs: {args.pairs}")
+    print(f"argv: {' '.join(argv) or '(import morsespec.cli)'}  pairs: {args.pairs}")
     for name, src in sides.items():
         print(f"{name} ({src}) exit {sorted(codes[name])}")
         print(f"  cpu_s        {summary(cpu[name])}")

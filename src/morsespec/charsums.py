@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import lazy_numpy
 from .errors import BudgetError, ConfigError, InternalConsistencyError
@@ -106,7 +106,6 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
-@dataclass(frozen=True, eq=False)
 class LegendreTable:
     """Sign table of length p: entry 0 is +1, the rest are +/-1, kept as the
     read-only int8 array `signs` (any sequence or array is accepted).
@@ -116,12 +115,9 @@ class LegendreTable:
     structural constraints is accepted downstream.
     """
 
-    prime: int
-    signs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = self.prime
-        signs = np.asarray(self.signs)
+    def __init__(self, prime: int, signs) -> None:
+        p = self.prime = prime
+        signs = np.asarray(signs)
         if signs.shape != (p,):
             raise ConfigError(f"table for {p} has shape {signs.shape}, not ({p},)")
         if p < 1 or signs[0] != 1:
@@ -134,7 +130,7 @@ class LegendreTable:
                 raise ConfigError("table entries must be +1 or -1")
         signs = signs.astype(np.int8)  # a copy: the caller's array stays writeable
         signs.flags.writeable = False
-        object.__setattr__(self, "signs", signs)
+        self.signs = signs
 
     @cached_property
     def is_quadratic(self) -> bool:
@@ -261,7 +257,7 @@ def _quadratic_signs(p: int) -> np.ndarray:
 class _SquaresTable(LegendreTable):
     """The table legendre_table makes: the squares mask is a table by
     construction, so it is adopted as it is, with neither the entry check
-    nor the defensive copy of __post_init__, when signs is first read."""
+    nor the defensive copy of __init__, when signs is first read."""
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -343,8 +339,7 @@ def character_polynomial_values(p: int) -> np.ndarray:
     return legendre_table(p).polynomial
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     """Sup/inf of |P| away from 0 and the sup of |P|^2, with the route
     that gave them ('gauss-sum' for the closed form of a quadratic table,
     'fft-scan' for an exhaustive scan), plus the parity class of the Gauss

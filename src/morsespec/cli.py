@@ -19,8 +19,8 @@ import operator
 import os
 import shutil
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 # before numpy loads: no command runs threaded BLAS, and an idle OpenBLAS worker spins ~0.13 s of CPU
@@ -105,43 +105,37 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"bad boolean {text!r}")
 
 
-def _option(default, parse, help: str, echo: bool = True):
-    """A run option: the long flag is the field name with dashes, the
-    config-file key is the field name (dashes allowed), `parse` reads both,
-    and `echo` puts the value in the report's config echo."""
-    return field(default=default, metadata={"parse": parse, "help": help, "echo": echo})
+# each run option once: name -> (default, parser, help, echo).  The long flag
+# is the name with dashes, the config-file key is the name (dashes allowed),
+# the parser reads both, and echo puts the value in the report's config echo.
+_OPTIONS = {
+    "primes": (None, _parse_primes, "comma-separated odd primes", True),
+    "theorem": (None, int, "use the first N growth-floor primes", False),
+    "level": (None, int, "stage / truncation level for the command", True),
+    "k_max": (4, int, "largest probe size", True),
+    "seed": (0, int, "search seed", True),
+    "budget": (500_000, int, "probe budget for searches", True),
+    "restarts": (32, int, "local-search restarts", True),
+    "epsilon": (None, _parse_epsilon, "ball radius (rational, e.g. 1/20)", True),
+    "split_level": (None, int, "certificate split point", True),
+    "assume_tail_rule": (
+        False, _parse_bool, "assert the growth floor for coordinates past the split", True
+    ),
+    "tolerance_numeric": (1e-12, float, "tolerance of the float route comparisons", True),
+    "tolerance_transcendental": (
+        1e-9, float, "tolerance of the Gauss-sum and flatness checks", True
+    ),
+    "format": ("json", str, "report format: json or csv", True),
+    "out": (None, str, "also write the report to this path", False),
+    "histogram_out": (None, str, "write the distance histogram CSV here", False),
+    "pmax": (200, int, "prime range bound for gauss-check", True),
+}
 
+RunConfig = namedtuple("RunConfig", _OPTIONS, defaults=[opt[0] for opt in _OPTIONS.values()])
+RunConfig.__doc__ = """Resolved run parameters: the option defaults, then config file
+entries, then command-line flags, later layers winning."""
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters: dataclass defaults, then config file
-    entries, then command-line flags, later layers winning."""
-
-    primes: tuple[int, ...] | None = _option(None, _parse_primes, "comma-separated odd primes")
-    theorem: int | None = _option(None, int, "use the first N growth-floor primes", echo=False)
-    level: int | None = _option(None, int, "stage / truncation level for the command")
-    k_max: int = _option(4, int, "largest probe size")
-    seed: int = _option(0, int, "search seed")
-    budget: int = _option(500_000, int, "probe budget for searches")
-    restarts: int = _option(32, int, "local-search restarts")
-    epsilon: Fraction | None = _option(None, _parse_epsilon, "ball radius (rational, e.g. 1/20)")
-    split_level: int | None = _option(None, int, "certificate split point")
-    assume_tail_rule: bool = _option(
-        False, _parse_bool, "assert the growth floor for coordinates past the split"
-    )
-    tolerance_numeric: float = _option(1e-12, float, "tolerance of the float route comparisons")
-    tolerance_transcendental: float = _option(
-        1e-9, float, "tolerance of the Gauss-sum and flatness checks"
-    )
-    format: str = _option("json", str, "report format: json or csv")
-    out: str | None = _option(None, str, "also write the report to this path", echo=False)
-    histogram_out: str | None = _option(
-        None, str, "write the distance histogram CSV here", echo=False
-    )
-    pmax: int = _option(200, int, "prime range bound for gauss-check")
-
-
-_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+_PARSERS = {name: opt[1] for name, opt in _OPTIONS.items()}
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -224,7 +218,7 @@ def _writing(path: str):
 
 
 def _config_echo(rc: RunConfig, cfg: GroupConfig | None) -> dict:
-    echo = {f.name: getattr(rc, f.name) for f in fields(RunConfig) if f.metadata["echo"]}
+    echo = {name: getattr(rc, name) for name, opt in _OPTIONS.items() if opt[3]}
     echo["primes"] = list(cfg.primes) if cfg else None
     echo["mode"] = cfg.mode if cfg else None
     return echo
@@ -536,11 +530,11 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
 
 
 _COMMANDS = {
-    "certify": cmd_certify,
-    "coeffs": cmd_coeffs,
-    "names": cmd_names,
-    "sbh-search": cmd_sbh_search,
-    "gauss-check": cmd_gauss_check,
+    "certify": (cmd_certify, "flatness + density certificate + verdict"),
+    "coeffs": (cmd_coeffs, "two-route coefficient table"),
+    "names": (cmd_names, "name separation and ball bound"),
+    "sbh-search": (cmd_sbh_search, "adversarial quadratic-form search"),
+    "gauss-check": (cmd_gauss_check, "character-sum invariant sweep"),
 }
 
 
@@ -549,27 +543,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file")
-    for f in fields(RunConfig):
-        parse = f.metadata["parse"]
-        # a bare switch; its None default leaves a config file's value standing
-        how = {"action": "store_true", "default": None} if parse is _parse_bool else {"type": parse}
-        common.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **how)
-
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv: every subcommand, with the run options on the
+    one argv invokes only.  That is argv's first command name, since what
+    comes before the command can only be an option."""
+    invoked = next((arg for arg in argv if arg in _COMMANDS), None)
     parser = _Parser(prog="morsespec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("certify", parents=[common], help="flatness + density certificate + verdict")
-    coeffs = sub.add_parser("coeffs", parents=[common], help="two-route coefficient table")
-    coeffs.add_argument(
-        "elements",
-        nargs="*",
-        help="elements as comma-separated residues, or a single 'level:n'",
-    )
-    sub.add_parser("names", parents=[common], help="name separation and ball bound")
-    sub.add_parser("sbh-search", parents=[common], help="adversarial quadratic-form search")
-    sub.add_parser("gauss-check", parents=[common], help="character-sum invariant sweep")
+    for command, (_, summary) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        if command != invoked:
+            continue
+        cmd.add_argument("--config", help="flat key = value config file")
+        for name, (_, parse, text, _) in _OPTIONS.items():
+            # a bare switch; its None default leaves a config file's value standing
+            how = {"action": "store_true", "default": None} if parse is _parse_bool else {"type": parse}
+            cmd.add_argument("--" + name.replace("_", "-"), help=text, **how)
+        if command == "coeffs":
+            cmd.add_argument(
+                "elements",
+                nargs="*",
+                help="elements as comma-separated residues, or a single 'level:n'",
+            )
     return parser
 
 
@@ -583,9 +578,10 @@ def _stdout():
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
         rc = build_run_config(args)
-        report, code = _COMMANDS[args.command](rc, args)
+        report, code = _COMMANDS[args.command][0](rc, args)
         pieces = report_pieces(report, rc.format)
         # a closed stdout is an unwritable output like any other
         with _writing("stdout"):

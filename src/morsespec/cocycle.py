@@ -23,7 +23,7 @@ commutes with every such map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charsums import LegendreTable, legendre_table
 from .errors import ConfigError
@@ -39,21 +39,24 @@ from .odometer import (
 )
 
 
-@dataclass(frozen=True)
-class CocycleContext:
-    """A configuration together with one sign table per prime."""
-
+class _Context(NamedTuple):
     cfg: GroupConfig
     tables: tuple[LegendreTable, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.tables) != self.cfg.level:
-            raise ConfigError(
-                f"need {self.cfg.level} sign tables, got {len(self.tables)}"
-            )
-        for p, table in zip(self.cfg.primes, self.tables):
+
+class CocycleContext(_Context):
+    """A configuration together with one sign table per prime."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, cfg: GroupConfig, tables: tuple[LegendreTable, ...]):
+        if len(tables) != cfg.level:
+            raise ConfigError(f"need {cfg.level} sign tables, got {len(tables)}")
+        for p, table in zip(cfg.primes, tables):
             if table.prime != p:
                 raise ConfigError(f"table for prime {table.prime} placed at prime {p}")
+        return super().__new__(cls, cfg, tables)
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
@@ -115,16 +118,21 @@ def check_level_constancy(
     return all(cocycle_value(x, g, ctx) == expected for x in points)
 
 
-@dataclass(frozen=True)
-class ExtensionPoint:
-    """Point of the two-point extension: a base point and a sign."""
-
+class _Point(NamedTuple):
     base: tuple[int, ...]
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
+
+class ExtensionPoint(_Point):
+    """Point of the two-point extension: a base point and a sign."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, base: tuple[int, ...], sign: int):
+        if sign not in (-1, 1):
             raise ConfigError("extension sign must be +1 or -1")
+        return super().__new__(cls, base, sign)
 
 
 def skew_step(pt: ExtensionPoint, g: GroupElement, ctx: CocycleContext) -> ExtensionPoint:

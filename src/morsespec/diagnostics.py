@@ -31,8 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charsums import check_scan_budget, numerator_counts
 from .cocycle import CocycleContext
@@ -41,8 +41,7 @@ from .odometer import level_group_order
 from .reporting import write_atomic
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Exact pairwise-distance statistics of a stage's words."""
 
     level: int

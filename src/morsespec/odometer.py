@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError, ConfigError
 
@@ -41,6 +40,9 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        # a composite this small has a prime factor <= 41, a witness
+        return True
     if n >= _MR_LIMIT:
         import sympy
 
@@ -79,8 +81,7 @@ def theorem_primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class GroupConfig:
+class GroupConfig(NamedTuple):
     """Validated list of acting primes plus the growth-rule mode."""
 
     primes: tuple[int, ...]
@@ -117,8 +118,7 @@ def make_group_config(primes: Sequence[int], mode: str = EXPERIMENTAL) -> GroupC
     return GroupConfig(primes=primes, mode=mode)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Finitely supported residue vector, stored sparsely.
 
     `coords` lists (index, residue) pairs with 0 < residue < p_index,

@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 import tempfile
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 
 from . import lazy_numpy
@@ -252,7 +252,8 @@ def report_pieces(data, fmt: str):
 
 
 def timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time to the second, as ISO 8601 with a +00:00 offset."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _umask() -> int:

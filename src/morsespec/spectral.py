@@ -36,9 +36,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import lazy_numpy
 from .charsums import autocorrelation_numerator, check_scan_budget, table_flatness_report
@@ -55,8 +55,7 @@ from .odometer import (
 np = lazy_numpy()
 
 
-@dataclass(frozen=True)
-class SpectralCoefficient:
+class SpectralCoefficient(NamedTuple):
     element: GroupElement
     value: Fraction
 
@@ -176,8 +175,7 @@ def tail_density_bound(split_level: int) -> float:
     return math.exp(2.5 * 5.0 ** -(split_level + 1))
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(NamedTuple):
     """Sup bound for the spectral density, split into a finite part (the
     product of the per-coordinate sups up to the split) and an analytically
     bounded tail.
@@ -263,8 +261,7 @@ def density_certificate(
     )
 
 
-@dataclass(frozen=True)
-class SbhProbe:
+class SbhProbe(NamedTuple):
     """A candidate for the averaged quadratic form: distinct group
     elements with signs, and the exact value achieved."""
 
@@ -294,8 +291,7 @@ def sbh_quadratic_form(
     return total / k
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Best probe found for one subset size, how it was found, and how
     many sign-pattern probes were scored along the way."""
 
@@ -488,8 +484,7 @@ def sbh_adversarial_search(
     return SearchResult(probe=probe, mode=mode, evaluations=evaluations)
 
 
-@dataclass(frozen=True)
-class SbhVerdict:
+class SbhVerdict(NamedTuple):
     """Outcome of the certification chain, with the structural facts it
     leans on spelled out: what was assumed, and what is cited from the
     established theory without being re-verified here."""

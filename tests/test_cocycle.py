@@ -29,6 +29,8 @@ def test_context_validation(cfg57):
         ms.CocycleContext(cfg=cfg57, tables=tables[:1])
     with pytest.raises(ConfigError):
         ms.CocycleContext(cfg=cfg57, tables=(tables[1], tables[0]))
+    with pytest.raises(ConfigError):
+        ms.CocycleContext(cfg=cfg57, tables=tables)._replace(tables=tables[:1])
 
 
 def test_cocycle_value_identity_element(ctx57):
@@ -163,3 +165,5 @@ def test_extension_point_validation(ctx57):
         ms.ExtensionPoint(base=(0, 0), sign=0)
     start = ms.zero_extension_point(ctx57)
     assert start.sign == 1 and start.base == (0, 0)
+    with pytest.raises(ConfigError):
+        start._replace(sign=0)

@@ -11,7 +11,7 @@ from morsespec.errors import BudgetError, ConfigError
 
 
 def test_is_prime_matches_sympy_small_range():
-    for n in range(-3, 2000):
+    for n in range(-3, 5000):
         assert ms.is_prime(n) == sympy.isprime(n), n
 
 

@@ -1,6 +1,5 @@
 import ast
 import csv
-import dataclasses
 import functools
 import hashlib
 import importlib
@@ -255,6 +254,14 @@ def test_cli_import_leaves_openssl_unloaded():
 def test_package_import_loads_no_numpy():
     code = "import sys, morsespec; sys.exit('numpy' in sys.modules)"
     assert fresh_python(code).returncode == 0
+
+
+def test_cli_import_loads_no_dataclass_or_datetime_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize; every command paid for them
+    code = "import sys, morsespec.cli; print([m for m in ('dataclasses', 'inspect', 'datetime') if m in sys.modules])"
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -521,8 +528,8 @@ def test_sbh_search_value_above_density_sup_is_inconsistent(capsys, monkeypatch)
 
     def inflated(*args, **kwargs):
         result = real(*args, **kwargs)
-        probe = dataclasses.replace(result.probe, value=Fraction(3))
-        return dataclasses.replace(result, probe=probe)
+        probe = result.probe._replace(value=Fraction(3))
+        return result._replace(probe=probe)
 
     monkeypatch.setattr(cli, "sbh_adversarial_search", inflated)
     code, out, err = run_cli(
@@ -793,7 +800,7 @@ def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
     def shifted(table):
         rep = real(table)
         if table.prime == 13:
-            rep = dataclasses.replace(rep, min_modulus=rep.min_modulus + 1e-6)
+            rep = rep._replace(min_modulus=rep.min_modulus + 1e-6)
         return rep
 
     monkeypatch.setattr(cli, "table_flatness_report", shifted)
@@ -1048,20 +1055,48 @@ OPTION_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.RunConfig)])
+@pytest.mark.parametrize("name", cli.RunConfig._fields)
 def test_flag_and_config_keys_agree(tmp_path, name):
     text, expected = OPTION_SAMPLES[name]
     assert getattr(cli.RunConfig(), name) != expected
     flag = "--" + name.replace("_", "-")
     flag_argv = [flag] if isinstance(expected, bool) else [flag, text]
-    configs = [cli.build_run_config(cli._build_parser().parse_args(["certify", *flag_argv]))]
+    argv = ["certify", *flag_argv]
+    configs = [cli.build_run_config(cli._build_parser(argv).parse_args(argv))]
     for key in {name, name.replace("_", "-")}:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {text}\n")
-        args = cli._build_parser().parse_args(["certify", "--config", str(cfg)])
+        argv = ["certify", "--config", str(cfg)]
+        args = cli._build_parser(argv).parse_args(argv)
         configs.append(cli.build_run_config(args))
     for rc in configs:
-        assert rc == dataclasses.replace(cli.RunConfig(), **{name: expected})
+        assert rc == cli.RunConfig()._replace(**{name: expected})
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    words = set(capsys.readouterr().out.split())
+    flags = {"--" + name.replace("_", "-") for name in cli.RunConfig._fields}
+    assert flags | {"--config"} <= words
+    assert ("elements" in words) == (command == "coeffs")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "usage error: the following arguments are required: command\n"),
+        (
+            ["bogus", "--primes", "5"],
+            "usage error: argument command: invalid choice: 'bogus' (choose from "
+            "'certify', 'coeffs', 'names', 'sbh-search', 'gauss-check')\n",
+        ),
+    ],
+)
+def test_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (64, "", message)
 
 
 def test_config_echo_keys():
