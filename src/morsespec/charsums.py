@@ -26,40 +26,27 @@ smallest n >= 2p of the form 2^a 3^b 5^c, is exact up to round-off.  On
 the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
 As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
-The core routines accept any sign table (entries +/-1, entry 0 fixed to
-+1); legendre_table builds the Legendre one.  Each table is the single
-precomputation layer for its prime: it holds an int8 sign array, and its
-attributes polynomial (P), density (|P|^2), density_fourier (the
+LegendreTable(p) is the single precomputation layer for its prime: its
+int8 sign array (the squares mask), polynomial (P), density_fourier (the
 density-route coefficients) and numerators (the exact p * c(j)) are each
-derived at most once, on first use.  It also knows whether it is the
-quadratic-character table: legendre_table's tables are by construction,
-and build their squares mask only when signs is first read; any other
-table is compared with that mask once, in O(p).  If it is, the Gauss sum
-gives the extremes of |P| and the sup of |P|^2 in closed form, and
-table_flatness_report reads them from there without forming P or reading
-a sign; any other table is scanned through a prime-length FFT, which the
-tests and gauss-check keep as the reference for the closed form.
-Likewise the numerators of a quadratic table come from the Jacobi sum,
-p * c(j) = -1 + chi(j) + chi(-j) for j != 0 with chi the table's own signs
-off 0: O(1) per shift and O(p) for all of them, and numerator_counts
-gives their value counts from p alone.  Any other table sums
-directly, one O(p) slice-pair sum per shift, or for every shift at once
-the window route (np.correlate of the signs as float64, one BLAS dot per
-shift, exact because every partial sum is an integer of magnitude at
-most p < 2^53), whose sum p^2 cost is refused past _SCAN_BUDGET.
-gauss-check compares the window route with the closed form, so that
-comparison stays a real check.
+derived at most once, on first use; legendre_table keeps one per prime.
+What the Gauss and Jacobi sums give in closed form needs no table at all:
+flatness_report reads the extremes of |P| and the sup of |P|^2 off p, and
+numerator_counts the value counts of p * c(j), since
+p * c(j) = -1 + chi(j) + chi(-j) for j != 0, with chi the signs off 0.
+The prime-length FFT in polynomial and the direct window sum in
+window_autocorrelation_numerators stay as the references that gauss-check
+compares those closed forms with.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .errors import BudgetError, ConfigError, InternalConsistencyError
+from .errors import ConfigError, InternalConsistencyError
 from .odometer import is_prime
 
 np = lazy_numpy()
@@ -67,17 +54,8 @@ np = lazy_numpy()
 # FFT round-off on the table sizes used here stays far below this.
 _NUMERIC_TOL = 1e-9
 
-# The window route costs sum p^2 terms: 2.4e8 at theorem stage 3, 1.5e11 at 4.
-_SCAN_BUDGET = 10**9
-
 # squares mod p formed this many at a time (an int64 chunk of 512 KiB)
 _SQUARE_CHUNK = 1 << 16
-
-# table entries checked for +/-1 this many at a time
-_SIGN_CHUNK = 1 << 16
-
-# numerator values counted this many at a time (an int64 chunk of 8 MiB)
-_COUNT_CHUNK = 1 << 20
 
 
 def legendre(a: int, p: int) -> int:
@@ -106,53 +84,44 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
+def check_table_prime(p: int) -> None:
+    """Refuse a prime whose table would square residues past int64:
+    _quadratic_signs squares every k <= (p - 1) / 2 in int64."""
+    if ((p - 1) // 2) ** 2 > 2**63 - 1:
+        raise ConfigError(f"the sign table for {p} would square residues past int64")
+
+
+def _check_odd_prime(p: int) -> None:
+    """Refuse p unless it is an odd prime whose table fits check_table_prime."""
+    check_table_prime(p)
+    if not is_prime(p) or p == 2:
+        raise ConfigError(f"{p} is not an odd prime")
+
+
 class LegendreTable:
-    """Sign table of length p: entry 0 is +1, the rest are +/-1, kept as the
-    read-only int8 array `signs` (any sequence or array is accepted).
+    """The quadratic-character sign table of an odd prime p: +1 at 0 and on
+    the nonzero squares mod p, -1 elsewhere (Euler's criterion, as in
+    legendre, is the reference).  The prime is checked here; the read-only
+    int8 array `signs` is built on its first read.
 
     Tables compare by identity; legendre_table returns one per prime.
-    The name reflects the standard construction; any table meeting the
-    structural constraints is accepted downstream.
     """
 
-    def __init__(self, prime: int, signs) -> None:
-        p = self.prime = prime
-        signs = np.asarray(signs)
-        if signs.shape != (p,):
-            raise ConfigError(f"table for {p} has shape {signs.shape}, not ({p},)")
-        if p < 1 or signs[0] != 1:
-            raise ConfigError("table entry at 0 must be +1")
-        # compared before the cast, which would truncate 1.5 to 1, and a
-        # chunk at a time, so that the masks stay small beside the table
-        for start in range(0, p, _SIGN_CHUNK):
-            chunk = signs[start : start + _SIGN_CHUNK]
-            if not ((chunk == 1) | (chunk == -1)).all():
-                raise ConfigError("table entries must be +1 or -1")
-        signs = signs.astype(np.int8)  # a copy: the caller's array stays writeable
-        signs.flags.writeable = False
-        self.signs = signs
+    def __init__(self, prime: int) -> None:
+        _check_odd_prime(prime)
+        self.prime = prime
 
     @cached_property
-    def is_quadratic(self) -> bool:
-        """Whether this is the quadratic-character table: p an odd prime, +1
-        at 0 and on the nonzero squares mod p, -1 elsewhere (compared
-        entry by entry with the squares mask; legendre_table sets it)."""
-        p = self.prime
-        return p > 2 and is_prime(p) and np.array_equal(self.signs, _quadratic_signs(p))
+    def signs(self) -> np.ndarray:
+        signs = _quadratic_signs(self.prime)
+        signs.flags.writeable = False
+        return signs
 
     @cached_property
     def polynomial(self) -> np.ndarray:
         """P(x) for every x mod p, by a prime-length FFT."""
         # np.fft.fft applies exp(-2 pi i k x / p), the sign convention above
         return np.fft.fft(self.signs.astype(np.complex128)) / math.sqrt(self.prime)
-
-    @cached_property
-    def density(self) -> np.ndarray:
-        """|P(x)|^2 for every x mod p; averages to exactly 1."""
-        # a fresh float array: (vals * vals.conj()).real would be a view that
-        # keeps the complex product alive
-        vals = self.polynomial
-        return vals.real**2 + vals.imag**2
 
     @cached_property
     def density_fourier(self) -> np.ndarray:
@@ -183,17 +152,14 @@ class LegendreTable:
 
     @cached_property
     def numerators(self) -> np.ndarray:
-        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only."""
-        if self.is_quadratic:
-            # the Jacobi sum: -1 + s[j] + s[p - j] for j != 0, and p at 0
-            s, p = self.signs, self.prime
-            out = np.empty(p, dtype=np.int64)
-            out[1:] = s[1:]
-            out[1:] += s[:0:-1]
-            out -= 1
-            out[0] = p
-        else:
-            out = window_autocorrelation_numerators(self)
+        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only.
+        The Jacobi sum: -1 + s[j] + s[p - j] for j != 0, and p at 0."""
+        s, p = self.signs, self.prime
+        out = np.empty(p, dtype=np.int64)
+        out[1:] = s[1:]
+        out[1:] += s[:0:-1]
+        out -= 1
+        out[0] = p
         out.flags.writeable = False
         return out
 
@@ -214,29 +180,13 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def window_autocorrelation_numerators(table: LegendreTable) -> np.ndarray:
-    """p * c(j) for every shift j by direct summation over the table, never
-    the closed form: entry j is sum_x s(x + j) s(x), a float64 dot per
-    shift (BLAS); every partial sum is an integer of magnitude <= p < 2^53,
-    so exact.  Costs p^2 terms; a fresh int64 array."""
-    s = table.signs.astype(np.float64)
+def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
+    """p * c(j) for every shift j of a +/-1 array of length p by direct
+    summation, never the closed form: entry j is sum_x s(x + j) s(x), a
+    float64 dot per shift (BLAS); every partial sum is an integer of
+    magnitude <= p < 2^53, so exact.  Costs p^2 terms; a fresh int64 array."""
+    s = signs.astype(np.float64)
     return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
-
-
-def check_scan_budget(tables, what: str) -> None:
-    """Refuse, before any scan, tables whose all-shift numerators would take
-    more than _SCAN_BUDGET window terms.  Quadratic tables read theirs off
-    the closed form in O(p) and do not count."""
-    cost = sum(t.prime**2 for t in tables if not t.is_quadratic)
-    if cost > _SCAN_BUDGET:
-        raise BudgetError(f"{what} needs {cost} scan terms, budget is {_SCAN_BUDGET}")
-
-
-def check_table_prime(p: int) -> None:
-    """Refuse a prime whose table would square residues past int64:
-    _quadratic_signs squares every k <= (p - 1) / 2 in int64."""
-    if ((p - 1) // 2) ** 2 > 2**63 - 1:
-        raise ConfigError(f"the sign table for {p} would square residues past int64")
 
 
 def _quadratic_signs(p: int) -> np.ndarray:
@@ -254,50 +204,21 @@ def _quadratic_signs(p: int) -> np.ndarray:
     return signs
 
 
-class _SquaresTable(LegendreTable):
-    """The table legendre_table makes: the squares mask is a table by
-    construction, so it is adopted as it is, with neither the entry check
-    nor the defensive copy of __init__, when signs is first read."""
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        signs = _quadratic_signs(self.prime)
-        signs.flags.writeable = False
-        return signs
-
-
 @lru_cache(maxsize=None)
 def legendre_table(p: int) -> LegendreTable:
-    """The Legendre sign table: +1 on the nonzero squares mod p and at 0,
-    -1 elsewhere (Euler's criterion, as in legendre, is the reference).
-    The prime is checked here; the squares mask is built on the first read
-    of signs, so what needs only p (flatness, density sups, numerator
-    counts) builds none."""
-    check_table_prime(p)
-    if not is_prime(p) or p == 2:
-        raise ConfigError(f"{p} is not an odd prime")
-    table = object.__new__(_SquaresTable)
-    table.__dict__.update(prime=p, is_quadratic=True)
-    return table
+    """LegendreTable(p), one per prime.  No squares mask is built until
+    signs is first read, so what needs only p builds none."""
+    return LegendreTable(p)
 
 
-def numerator_counts(table: LegendreTable) -> dict[int, int]:
-    """How many shifts j give each value of p * c(j).  For a quadratic table
-    the Jacobi sum and chi(-1) fix them from p alone: 1 and -3 occur
-    (p - 1) / 2 times each when p = 1 (mod 4), -1 occurs p - 1 times when
-    p = 3 (mod 4), and p once, at j = 0.  Any other table counts its
-    numerators."""
-    p = table.prime
-    if table.is_quadratic:
-        if p % 4 == 1:
-            return {1: (p - 1) // 2, -3: (p - 1) // 2, p: 1}
-        return {-1: p - 1, p: 1}
-    counts: Counter = Counter()
-    # np.unique sorts a copy of what it is given, so it gets a chunk at a time
-    for start in range(0, p, _COUNT_CHUNK):
-        values, m = np.unique(table.numerators[start : start + _COUNT_CHUNK], return_counts=True)
-        counts.update(dict(zip(values.tolist(), m.tolist())))
-    return counts
+def numerator_counts(p: int) -> dict[int, int]:
+    """How many shifts j give each value of p * c(j): the Jacobi sum and
+    chi(-1) fix them from p alone.  1 and -3 occur (p - 1) / 2 times each
+    when p = 1 (mod 4), -1 occurs p - 1 times when p = 3 (mod 4), and p
+    once, at j = 0."""
+    if p % 4 == 1:
+        return {1: (p - 1) // 2, -3: (p - 1) // 2, p: 1}
+    return {-1: p - 1, p: 1}
 
 
 def gauss_sum(p: int, x: int) -> complex:
@@ -322,17 +243,13 @@ def gauss_sum_all(p: int) -> np.ndarray:
 
 
 def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
-    """p * c(j) as an exact integer: sum_x eps(x) eps(x + j).  O(1) by the
-    closed form for a quadratic table, one O(p) slice-pair sum otherwise."""
+    """p * c(j) as an exact integer, O(1) by the Jacobi sum."""
     p = table.prime
     j %= p
     if j == 0:
         return p
     s = table.signs
-    if table.is_quadratic:
-        return -1 + int(s[j]) + int(s[p - j])
-    # int8 products of +/-1 cannot overflow; they are summed in int64
-    return int((s[: p - j] * s[j:]).sum(dtype=np.int64) + (s[p - j :] * s[:j]).sum(dtype=np.int64))
+    return -1 + int(s[j]) + int(s[p - j])
 
 
 def character_polynomial_values(p: int) -> np.ndarray:
@@ -340,53 +257,35 @@ def character_polynomial_values(p: int) -> np.ndarray:
 
 
 class FlatnessReport(NamedTuple):
-    """Sup/inf of |P| away from 0 and the sup of |P|^2, with the route
-    that gave them ('gauss-sum' for the closed form of a quadratic table,
-    'fft-scan' for an exhaustive scan), plus the parity class of the Gauss
-    sum: 'one' for real (p = 1 mod 4), 'imaginary-unit' for purely
-    imaginary (p = 3 mod 4)."""
+    """Sup/inf of |P| away from 0 and the sup of |P|^2, plus the parity
+    class of the Gauss sum: 'one' for real (p = 1 mod 4), 'imaginary-unit'
+    for purely imaginary (p = 3 mod 4)."""
 
     prime: int
     min_modulus: float
     max_modulus: float
     delta_sign: str
     density_sup: float
-    route: str
 
 
-def table_flatness_report(table: LegendreTable) -> FlatnessReport:
+def flatness_report(p: int) -> FlatnessReport:
     """The extremes of |P(x)| over x != 0 and the sup of |P|^2, checked
-    against the flatness window.  For a quadratic table the Gauss sum fixes
-    them: 1 -/+ 1/sqrt(p) and (1 + 1/sqrt(p))^2 when p = 1 (mod 4),
-    sqrt(1 + 1/p) and 1 + 1/p when p = 3 (mod 4), and no P is formed.  Any
-    other table is scanned at every x."""
-    p = table.prime
+    against the flatness window.  The Gauss sum fixes them: 1 -/+ 1/sqrt(p)
+    and (1 + 1/sqrt(p))^2 when p = 1 (mod 4), sqrt(1 + 1/p) and 1 + 1/p
+    when p = 3 (mod 4); no table and no P is formed."""
+    _check_odd_prime(p)
     root = math.sqrt(p)
-    if table.is_quadratic:
-        route = "gauss-sum"
-        if p % 4 == 1:
-            lo, hi, sup = 1 - 1 / root, 1 + 1 / root, (1 + 1 / root) ** 2
-        else:
-            lo = hi = math.sqrt(1 + 1 / p)
-            sup = 1 + 1 / p
+    if p % 4 == 1:
+        lo, hi, sup = 1 - 1 / root, 1 + 1 / root, (1 + 1 / root) ** 2
     else:
-        route = "fft-scan"
-        mods = np.abs(table.polynomial)[1:]
-        lo, hi = float(mods.min()), float(mods.max())
-        sup = float(table.density.max())
+        lo = hi = math.sqrt(1 + 1 / p)
+        sup = 1 + 1 / p
     if lo < 1 - 1 / root - _NUMERIC_TOL or hi > 1 + 1 / root + _NUMERIC_TOL:
-        raise InternalConsistencyError(
-            f"flatness window violated at p={p}: [{lo}, {hi}]"
-        )
+        raise InternalConsistencyError(f"flatness window violated at p={p}: [{lo}, {hi}]")
     return FlatnessReport(
         prime=p,
         min_modulus=lo,
         max_modulus=hi,
         delta_sign="one" if p % 4 == 1 else "imaginary-unit",
         density_sup=sup,
-        route=route,
     )
-
-
-def flatness_report(p: int) -> FlatnessReport:
-    return table_flatness_report(legendre_table(p))

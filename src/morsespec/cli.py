@@ -30,11 +30,10 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 # numpy itself loads on first use, which certify and names never make
 from . import lazy_numpy
 from .charsums import (
+    LegendreTable,
     flatness_report,
     gauss_sum_all,
     legendre_symbols,
-    legendre_table,
-    table_flatness_report,
     window_autocorrelation_numerators,
 )
 from .cocycle import build_context
@@ -404,7 +403,7 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     k_cap = min(rc.k_max, group_order)
     _check_score_range(n, k_cap, group_order)  # before any search, not at the k that fails
     # Q never exceeds the stage-n density sup; it can falsify only a certificate
-    stage_sup = math.prod(table_flatness_report(t).density_sup for t in ctx.tables[:n])
+    stage_sup = math.prod(flatness_report(p).density_sup for p in cfg.primes[:n])
     cert = density_certificate(ctx, rc.split_level, rc.assume_tail_rule)
     per_k = []
     best_entry = None
@@ -463,7 +462,6 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
     max_parity_err = 0.0
     max_density_err = 0.0
     max_flatness_err = 0.0
-    flatness_ok = True
     closed_form_ok = True
     worst_prime = None
     for p in primes:
@@ -481,11 +479,10 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_gauss_err = err
             worst_prime = p
         max_parity_err = max(max_parity_err, np.abs(off_axis).max())
-        table = legendre_table.__wrapped__(p)  # uncached: freed with the next prime
+        table = LegendreTable(p)  # uncached: freed with the next prime
         # the Gauss-sum closed form (it raises on a window violation) against
         # the exhaustive scan of |P| that it replaces everywhere else
-        flatness = table_flatness_report(table)
-        flatness_ok = flatness_ok and flatness.route == "gauss-sum"
+        flatness = flatness_report(p)
         mods = np.abs(table.polynomial)[1:]
         max_flatness_err = max(
             max_flatness_err,
@@ -493,7 +490,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             abs(float(mods.max()) - flatness.max_modulus),
         )
         # summed over the table, not read off the closed form it is checked against
-        numerators = window_autocorrelation_numerators(table)
+        numerators = window_autocorrelation_numerators(table.signs)
         # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
         closed = -1 + chi + chi[-np.arange(p) % p]
         closed[0] = p
@@ -502,7 +499,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_density_err,
             np.abs(numerators / p - table.density_fourier).max(),
         )
-    flatness_ok = flatness_ok and max_flatness_err <= rc.tolerance_transcendental
+    flatness_ok = max_flatness_err <= rc.tolerance_transcendental
     ok = (
         max_gauss_err <= rc.tolerance_transcendental
         and max_parity_err <= rc.tolerance_transcendental

@@ -60,7 +60,7 @@ class CocycleContext(_Context):
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
-    """Assemble the per-prime sign tables.  legendre_table checks each prime
+    """Assemble the per-prime sign tables.  LegendreTable checks each prime
     and builds no sign array until one is read."""
     tables = tuple(legendre_table(p) for p in cfg.primes)
     return CocycleContext(cfg=cfg, tables=tables)

@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .charsums import check_scan_budget, numerator_counts
+from .charsums import numerator_counts
 from .cocycle import CocycleContext
 from .errors import ConfigError
 from .odometer import level_group_order
@@ -56,9 +56,7 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     counts over G_n multiply per prime, and each unordered {h, h'} with
     coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2."""
     size = level_group_order(n, ctx.cfg)
-    tables = ctx.tables[:n]
-    check_scan_budget(tables, f"stage {n}")
-    per_prime = [{Fraction(v, t.prime): m for v, m in numerator_counts(t).items()} for t in tables]
+    per_prime = [{Fraction(v, p): m for v, m in numerator_counts(p).items()} for p in ctx.cfg.primes[:n]]
     histogram: Counter = Counter()
     for combo in itertools.product(*(counts.items() for counts in per_prime)):
         c = math.prod(value for value, _ in combo)

@@ -14,10 +14,9 @@ zero-padded FFT autocorrelation r_n of the signs (see charsums).
 
 The measure with these coefficients has a density whose sup is the
 product of the per-coordinate sups.  Every coordinate up to a chosen split
-is bounded by its own sup: in closed form from the Gauss sum for a
-quadratic-character table, by an exhaustive scan for any other (see
-charsums.table_flatness_report); for coordinates past the split kept
-under the growth floor p_n >= 5^(2(n+1)) the remaining product is at
+is bounded by its own sup, in closed form from the Gauss sum (see
+charsums.flatness_report); for coordinates past the split kept under the
+growth floor p_n >= 5^(2(n+1)) the remaining product is at
 most exp(2.5 * 5^-(split+1)), since each factor is at most
 (1 + 5^-(n+1))^2 and log(1 + x) <= x.  A total below 2 certifies the
 two-atom separation property: for any k distinct group elements theta_i
@@ -41,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .charsums import autocorrelation_numerator, check_scan_budget, table_flatness_report
+from .charsums import autocorrelation_numerator, flatness_report
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (
@@ -82,8 +81,8 @@ def spectral_coefficient_ratios(
     and positive denominators: the product over the coordinates of the
     numerators p_n * c_n(r_n), over prod p_n.  A coordinate at residue 0
     contributes p_n / p_n, so only the support counts.  Each distinct
-    shift of a coordinate costs one per-shift numerator (O(1) on a
-    quadratic table), never the all-shift array."""
+    shift of a coordinate costs one O(1) per-shift numerator, never the
+    all-shift array."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
@@ -182,9 +181,7 @@ class DensityCertificate(NamedTuple):
 
     finite_window is the per-coordinate analytic window product
     prod (1 + 1/sqrt(p_n))^2 over the finite coordinates; their sups can
-    only sharpen it.  scanned_factors counts the finite coordinates whose
-    sup came from an exhaustive scan rather than the Gauss-sum closed
-    form.  status is 'certified' when the total lands below 2,
+    only sharpen it.  status is 'certified' when the total lands below 2,
     'not-certified' when a valid total fails that threshold, and
     'inconclusive' when no growth rule covers the tail.
     """
@@ -196,7 +193,6 @@ class DensityCertificate(NamedTuple):
     total_bound: float | None
     status: str
     sbh_certified: bool
-    scanned_factors: int
 
 
 def density_certificate(
@@ -205,7 +201,7 @@ def density_certificate(
     assume_tail_rule: bool = False,
 ) -> DensityCertificate:
     """Certify sup(density) < 2 by the per-coordinate sups up to the split
-    (table_flatness_report) and the growth-floor tail bound past it.
+    (flatness_report) and the growth-floor tail bound past it.
 
     The tail bound applies when the configuration is theorem-grade, or
     when assume_tail_rule asserts the growth floor for all coordinates
@@ -220,11 +216,8 @@ def density_certificate(
 
     finite_sup = 1.0
     finite_window = 1.0
-    scanned = 0
-    for p, table in zip(cfg.primes[:m], ctx.tables[:m]):
-        flatness = table_flatness_report(table)
-        finite_sup *= flatness.density_sup
-        scanned += flatness.route == "fft-scan"
+    for p in cfg.primes[:m]:
+        finite_sup *= flatness_report(p).density_sup
         finite_window *= (1.0 + 1.0 / math.sqrt(p)) ** 2
     if finite_sup > finite_window * (1.0 + 1e-9):
         raise InternalConsistencyError(
@@ -257,7 +250,6 @@ def density_certificate(
         total_bound=total,
         status=status,
         sbh_certified=status == "certified",
-        scanned_factors=scanned,
     )
 
 
@@ -375,7 +367,6 @@ def sbh_adversarial_search(
     _check_score_range(n, k, m)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
-    check_scan_budget(ctx.tables[:n], f"stage {n}")
     luts = [t.numerators for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -515,14 +506,8 @@ def sbh_verdict(
     cert = density_certificate(ctx, split_level=split_level, assume_tail_rule=assume_tail_rule)
     if cert.sbh_certified:
         verdict = "non-AT certified"
-        if cert.scanned_factors == 0:
-            source = "the Gauss sums bound"
-        elif cert.scanned_factors == cert.split_level:
-            source = "exhaustive scan bounds"
-        else:
-            source = "the Gauss sums and an exhaustive scan bound"
         reasons = (
-            f"{source} the first {cert.split_level} density factors by {cert.finite_sup:.9f}",
+            f"the Gauss sums bound the first {cert.split_level} density factors by {cert.finite_sup:.9f}",
             f"the growth floor bounds the remaining factors by {cert.tail_bound:.9f}",
             f"sup of the spectral density is at most {cert.total_bound:.9f} < 2",
             "the sign involution commutes with every skew translation, so the bound applies to the flip factor",

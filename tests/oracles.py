@@ -7,6 +7,8 @@ direct form of something the package computes in closed form or in bulk.
   (charsums.gauss_sum and gauss_sum_all are checked against it);
 - autocorrelation_closed_form: c_p(j) by Euler's criterion, as an exact
   Fraction (the numerators of a Legendre table are checked against it);
+- fft_scan_flatness: the extremes of |P| and of |P|^2 by scanning P at
+  every p-th root of unity (charsums.flatness_report is checked against it);
 - FunnyWord, complement, hamming, name_word, NameAtlas, name_atlas: the
   exhaustive word atlas of a stage and its exact Hamming distances
   (diagnostics.name_separation is checked against it).
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from morsespec.charsums import legendre
+from morsespec.charsums import LegendreTable, legendre
 from morsespec.cocycle import CocycleContext, cocycle_at_zero
 from morsespec.errors import BudgetError, ConfigError
 from morsespec.odometer import GroupElement, add, enumerate_level_group, level_group_order
@@ -40,6 +42,15 @@ def autocorrelation_closed_form(p: int, j: int) -> Fraction:
     if j == 0:
         return Fraction(1)
     return Fraction(-1 + legendre(j, p) + legendre(p - j, p), p)
+
+
+def fft_scan_flatness(p: int) -> tuple[float, float, float, float]:
+    """min and max of |P(x)| over x != 0, and max and mean of |P(x)|^2
+    over every x, from the prime-length FFT of a fresh table."""
+    vals = LegendreTable(p).polynomial
+    density = vals.real**2 + vals.imag**2
+    mods = np.abs(vals)[1:]
+    return float(mods.min()), float(mods.max()), float(density.max()), float(density.mean())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ import morsespec as ms
 from morsespec import charsums
 from morsespec.charsums import autocorrelation_numerator, legendre_symbols
 from morsespec.errors import ConfigError, InternalConsistencyError
-from oracles import autocorrelation_closed_form, gauss_sum_brute
+from oracles import autocorrelation_closed_form, fft_scan_flatness, gauss_sum_brute
 
 ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
@@ -58,6 +59,23 @@ def test_legendre_table_structure():
         ms.legendre_table(9)
     with pytest.raises(ConfigError):
         ms.legendre_table(2)
+
+
+def test_table_accepts_sequences_and_arrays():
+    # a table is built from its prime alone, directly or through the
+    # per-prime cache, and hands out read-only int8 signs and numerators
+    expected = [1, 1, -1, -1, 1]
+    for table in (ms.LegendreTable(5), ms.legendre_table(5)):
+        assert table.signs.dtype == np.int8
+        assert not table.signs.flags.writeable
+        assert table.signs.tolist() == expected
+        assert table.numerators.tolist() == [5, 1, -3, -3, 1]
+        with pytest.raises(ValueError):
+            table.signs[1] = -1
+    # identity equality and hashing: one table per prime from legendre_table
+    assert ms.legendre_table(5) == ms.legendre_table(5)
+    assert ms.LegendreTable(5) != ms.LegendreTable(5)
+    assert len({ms.LegendreTable(5), ms.legendre_table(5), ms.legendre_table(5)}) == 2
 
 
 def test_legendre_table_refuses_primes_squared_past_int64(monkeypatch):
@@ -125,79 +143,41 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
 def test_closed_form_numerators_match_the_window_route_below_3000():
     for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
         table = ms.legendre_table(p)
-        window = charsums.window_autocorrelation_numerators(table)
+        window = charsums.window_autocorrelation_numerators(table.signs)
         assert np.array_equal(table.numerators, window), p
 
 
-def test_autocorrelation_numerators_accept_custom_tables():
-    rng = np.random.default_rng(11)
-    for p in (3, 17, 101, 631):
-        values = (1,) + tuple(rng.choice([-1, 1], size=p - 1).tolist())
-        table = ms.LegendreTable(prime=p, signs=values)
-        numerators = table.numerators
-        assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
-        assert np.abs(table.density_fourier - numerators / p).max() < 1e-12, p
+def test_table_validation(monkeypatch):
+    # LegendreTable and flatness_report refuse what is no odd prime, and a
+    # prime past the int64 squares limit (p_6), before building anything;
+    # flatness_report never fills legendre_table's cache
+    def no_table(p):
+        raise AssertionError(f"table for {p} built")
 
-
-def test_table_validation():
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=5, signs=(1, 1, -1, -1))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=(-1, 1, 1))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=(1, 0, 1))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=(1, 1.5, -1))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=np.array([1.0, 1.5, -1.0]))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=np.array([[1, 1, -1]], dtype=np.int8))
-    with pytest.raises(ConfigError):
-        ms.LegendreTable(prime=3, signs=np.array([1, 2, -1], dtype=np.int8))
-    with pytest.raises(ConfigError, match="entry at 0"):
-        ms.LegendreTable(prime=0, signs=())
-
-
-def test_table_check_reaches_every_chunk():
-    p = 3 * charsums._SIGN_CHUNK + 5
-    for bad in (charsums._SIGN_CHUNK - 1, 2 * charsums._SIGN_CHUNK, p - 1):
-        signs = np.ones(p)
-        signs[bad] = 0.5
-        with pytest.raises(ConfigError, match=r"\+1 or -1"):
-            ms.LegendreTable(prime=p, signs=signs)
+    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
+    monkeypatch.setattr(charsums, "legendre_table", cache)
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_table)
+    for p in (1, 2, 9, 15, 6_103_515_637):
+        with pytest.raises(ConfigError):
+            ms.LegendreTable(p)
+        with pytest.raises(ConfigError):
+            ms.flatness_report(p)
+    for p in (5, 7, 29):
+        ms.flatness_report(p)
+    assert cache.cache_info().currsize == 0
 
 
 def test_tables_are_built_without_table_sized_temporaries():
-    # legendre_table adopts its squares mask as it is, and the entry check
-    # of any other table runs in chunks: only the kept int8 array is p bytes
+    # the squares mask is built in chunks and kept as it is: only the int8
+    # array is p bytes
     p = 9_765_629  # p_4: the chunks of squares are small beside it
     tracemalloc.start()
     try:
-        table = charsums.legendre_table.__wrapped__(p)
+        ms.LegendreTable(p).signs
         _, built = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        ms.LegendreTable(prime=p, signs=table.signs)
-        _, checked = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert built < 1.2 * p  # the table and two int64 chunks of squares
-    assert checked < 2.2 * p  # the table and its copy
-
-
-def test_table_accepts_sequences_and_arrays():
-    expected = (1, 1, -1, -1, 1)
-    caller = np.array(expected, dtype=np.int8)
-    for signs in (expected, list(expected), caller, caller.astype(np.int64)):
-        table = ms.LegendreTable(prime=5, signs=signs)
-        assert table.signs.dtype == np.int8
-        assert not table.signs.flags.writeable
-        assert tuple(table.signs.tolist()) == expected
-        assert table.numerators.tolist() == [5, 1, -3, -3, 1]
-    assert caller.flags.writeable  # the table keeps a copy
-    # identity equality and hashing: one table per prime from legendre_table
-    assert ms.legendre_table(5) == ms.legendre_table(5)
-    assert ms.LegendreTable(prime=5, signs=expected) != ms.LegendreTable(prime=5, signs=expected)
-    assert len({table, table, ms.legendre_table(5)}) == 2
 
 
 def _gauss_direct(p, x):
@@ -294,42 +274,22 @@ def test_flatness_report_frozen_values():
     assert rep_big.max_modulus <= 1 + 1 / root + 1e-9
 
 
-def _fresh(p):
-    """A Legendre table with nothing cached, outside legendre_table's cache."""
-    return ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
-
-
 def test_numerator_counts_closed_form_against_the_numerators():
     # the value counts from p alone, before any sign is built, against
     # np.unique of the numerators summed over the table (p < 3000) or read
     # off the Jacobi sum (p_3); sum counts = p, and sum value * count =
     # (sum_x s(x))^2 = 1
     for p in [q for q in range(3, 3000) if sympy.isprime(q)] + [390_647]:
-        table = ms.legendre_table.__wrapped__(p)  # uncached: freed with the next prime
-        counts = charsums.numerator_counts(table)
-        assert "signs" not in table.__dict__, p
+        counts = charsums.numerator_counts(p)
+        table = ms.LegendreTable(p)  # uncached: freed with the next prime
         if p < 3000:
-            numerators = charsums.window_autocorrelation_numerators(table)
+            numerators = charsums.window_autocorrelation_numerators(table.signs)
         else:
             numerators = table.numerators
         values, m = np.unique(numerators, return_counts=True)
         assert counts == dict(zip(values.tolist(), m.tolist())), p
         assert sum(counts.values()) == p
         assert sum(v * c for v, c in counts.items()) == 1
-
-
-def test_quadratic_check():
-    for p in ODD_PRIMES_BELOW_500 + [15629]:
-        assert ms.legendre_table(p).is_quadratic, p
-        assert _fresh(p).is_quadratic, p
-    flipped = ms.legendre_table(29).signs.copy()
-    flipped[5] = -flipped[5]
-    assert not ms.LegendreTable(prime=29, signs=flipped).is_quadratic
-    assert not ms.LegendreTable(prime=3, signs=(1, -1, -1)).is_quadratic
-    # lengths that are no odd prime never pass, whatever the entries
-    assert not ms.LegendreTable(prime=9, signs=(1, 1, -1, -1, 1, -1, -1, 1, -1)).is_quadratic
-    assert not ms.LegendreTable(prime=2, signs=(1, 1)).is_quadratic
-    assert not ms.LegendreTable(prime=1, signs=(1,)).is_quadratic
 
 
 def test_quadratic_signs_match_euler_criterion(monkeypatch):
@@ -344,32 +304,15 @@ def test_quadratic_signs_match_euler_criterion(monkeypatch):
             assert np.array_equal(signs[1:], legendre_symbols(p)[1:]), (p, chunk)
 
 
-def test_legendre_table_knows_it_is_quadratic(monkeypatch):
-    table = ms.legendre_table.__wrapped__(29)
-    custom = _fresh(29)  # same signs, not built by legendre_table
-
-    def no_mask(p):
-        raise AssertionError("the squares mask was built a second time")
-
-    monkeypatch.setattr(charsums, "_quadratic_signs", no_mask)
-    assert table.is_quadratic
-    with pytest.raises(AssertionError, match="second time"):
-        custom.is_quadratic
-
-
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 631, 15629, 390_647])
 def test_flatness_closed_form_against_the_fft_scan(p):
     # the primes of acceptance criterion 02 plus p_3; the scan may differ
     # from the Gauss-sum values by float round-off and by nothing more
-    table = _fresh(p)
-    rep = ms.charsums.table_flatness_report(table)
-    assert rep.route == "gauss-sum"
-    assert set(table.__dict__) <= {"prime", "signs", "is_quadratic"}
-    mods = np.abs(table.polynomial)[1:]
-    sup = table.density.max()
+    rep = ms.flatness_report(p)
+    lo, hi, sup, _ = fft_scan_flatness(p)
     roundoff = 1e-13
-    assert abs(mods.min() - rep.min_modulus) <= roundoff
-    assert abs(mods.max() - rep.max_modulus) <= roundoff
+    assert abs(lo - rep.min_modulus) <= roundoff
+    assert abs(hi - rep.max_modulus) <= roundoff
     assert abs(sup - rep.density_sup) <= roundoff
     root = math.sqrt(p)
     if p % 4 == 1:
@@ -380,29 +323,13 @@ def test_flatness_closed_form_against_the_fft_scan(p):
         assert rep.density_sup == 1 + 1 / p
 
 
-def test_a_flipped_entry_takes_the_scan_route():
-    # one flipped entry pushes |P| out of the window; only the scan sees it
-    signs = ms.legendre_table(29).signs.copy()
-    signs[5] = -signs[5]
-    table = ms.LegendreTable(prime=29, signs=signs)
-    with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
-        ms.charsums.table_flatness_report(table)
-    assert "polynomial" in table.__dict__
-
-
-def test_a_negated_table_is_scanned_and_stays_flat():
-    # eps(k) = -(k|p) off 0 is no quadratic table but just as flat: the
-    # Gauss sum gives |1 -/+ g| / sqrt(p), the same extremes
-    for p in (29, 631):
-        signs = -ms.legendre_table(p).signs
-        signs[0] = 1
-        table = ms.LegendreTable(prime=p, signs=signs)
-        rep = ms.charsums.table_flatness_report(table)
-        assert rep.route == "fft-scan"
-        assert rep.density_sup == table.density.max()
-        closed = ms.flatness_report(p)
-        assert abs(rep.min_modulus - closed.min_modulus) < 1e-12
-        assert abs(rep.max_modulus - closed.max_modulus) < 1e-12
+def test_flatness_report_checks_the_window(monkeypatch):
+    # the closed form is checked against the flatness window all the same;
+    # a negative tolerance puts every value outside it
+    monkeypatch.setattr(charsums, "_NUMERIC_TOL", -0.5)
+    for p in (7, 29):
+        with pytest.raises(InternalConsistencyError, match=f"flatness window violated at p={p}"):
+            ms.flatness_report(p)
 
 
 def _autocorr_brute(p, j):
@@ -477,7 +404,7 @@ def test_density_fourier_is_bit_identical_to_the_reference(p):
     spec = np.fft.rfft(signs, n)
     r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
     reference = (r[:p] + r[n - p :]) / p
-    assert np.array_equal(_fresh(p).density_fourier, reference)
+    assert np.array_equal(ms.LegendreTable(p).density_fourier, reference)
 
 
 def _smooth(n):
@@ -508,7 +435,7 @@ def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
         return r
 
     monkeypatch.setattr(charsums.np.fft, "irfft", skewed)
-    table = ms.LegendreTable(prime=7, signs=ms.legendre_table(7).signs)  # nothing cached yet
+    table = ms.LegendreTable(7)  # nothing cached yet
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
         table.density_fourier
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
@@ -517,45 +444,35 @@ def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
 
 def test_density_mean_is_one():
     for p in (5, 7, 29, 631, 15629):
-        assert abs(ms.legendre_table(p).density.mean() - 1.0) < 1e-12
-
-
-def test_table_level_routines_accept_custom_tables():
-    table = ms.LegendreTable(prime=3, signs=(1, -1, -1))
-    dens = table.density
-    assert abs(dens.mean() - 1.0) < 1e-12
-    assert Fraction(autocorrelation_numerator(table, 0), 3) == 1
-    # brute: (1*-1) + (-1*-1) + (-1*1) = -1
-    assert Fraction(autocorrelation_numerator(table, 1), 3) == Fraction(-1, 3)
-    assert autocorrelation_numerator(table, 1) == -1
-    assert abs(table.density_fourier[1] - float(Fraction(-1, 3))) < 1e-12
-    assert table.polynomial.shape == (3,)
+        assert abs(fft_scan_flatness(p)[3] - 1.0) < 1e-12
 
 
 def test_cached_density_owns_its_data():
-    # a view such as (P * conj(P)).real would keep the complex product alive
+    # a view into the padded autocorrelation would keep the FFT buffers alive
     for p in (5, 29, 15629):
-        table = ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs)
-        dens = table.density
+        table = ms.LegendreTable(p)
+        dens = table.density_fourier
         assert dens.dtype == np.float64
         assert dens.base is None and dens.flags.owndata, p
-        vals = table.polynomial
-        assert np.array_equal(dens, (vals * vals.conj()).real), p
+        assert set(table.__dict__) == {"prime", "signs", "density_fourier"}, p
 
 
 def test_all_shift_numerators_match_an_int64_window_sum():
-    # the float64 correlate route against an exact int64 window sum, on
-    # Legendre and on arbitrary +/-1 tables
+    # the closed form and the float64 correlate route against an exact int64
+    # window sum, on Legendre tables; the correlate route also on arbitrary
+    # +/-1 arrays, which no closed form covers
     rng = np.random.default_rng(5)
-    tables = [ms.legendre_table(p) for p in (3, 5, 97, 997)]
-    for p in (3, 8, 101, 1000):
-        signs = rng.choice([-1, 1], size=p)
-        signs[0] = 1
-        tables.append(ms.LegendreTable(prime=p, signs=signs))
-    for table in tables:
-        s = table.signs.astype(np.int64)
-        window = np.array([np.dot(np.roll(s, -j), s) for j in range(table.prime)])
+    arrays = []
+    for table in [ms.legendre_table(p) for p in (3, 5, 97, 997)]:
         numerators = table.numerators
         assert numerators.dtype == np.int64
         assert not numerators.flags.writeable
-        assert np.array_equal(numerators, window), table.prime
+        arrays.append((table.signs, numerators))
+    for p in (3, 8, 101, 1000):
+        arrays.append((rng.choice([-1, 1], size=p).astype(np.int8), None))
+    for signs, numerators in arrays:
+        s = signs.astype(np.int64)
+        window = np.array([np.dot(np.roll(s, -j), s) for j in range(len(s))])
+        if numerators is not None:
+            assert np.array_equal(numerators, window), len(s)
+        assert np.array_equal(charsums.window_autocorrelation_numerators(signs), window), len(s)

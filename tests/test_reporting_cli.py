@@ -619,29 +619,6 @@ def test_names_theorem_stage(capsys):
     assert res["delta_min"] == "13/29"
 
 
-def _custom_tables(p):
-    """The Legendre table with the square 1 flipped: not the quadratic
-    character, so its numerators need the window route."""
-    signs = ms.legendre_table.__wrapped__(p).signs.copy()
-    signs[1] = -1
-    return ms.LegendreTable(prime=p, signs=signs)
-
-
-def test_names_budget_exceeded(capsys, monkeypatch):
-    # on tables other than the quadratic character, stage 4 of the theorem
-    # primes needs about 1.5e11 exact window terms; the budget refuses it
-    # before any scan
-    def no_scan(*args):
-        raise AssertionError("autocorrelation scanned past the budget")
-
-    monkeypatch.setattr("morsespec.cocycle.legendre_table", _custom_tables)
-    monkeypatch.setattr("morsespec.charsums.window_autocorrelation_numerators", no_scan)
-    code, out, err = run_cli(capsys, "names", "--theorem", "4")
-    assert code == 64
-    assert out == ""
-    assert "budget" in err
-
-
 def test_names_and_search_at_theorem_stage_4(capsys):
     # the quadratic tables' numerators come from the closed form in O(p),
     # so stage 4 (sum p^2 = 1.5e11) runs
@@ -731,9 +708,9 @@ def test_gauss_check_compares_the_window_route(capsys, monkeypatch):
     # table; one wrong entry must fail the check
     window = ms.charsums.window_autocorrelation_numerators
 
-    def flipped(table):
-        out = window(table)
-        if table.prime == 13:
+    def flipped(signs):
+        out = window(signs)
+        if len(signs) == 13:
             out[4] = -out[4]
         return out
 
@@ -764,7 +741,7 @@ def test_coeffs_builds_no_all_shift_numerators(capsys, monkeypatch):
     code, report, _ = run_json(capsys, "coeffs", "--theorem", "3", "1,2,3", "5,0,77")
     assert code == 0 and report["results"]["routes_agree"] is True
     for p in ms.theorem_primes(3):
-        assert set(cache(p).__dict__) <= {"prime", "signs", "is_quadratic", "density_fourier"}, p
+        assert set(cache(p).__dict__) <= {"prime", "signs", "density_fourier"}, p
 
 
 def test_coeffs_level_spec_keeps_its_checks(capsys):
@@ -783,11 +760,11 @@ def test_coeffs_level_spec_keeps_its_checks(capsys):
 
 
 def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
-    # each swept prime's table is built outside the lru_cache and freed; an
-    # empty cache in its place shows this even for primes other tests cached
+    # each swept prime's table is built outside the lru_cache and freed, and
+    # flatness_report builds none; an empty cache in its place shows this
+    # even for primes other tests cached
     cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
     monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
-    monkeypatch.setattr("morsespec.cli.legendre_table", cache)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "200")
     assert code == 0 and report["results"]["all_ok"] is True
     assert cache.cache_info().currsize == 0
@@ -795,15 +772,15 @@ def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
 
 def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
     # the closed form must match the FFT scan of |P| within 1e-9
-    real = cli.table_flatness_report
+    real = cli.flatness_report
 
-    def shifted(table):
-        rep = real(table)
-        if table.prime == 13:
+    def shifted(p):
+        rep = real(p)
+        if p == 13:
             rep = rep._replace(min_modulus=rep.min_modulus + 1e-6)
         return rep
 
-    monkeypatch.setattr(cli, "table_flatness_report", shifted)
+    monkeypatch.setattr(cli, "flatness_report", shifted)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
     assert code == 2
     assert report["results"]["flatness_ok"] is False
@@ -811,9 +788,8 @@ def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
 
 
 def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
-    # every table passes the quadratic check, so flatness and the density
-    # sups come from the Gauss sums: no FFT runs, and no table keeps P or
-    # |P|^2 afterwards
+    # flatness and the density sups come from the Gauss sums: no FFT runs,
+    # and no table keeps P afterwards
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran for a quadratic table")
 
@@ -830,7 +806,7 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
     assert cache.cache_info().currsize == len(primes)
     for p in primes:
         table = cache(p)
-        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "numerators"}, p
+        assert set(table.__dict__) <= {"prime", "signs", "numerators"}, p
 
 
 def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
@@ -865,7 +841,7 @@ def test_tables_build_their_signs_on_first_read(capsys, monkeypatch):
     for argv in (["certify"], ["names"], ["sbh-search", "--k-max", "1"]):
         code, _, _ = run_cli(capsys, *argv, "--theorem", "1")
         assert code == 0
-        assert set(cache(29).__dict__) == {"prime", "is_quadratic"}, argv
+        assert set(cache(29).__dict__) == {"prime"}, argv
     code, _, _ = run_cli(capsys, "sbh-search", "--theorem", "1", "--k-max", "4")
     assert code == 0
     assert "signs" in cache(29).__dict__
@@ -893,6 +869,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("coeffs_5_7_csv", ["coeffs", "--primes", "5,7", "--format", "csv"]),
         ("gauss_check_300", ["gauss-check", "--pmax", "300"]),
         ("certify_theorem_3", ["certify", "--theorem", "3", "--format", "csv"]),
+        ("names_theorem_6", ["names", "--theorem", "6"]),
+        ("certify_theorem_6", ["certify", "--theorem", "6"]),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):

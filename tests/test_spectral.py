@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import morsespec as ms
 from morsespec import spectral
 from morsespec.charsums import autocorrelation_numerator
-from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
+from morsespec.errors import BudgetError, ConfigError
 from oracles import autocorrelation_closed_form
 
 CFG = ms.make_group_config([5, 7])
@@ -135,9 +135,9 @@ def test_exact_ratios_stay_exact_past_int64():
 
 
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
-    # on quadratic tables the exact route reads the closed form off the
-    # int8 signs: nothing else is cached on the tables
-    tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
+    # the exact route reads the closed form off the int8 signs: nothing
+    # else is cached on the tables
+    tables = tuple(ms.LegendreTable(p) for p in cfg5711.primes)
     ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
     assert values == [
@@ -148,8 +148,7 @@ def test_exact_route_reads_only_per_shift_numerators(cfg5711):
         autocorrelation_closed_form(5, 4),
     ]
     for table in tables:
-        assert table.is_quadratic
-        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic"}
+        assert set(table.__dict__) == {"prime", "signs"}
 
 
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
@@ -161,14 +160,13 @@ def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     monkeypatch.setattr(np.fft, "ifft", no_fft)
-    tables = tuple(ms.LegendreTable(prime=p, signs=ms.legendre_table(p).signs) for p in cfg5711.primes)
+    tables = tuple(ms.LegendreTable(p) for p in cfg5711.primes)
     ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
     for g in ms.enumerate_level_group(3, cfg5711):
         ms.spectral_coefficient(g, ctx)
         ms.spectral_coefficient_from_density(g, ctx)
     for table in tables:
-        assert "density_fourier" in table.__dict__
-        assert set(table.__dict__) <= {"prime", "signs", "is_quadratic", "density_fourier"}
+        assert set(table.__dict__) == {"prime", "signs", "density_fourier"}
 
 
 def test_geometric_tail_bound_dominates_partial_products():
@@ -248,43 +246,6 @@ def test_certificate_assumed_tail_rule(ctx29):
 def test_certificate_assumed_tail_rule_rejected_below_floor(ctx57):
     with pytest.raises(ConfigError):
         ms.density_certificate(ctx57, split_level=0, assume_tail_rule=True)
-
-
-def _custom_ctx(cfg, *tables):
-    return ms.CocycleContext(cfg=cfg, tables=tables)
-
-
-def _negated(p):
-    # eps(k) = -(k|p) off 0: flat, but no quadratic table
-    signs = -ms.legendre_table(p).signs
-    signs[0] = 1
-    return ms.LegendreTable(prime=p, signs=signs)
-
-
-def test_certificate_scans_a_flipped_table(cfg29):
-    signs = ms.legendre_table(29).signs.copy()
-    signs[5] = -signs[5]
-    table = ms.LegendreTable(prime=29, signs=signs)
-    with pytest.raises(InternalConsistencyError, match="flatness window violated at p=29"):
-        ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
-    assert "density" in table.__dict__
-
-
-def test_certificate_and_verdict_name_the_scanned_factors(cfg29):
-    table = _negated(29)
-    cert = ms.density_certificate(_custom_ctx(cfg29, table), assume_tail_rule=True)
-    assert cert.scanned_factors == 1
-    assert cert.finite_sup == table.density.max()
-    assert cert.finite_sup == pytest.approx(ms.flatness_report(29).density_sup, abs=1e-12)
-    verdict = ms.sbh_verdict(_custom_ctx(cfg29, table), assume_tail_rule=True)
-    assert verdict.reasons[0].startswith("exhaustive scan bounds the first 1 density factors")
-    cfg = ms.make_group_config([29, 631])
-    mixed = ms.sbh_verdict(_custom_ctx(cfg, table, ms.legendre_table(631)), assume_tail_rule=True)
-    assert mixed.certificate.scanned_factors == 1
-    assert mixed.reasons[0].startswith("the Gauss sums and an exhaustive scan bound the first 2")
-    closed = ms.sbh_verdict(ms.build_context(cfg), assume_tail_rule=True)
-    assert closed.certificate.scanned_factors == 0
-    assert closed.reasons[0].startswith("the Gauss sums bound the first 2 density factors")
 
 
 def test_quadratic_form_frozen_pair(ctx57):
@@ -440,28 +401,6 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     # any table, pool or subset count is built
     with pytest.raises(BudgetError):
         ms.sbh_adversarial_search(3, 130_000, theorem_ctx)
-
-
-def test_search_refuses_over_budget_custom_tables(monkeypatch):
-    # tables other than the quadratic character need the sum p^2 window
-    # route for their lookup tables (1.5e11 terms at the theorem-4 primes);
-    # the shared budget refuses it before any scan
-    def no_scan(*args):
-        raise AssertionError("a lookup table was scanned past the budget")
-
-    cfg = ms.make_group_config(ms.theorem_primes(4), ms.THEOREM_GRADE)
-    tables = []
-    for p in cfg.primes:
-        signs = ms.legendre_table(p).signs.copy()
-        signs[1] = -1
-        tables.append(ms.LegendreTable(prime=p, signs=signs))
-    ctx = ms.CocycleContext(cfg=cfg, tables=tuple(tables))
-    with monkeypatch.context() as patch:
-        patch.setattr(ms.charsums, "window_autocorrelation_numerators", no_scan)
-        with pytest.raises(BudgetError, match="stage 4 needs .* scan terms"):
-            ms.sbh_adversarial_search(4, 3, ctx)
-    # stage 2 costs 4e5 terms and runs
-    assert ms.sbh_adversarial_search(2, 3, ctx, budget=10, restarts=1).mode == "local"
 
 
 def test_search_local_finds_known_optimum(ctx29):
