@@ -29,15 +29,11 @@ _EXPORTS = {
     ),
     "cocycle": (
         "CocycleContext",
-        "ExtensionPoint",
         "build_context",
         "check_cocycle_identity",
         "check_level_constancy",
         "cocycle_at_zero",
         "cocycle_value",
-        "flip",
-        "skew_step",
-        "zero_extension_point",
     ),
     "diagnostics": (
         "SeparationReport",
@@ -68,15 +64,10 @@ _EXPORTS = {
         "level_group_order",
         "level_group_vectors",
         "make_group_config",
-        "neg",
-        "point",
         "random_element",
         "random_point",
-        "sub",
         "theorem_primes",
-        "tower_address",
         "translate",
-        "zero_point",
     ),
     "spectral": (
         "DensityCertificate",
@@ -87,7 +78,6 @@ _EXPORTS = {
         "density_certificate",
         "geometric_tail_bound",
         "sbh_adversarial_search",
-        "sbh_quadratic_form",
         "sbh_verdict",
         "spectral_coefficient",
         "spectral_coefficient_from_density",

@@ -33,10 +33,11 @@ derived at most once, on first use; legendre_table keeps one per prime.
 What the Gauss and Jacobi sums give in closed form needs no table at all:
 flatness_report reads the extremes of |P| and the sup of |P|^2 off p, and
 numerator_counts the value counts of p * c(j), since
-p * c(j) = -1 + chi(j) + chi(-j) for j != 0, with chi the signs off 0.
-The prime-length FFT in polynomial and the direct window sum in
-window_autocorrelation_numerators stay as the references that gauss-check
-compares those closed forms with.
+p * c(j) = -1 + chi(j) + chi(-j) for j != 0, with chi the signs off 0;
+jacobi_numerators is that sum at any shifts.  The prime-length FFT in
+polynomial and the direct window sum in window_autocorrelation_numerators
+stay as the references that gauss-check compares those closed forms with.
+The density route refuses a transform longer than _FFT_BUDGET points.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .errors import ConfigError, InternalConsistencyError
+from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import is_prime
 
 np = lazy_numpy()
@@ -128,7 +129,7 @@ class LegendreTable:
         """c(j) for every shift j by the zero-padded density route; read-only."""
         # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
         p = self.prime
-        n = _fft_length(2 * p)
+        n = density_fft_length(p)
         spec = np.fft.rfft(self.signs, n)
         # |spec|^2 in place, kept complex with a zero imaginary part: irfft
         # then makes no complex copy of a float input; all of it is freed
@@ -152,14 +153,8 @@ class LegendreTable:
 
     @cached_property
     def numerators(self) -> np.ndarray:
-        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only.
-        The Jacobi sum: -1 + s[j] + s[p - j] for j != 0, and p at 0."""
-        s, p = self.signs, self.prime
-        out = np.empty(p, dtype=np.int64)
-        out[1:] = s[1:]
-        out[1:] += s[:0:-1]
-        out -= 1
-        out[0] = p
+        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only."""
+        out = jacobi_numerators(self.signs, np.arange(self.prime))
         out.flags.writeable = False
         return out
 
@@ -180,6 +175,20 @@ def _fft_length(m: int) -> int:
     return best
 
 
+# FFT points one table's density route may transform; p_4 needs 19 660 800,
+# and each point costs about 33 bytes of pocketfft scratch
+_FFT_BUDGET = 2**25
+
+
+def density_fft_length(p: int) -> int:
+    """_fft_length(2p), the density route's transform length, refused as a
+    BudgetError past _FFT_BUDGET."""
+    n = _fft_length(2 * p)
+    if n > _FFT_BUDGET:
+        raise BudgetError(f"the density route at p={p} needs {n} FFT points, budget is {_FFT_BUDGET}")
+    return n
+
+
 def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     """p * c(j) for every shift j of a +/-1 array of length p by direct
     summation, never the closed form: entry j is sum_x s(x + j) s(x), a
@@ -187,6 +196,18 @@ def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     magnitude <= p < 2^53, so exact.  Costs p^2 terms; a fresh int64 array."""
     s = signs.astype(np.float64)
     return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
+
+
+def jacobi_numerators(chars: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """p * c(j) for each shift j in 0..p-1 of an int array, as a fresh int64
+    array: the Jacobi sum -1 + chi(j) + chi(-j), and p at j = 0.  chars is
+    a table's signs or legendre_symbols(p); the two differ only at 0."""
+    p = len(chars)
+    out = chars[shifts].astype(np.int64)
+    out += chars[-shifts % p]
+    out -= 1
+    out[shifts == 0] = p
+    return out
 
 
 def _quadratic_signs(p: int) -> np.ndarray:
@@ -240,16 +261,6 @@ def gauss_sum_all(p: int) -> np.ndarray:
     k = np.arange(p, dtype=np.int64)
     counts = np.bincount((k * k) % p, minlength=p)
     return np.fft.fft(counts.astype(np.complex128))
-
-
-def autocorrelation_numerator(table: LegendreTable, j: int) -> int:
-    """p * c(j) as an exact integer, O(1) by the Jacobi sum."""
-    p = table.prime
-    j %= p
-    if j == 0:
-        return p
-    s = table.signs
-    return -1 + int(s[j]) + int(s[p - j])
 
 
 def character_polynomial_values(p: int) -> np.ndarray:

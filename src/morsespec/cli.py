@@ -31,8 +31,10 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 from . import lazy_numpy
 from .charsums import (
     LegendreTable,
+    density_fft_length,
     flatness_report,
     gauss_sum_all,
+    jacobi_numerators,
     legendre_symbols,
     window_autocorrelation_numerators,
 )
@@ -327,6 +329,8 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = resolve_group_config(rc)
     ctx = build_context(cfg)
     residues = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
+    for p in cfg.primes:  # before either route reads a sign
+        density_fft_length(p)
     numerators, denominators = spectral_coefficient_ratios(residues, ctx)
     numeric = spectral_coefficients_from_density(residues, ctx)
     # int true division rounds correctly, so these are float(Fraction) of each
@@ -491,9 +495,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         )
         # summed over the table, not read off the closed form it is checked against
         numerators = window_autocorrelation_numerators(table.signs)
-        # p * c_p(j) = -1 + (j|p) + (-j|p) for j != 0, and p at j = 0
-        closed = -1 + chi + chi[-np.arange(p) % p]
-        closed[0] = p
+        closed = jacobi_numerators(chi, np.arange(p))
         closed_form_ok = closed_form_ok and np.array_equal(numerators, closed)
         max_density_err = max(
             max_density_err,
@@ -541,14 +543,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of argv: every subcommand, with the run options on the
-    one argv invokes only.  That is argv's first command name, since what
-    comes before the command can only be an option."""
+    """The parser of argv, with the run options on the subcommand argv
+    invokes only: argv's first command name, since what comes before the
+    command can only be an option.  A command in first place is all that
+    argv can reach, so it is the one subcommand built; otherwise all are,
+    for the help and the errors that list them."""
     invoked = next((arg for arg in argv if arg in _COMMANDS), None)
     parser = _Parser(prog="morsespec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (_, summary) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=summary)
+    for command in [invoked] if argv[:1] == [invoked] else _COMMANDS:
+        cmd = sub.add_parser(command, help=_COMMANDS[command][1])
         if command != invoked:
             continue
         cmd.add_argument("--config", help="flat key = value config file")

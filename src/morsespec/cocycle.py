@@ -35,44 +35,35 @@ from .odometer import (
     level_fiber,
     random_fiber_point,
     translate,
-    zero_point,
 )
 
 
-class _Context(NamedTuple):
+class CocycleContext(NamedTuple):
+    """A configuration; its sign tables follow from its primes."""
+
     cfg: GroupConfig
-    tables: tuple[LegendreTable, ...]
 
-
-class CocycleContext(_Context):
-    """A configuration together with one sign table per prime."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, cfg: GroupConfig, tables: tuple[LegendreTable, ...]):
-        if len(tables) != cfg.level:
-            raise ConfigError(f"need {cfg.level} sign tables, got {len(tables)}")
-        for p, table in zip(cfg.primes, tables):
-            if table.prime != p:
-                raise ConfigError(f"table for prime {table.prime} placed at prime {p}")
-        return super().__new__(cls, cfg, tables)
+    @property
+    def tables(self) -> tuple[LegendreTable, ...]:
+        """The cached legendre_table of each prime, in order."""
+        return tuple(map(legendre_table, self.cfg.primes))
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
-    """Assemble the per-prime sign tables.  LegendreTable checks each prime
-    and builds no sign array until one is read."""
-    tables = tuple(legendre_table(p) for p in cfg.primes)
-    return CocycleContext(cfg=cfg, tables=tables)
+    """The context of cfg, with every prime's table constructed: LegendreTable
+    checks each prime and builds no sign array until one is read."""
+    ctx = CocycleContext(cfg)
+    ctx.tables
+    return ctx
 
 
 def cocycle_value(x: tuple[int, ...], g: GroupElement, ctx: CocycleContext) -> int:
     """w(x, g) in {+1, -1}; the empty product for the identity."""
     out = 1
     for idx, res in g.coords:
-        t = ctx.tables[idx].signs
-        xi = x[idx]
-        out *= int(t[xi] * t[(xi + res) % ctx.cfg.primes[idx]])
+        p = ctx.cfg.primes[idx]
+        t = legendre_table(p).signs  # ctx.tables[idx], without the tuple
+        out *= int(t[x[idx]] * t[(x[idx] + res) % p])
     return out
 
 
@@ -80,7 +71,7 @@ def cocycle_at_zero(g: GroupElement, ctx: CocycleContext) -> int:
     """w0(g) = w(0, g) = prod of table entries at the residues of g."""
     out = 1
     for idx, res in g.coords:
-        out *= int(ctx.tables[idx].signs[res])
+        out *= int(legendre_table(ctx.cfg.primes[idx]).signs[res])
     return out
 
 
@@ -116,37 +107,3 @@ def check_level_constancy(
         rng = random.Random(seed)
         points = (random_fiber_point(h, n, cfg, rng) for _ in range(samples))
     return all(cocycle_value(x, g, ctx) == expected for x in points)
-
-
-class _Point(NamedTuple):
-    base: tuple[int, ...]
-    sign: int
-
-
-class ExtensionPoint(_Point):
-    """Point of the two-point extension: a base point and a sign."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, base: tuple[int, ...], sign: int):
-        if sign not in (-1, 1):
-            raise ConfigError("extension sign must be +1 or -1")
-        return super().__new__(cls, base, sign)
-
-
-def skew_step(pt: ExtensionPoint, g: GroupElement, ctx: CocycleContext) -> ExtensionPoint:
-    """Apply g to the extension: translate the base, twist the sign."""
-    return ExtensionPoint(
-        base=translate(pt.base, g, ctx.cfg),
-        sign=cocycle_value(pt.base, g, ctx) * pt.sign,
-    )
-
-
-def flip(pt: ExtensionPoint) -> ExtensionPoint:
-    """The sign involution; commutes with every skew_step."""
-    return ExtensionPoint(base=pt.base, sign=-pt.sign)
-
-
-def zero_extension_point(ctx: CocycleContext) -> ExtensionPoint:
-    return ExtensionPoint(base=zero_point(ctx.cfg), sign=1)

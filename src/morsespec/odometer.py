@@ -185,14 +185,6 @@ def add(a: GroupElement, b: GroupElement, cfg: GroupConfig) -> GroupElement:
     return GroupElement(tuple(sorted((i, r) for i, r in merged.items() if r)))
 
 
-def neg(a: GroupElement, cfg: GroupConfig) -> GroupElement:
-    return GroupElement(tuple((i, cfg.primes[i] - r) for i, r in a.coords))
-
-
-def sub(a: GroupElement, b: GroupElement, cfg: GroupConfig) -> GroupElement:
-    return add(a, neg(b, cfg), cfg)
-
-
 def level_group_order(n: int, cfg: GroupConfig) -> int:
     """|G_n| = p_0 * ... * p_{n-1}."""
     _check_stage(n, cfg)
@@ -216,29 +208,12 @@ def enumerate_level_group(n: int, cfg: GroupConfig, budget: int = 10**6) -> Iter
         yield GroupElement(tuple((i, r) for i, r in enumerate(vec) if r))
 
 
-def point(values: Sequence[int], cfg: GroupConfig) -> tuple[int, ...]:
-    """Full residue vector of length N, reduced coordinatewise."""
-    if len(values) != cfg.level:
-        raise ConfigError(f"point needs {cfg.level} coordinates, got {len(values)}")
-    return tuple(int(v) % p for v, p in zip(values, cfg.primes))
-
-
-def zero_point(cfg: GroupConfig) -> tuple[int, ...]:
-    return (0,) * cfg.level
-
-
 def translate(x: tuple[int, ...], g: GroupElement, cfg: GroupConfig) -> tuple[int, ...]:
     """The action: add g to x coordinatewise."""
     out = list(x)
     for idx, res in g.coords:
         out[idx] = (out[idx] + res) % cfg.primes[idx]
     return tuple(out)
-
-
-def tower_address(x: tuple[int, ...], n: int, cfg: GroupConfig) -> GroupElement:
-    """The unique h in G_n whose translate of the stage-n base contains x."""
-    _check_stage(n, cfg)
-    return GroupElement(tuple((i, x[i]) for i in range(n) if x[i]))
 
 
 def fiber_size(n: int, cfg: GroupConfig) -> int:

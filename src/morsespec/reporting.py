@@ -156,7 +156,7 @@ def _texts(cells, nl: str):
 
 
 def json_pieces(data):
-    """canonical_json(data) in pieces: the text json.dumps makes of the
+    """The canonical JSON of data in pieces: the text json.dumps makes of the
     report with each Table as a placeholder, and in the placeholder's
     place the Table's rows, a batch at a time, at its line's indentation."""
     tables: list[Table] = []
@@ -181,10 +181,6 @@ def json_pieces(data):
             parts.clear()
         yield "".join(parts)
     yield head
-
-
-def canonical_json(data) -> str:
-    return "".join(json_pieces(data))
 
 
 def config_digest(data) -> str:
@@ -224,8 +220,8 @@ _BATCH = 1024
 
 
 def csv_pieces(data):
-    """render_csv(data) in pieces of lines, each line flattened when it
-    is read."""
+    """The "key,value" CSV of data's dotted-path rows, in pieces of lines,
+    each line flattened when it is read."""
     lines = ["key,value\n"]
     for path, value in _flat(data, ""):
         text = "" if value is None else str(value)
@@ -236,10 +232,6 @@ def csv_pieces(data):
             yield "".join(lines)
             lines.clear()
     yield "".join(lines)
-
-
-def render_csv(data) -> str:
-    return "".join(csv_pieces(data))
 
 
 def report_pieces(data, fmt: str):

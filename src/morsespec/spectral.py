@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .charsums import autocorrelation_numerator, flatness_report
+from .charsums import flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import (
@@ -48,7 +48,6 @@ from .odometer import (
     GroupElement,
     growth_floor,
     level_group_order,
-    sub,
 )
 
 np = lazy_numpy()
@@ -80,15 +79,13 @@ def spectral_coefficient_ratios(
     configured prime) by the exact rational route, as reduced numerators
     and positive denominators: the product over the coordinates of the
     numerators p_n * c_n(r_n), over prod p_n.  A coordinate at residue 0
-    contributes p_n / p_n, so only the support counts.  Each distinct
-    shift of a coordinate costs one O(1) per-shift numerator, never the
-    all-shift array."""
+    contributes p_n / p_n, so only the support counts.  Each column's
+    numerators come from the Jacobi sum on the signs, never the all-shift
+    array."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
-        shifts, where = np.unique(residues[:, n], return_inverse=True)
-        lut = [autocorrelation_numerator(table, j) for j in shifts.tolist()]
-        numerators[:, n] = np.array(lut, dtype=np.int64)[where]
+        numerators[:, n] = jacobi_numerators(table.signs, residues[:, n])
     den = math.prod(ctx.cfg.primes)
     # Python ints: the row products can outgrow int64; the rows become
     # lists a block at a time, never the whole matrix at once
@@ -260,27 +257,6 @@ class SbhProbe(NamedTuple):
     theta: tuple[GroupElement, ...]
     signs: tuple[int, ...]
     value: Fraction
-
-
-def sbh_quadratic_form(
-    theta: tuple[GroupElement, ...], signs: tuple[int, ...], ctx: CocycleContext
-) -> Fraction:
-    """Q = (1/k) sum_{i,j} eta_i eta_j coeff(theta_i - theta_j), exact."""
-    k = len(theta)
-    if k < 1:
-        raise ConfigError("need at least one element")
-    if len(signs) != k:
-        raise ConfigError(f"{k} elements but {len(signs)} signs")
-    if any(s not in (-1, 1) for s in signs):
-        raise ConfigError("signs must be +1 or -1")
-    if len({g.coords for g in theta}) != k:
-        raise ConfigError("elements must be distinct")
-    total = Fraction(0)
-    for i in range(k):
-        for j in range(k):
-            diff = sub(theta[i], theta[j], ctx.cfg)
-            total += signs[i] * signs[j] * spectral_coefficient(diff, ctx).value
-    return total / k
 
 
 class SearchResult(NamedTuple):

@@ -11,20 +11,36 @@ direct form of something the package computes in closed form or in bulk.
   every p-th root of unity (charsums.flatness_report is checked against it);
 - FunnyWord, complement, hamming, name_word, NameAtlas, name_atlas: the
   exhaustive word atlas of a stage and its exact Hamming distances
-  (diagnostics.name_separation is checked against it).
+  (diagnostics.name_separation is checked against it);
+- neg and sub: negation and subtraction in the acting group;
+- ExtensionPoint (on its base _Point), skew_step, flip and
+  zero_extension_point: the two-point extension the cocycle twists, whose
+  flip commutes with every skew step (the certificate's last reason);
+- sbh_quadratic_form: the averaged quadratic form Q of a probe, summed
+  over every ordered pair of its elements in Fractions
+  (spectral.sbh_adversarial_search is checked against it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from morsespec.charsums import LegendreTable, legendre
-from morsespec.cocycle import CocycleContext, cocycle_at_zero
+from morsespec.cocycle import CocycleContext, cocycle_at_zero, cocycle_value
 from morsespec.errors import BudgetError, ConfigError
-from morsespec.odometer import GroupElement, add, enumerate_level_group, level_group_order
+from morsespec.odometer import (
+    GroupConfig,
+    GroupElement,
+    add,
+    enumerate_level_group,
+    level_group_order,
+    translate,
+)
+from morsespec.spectral import spectral_coefficient
 
 
 def gauss_sum_brute(p: int, x: int) -> complex:
@@ -129,3 +145,66 @@ def name_atlas(n: int, ctx: CocycleContext, max_names: int = 100_000) -> NameAtl
         words=words,
         class_measure=Fraction(1, count),
     )
+
+
+def neg(a: GroupElement, cfg: GroupConfig) -> GroupElement:
+    return GroupElement(tuple((i, cfg.primes[i] - r) for i, r in a.coords))
+
+
+def sub(a: GroupElement, b: GroupElement, cfg: GroupConfig) -> GroupElement:
+    return add(a, neg(b, cfg), cfg)
+
+
+class _Point(NamedTuple):
+    base: tuple[int, ...]
+    sign: int
+
+
+class ExtensionPoint(_Point):
+    """Point of the two-point extension: a base point and a sign."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, base: tuple[int, ...], sign: int):
+        if sign not in (-1, 1):
+            raise ConfigError("extension sign must be +1 or -1")
+        return super().__new__(cls, base, sign)
+
+
+def skew_step(pt: ExtensionPoint, g: GroupElement, ctx: CocycleContext) -> ExtensionPoint:
+    """Apply g to the extension: translate the base, twist the sign."""
+    return ExtensionPoint(
+        base=translate(pt.base, g, ctx.cfg),
+        sign=cocycle_value(pt.base, g, ctx) * pt.sign,
+    )
+
+
+def flip(pt: ExtensionPoint) -> ExtensionPoint:
+    """The sign involution; commutes with every skew_step."""
+    return ExtensionPoint(base=pt.base, sign=-pt.sign)
+
+
+def zero_extension_point(ctx: CocycleContext) -> ExtensionPoint:
+    return ExtensionPoint(base=(0,) * ctx.cfg.level, sign=1)
+
+
+def sbh_quadratic_form(
+    theta: tuple[GroupElement, ...], signs: tuple[int, ...], ctx: CocycleContext
+) -> Fraction:
+    """Q = (1/k) sum_{i,j} eta_i eta_j coeff(theta_i - theta_j), exact."""
+    k = len(theta)
+    if k < 1:
+        raise ConfigError("need at least one element")
+    if len(signs) != k:
+        raise ConfigError(f"{k} elements but {len(signs)} signs")
+    if any(s not in (-1, 1) for s in signs):
+        raise ConfigError("signs must be +1 or -1")
+    if len({g.coords for g in theta}) != k:
+        raise ConfigError("elements must be distinct")
+    total = Fraction(0)
+    for i in range(k):
+        for j in range(k):
+            diff = sub(theta[i], theta[j], ctx.cfg)
+            total += signs[i] * signs[j] * spectral_coefficient(diff, ctx).value
+    return total / k

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import morsespec as ms
 from morsespec import charsums
-from morsespec.charsums import autocorrelation_numerator, legendre_symbols
+from morsespec.charsums import jacobi_numerators, legendre_symbols
 from morsespec.errors import ConfigError, InternalConsistencyError
 from oracles import autocorrelation_closed_form, fft_scan_flatness, gauss_sum_brute
 
@@ -21,7 +21,7 @@ SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
 
 def _autocorrelation(p, j):
-    return Fraction(autocorrelation_numerator(ms.legendre_table(p), j), p)
+    return Fraction(int(ms.legendre_table(p).numerators[j % p]), p)
 
 
 def test_legendre_matches_sympy():
@@ -121,7 +121,10 @@ def test_autocorrelation_numerators_match_per_shift_and_closed_form():
         numerators = table.numerators
         assert numerators is table.numerators  # held on the table
         assert not numerators.flags.writeable
-        assert numerators.tolist() == [autocorrelation_numerator(table, j) for j in range(p)], p
+        # any shifts, in any order, on either form of the character
+        shifts = np.random.default_rng(p).permutation(p)
+        for chars in (table.signs, legendre_symbols(p)):
+            assert np.array_equal(jacobi_numerators(chars, shifts), numerators[shifts]), p
         assert numerators.tolist() == [
             p * autocorrelation_closed_form(p, j) for j in range(p)
         ], p
@@ -135,9 +138,10 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
     s = table.signs.astype(np.int64)
     numerators = table.numerators
     shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
-    for j in shifts:
+    per_shift = jacobi_numerators(table.signs, np.array(shifts))
+    for j, value in zip(shifts, per_shift.tolist()):
         dot = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
-        assert numerators[j] == autocorrelation_numerator(table, j) == dot, j
+        assert numerators[j] == value == dot, j
 
 
 def test_closed_form_numerators_match_the_window_route_below_3000():
@@ -145,6 +149,9 @@ def test_closed_form_numerators_match_the_window_route_below_3000():
         table = ms.legendre_table(p)
         window = charsums.window_autocorrelation_numerators(table.signs)
         assert np.array_equal(table.numerators, window), p
+        # the Jacobi sum on both forms of the character, at every shift
+        for chars in (table.signs, legendre_symbols(p)):
+            assert np.array_equal(jacobi_numerators(chars, np.arange(p)), window), p
 
 
 def test_table_validation(monkeypatch):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
+from morsespec import cocycle
 from morsespec.errors import ConfigError
+from oracles import ExtensionPoint, flip, skew_step, zero_extension_point
 
 CFG = ms.make_group_config([5, 7, 11])
 CTX = ms.build_context(CFG)
@@ -21,15 +23,19 @@ def _cocycle_all_coordinates(x, g, ctx):
     return out
 
 
-def test_context_validation(cfg57):
-    tables = tuple(ms.legendre_table(p) for p in (5, 7))
-    ms.CocycleContext(cfg=cfg57, tables=tables)
-    with pytest.raises(ConfigError):
-        ms.CocycleContext(cfg=cfg57, tables=tables[:1])
-    with pytest.raises(ConfigError):
-        ms.CocycleContext(cfg=cfg57, tables=(tables[1], tables[0]))
-    with pytest.raises(ConfigError):
-        ms.CocycleContext(cfg=cfg57, tables=tables)._replace(tables=tables[:1])
+def test_context_tables_follow_from_the_primes(cfg57, monkeypatch):
+    # a context is its configuration: its tables are the cached ones of its
+    # primes, and build_context constructs each of them, checking the prime
+    ctx = ms.CocycleContext(cfg57)
+    assert all(t is ms.legendre_table(p) for t, p in zip(ctx.tables, (5, 7), strict=True))
+    other = ctx._replace(cfg=ms.make_group_config([7, 11]))
+    assert [t.prime for t in other.tables] == [7, 11]
+    built = []
+    monkeypatch.setattr(cocycle, "legendre_table", lambda p: built.append(p) or ms.LegendreTable(p))
+    assert ms.build_context(cfg57) == ctx
+    assert built == [5, 7]
+    with pytest.raises(ConfigError, match="int64"):
+        ms.build_context(ms.make_group_config(ms.theorem_primes(7), ms.THEOREM_GRADE))
 
 
 def test_cocycle_value_identity_element(ctx57):
@@ -45,7 +51,7 @@ def test_cocycle_value_matches_full_product(ctx57):
 
 
 def test_cocycle_at_zero_is_value_at_origin(ctx57):
-    zero = ms.zero_point(ctx57.cfg)
+    zero = (0, 0)
     for g in ms.enumerate_level_group(2, ctx57.cfg):
         assert ms.cocycle_at_zero(g, ctx57) == ms.cocycle_value(zero, g, ctx57)
 
@@ -79,7 +85,7 @@ def test_cocycle_identity_property(t):
 
 def test_cocycle_identity_statement_explicit(ctx57):
     cfg = ctx57.cfg
-    x = ms.point([3, 2], cfg)
+    x = (3, 2)
     g = ms.element([1, 4], cfg)
     g2 = ms.element([4, 6], cfg)
     lhs = ms.cocycle_value(x, ms.add(g, g2, cfg), ctx57)
@@ -126,11 +132,11 @@ def test_skew_step_composes_like_the_group(ctx57):
     cfg = ctx57.cfg
     rng = random.Random(11)
     for _ in range(50):
-        pt = ms.ExtensionPoint(base=ms.random_point(cfg, rng), sign=rng.choice((1, -1)))
+        pt = ExtensionPoint(base=ms.random_point(cfg, rng), sign=rng.choice((1, -1)))
         g = ms.random_element(cfg, rng)
         h = ms.random_element(cfg, rng)
-        two_steps = ms.skew_step(ms.skew_step(pt, h, ctx57), g, ctx57)
-        one_step = ms.skew_step(pt, ms.add(g, h, cfg), ctx57)
+        two_steps = skew_step(skew_step(pt, h, ctx57), g, ctx57)
+        one_step = skew_step(pt, ms.add(g, h, cfg), ctx57)
         assert two_steps == one_step
 
 
@@ -138,17 +144,15 @@ def test_flip_commutes_with_skew_steps(ctx57):
     cfg = ctx57.cfg
     rng = random.Random(12)
     for _ in range(50):
-        pt = ms.ExtensionPoint(base=ms.random_point(cfg, rng), sign=rng.choice((1, -1)))
+        pt = ExtensionPoint(base=ms.random_point(cfg, rng), sign=rng.choice((1, -1)))
         g = ms.random_element(cfg, rng)
-        assert ms.flip(ms.skew_step(pt, g, ctx57)) == ms.skew_step(
-            ms.flip(pt), g, ctx57
-        )
+        assert flip(skew_step(pt, g, ctx57)) == skew_step(flip(pt), g, ctx57)
 
 
 def test_extension_point_validation(ctx57):
     with pytest.raises(ConfigError):
-        ms.ExtensionPoint(base=(0, 0), sign=0)
-    start = ms.zero_extension_point(ctx57)
+        ExtensionPoint(base=(0, 0), sign=0)
+    start = zero_extension_point(ctx57)
     assert start.sign == 1 and start.base == (0, 0)
     with pytest.raises(ConfigError):
         start._replace(sign=0)

@@ -24,8 +24,18 @@ from hypothesis.extra import numpy as hnp
 
 import morsespec as ms
 import morsespec.cli as cli
-from morsespec import reporting
+from morsespec import charsums, cocycle, reporting
 from oracles import autocorrelation_closed_form
+
+
+def canonical_json(data):
+    """The whole JSON text of a report, joined from its pieces."""
+    return "".join(reporting.json_pieces(data))
+
+
+def render_csv(data):
+    """The whole CSV text of a report, joined from its pieces."""
+    return "".join(reporting.csv_pieces(data))
 
 
 def test_rational_round_trip():
@@ -42,7 +52,7 @@ def test_to_builtin_conversions():
         "pair": [Fraction(-1, 7), (1, 2)],
         "nested": [Fraction(2, 5), {"inner": np.int64(3)}],
     }
-    out = json.loads(reporting.canonical_json(data))
+    out = json.loads(canonical_json(data))
     assert out["f"] == "1/3"
     assert out["arr"] == [1.0, 2.0]
     assert out["scalar"] == 0.5
@@ -51,7 +61,7 @@ def test_to_builtin_conversions():
 
 
 def test_canonical_json_is_sorted_and_terminated():
-    text = reporting.canonical_json({"b": 1, "a": {"d": 2, "c": 3}})
+    text = canonical_json({"b": 1, "a": {"d": 2, "c": 3}})
     assert text.index('"a"') < text.index('"b"')
     assert text.index('"c"') < text.index('"d"')
     assert text.endswith("\n")
@@ -134,11 +144,9 @@ report_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(data=report_trees)
 def test_canonical_json_matches_json_dumps(data):
-    expected = json_oracle(data)
-    assert "".join(reporting.json_pieces(data)) == expected
-    assert reporting.canonical_json(data) == expected
+    assert canonical_json(data) == json_oracle(data)
     # CSV flattens a Table and numpy values as it does their built-in values
-    assert reporting.render_csv(data) == reporting.render_csv(builtin(data))
+    assert render_csv(data) == render_csv(builtin(data))
 
 
 def row_dicts(n):
@@ -155,12 +163,12 @@ def test_table_renders_as_its_rows():
     # rows across several batches, a table that is not the last child,
     # tables at two depths, and a table that is the whole report
     rows = list(row_dicts(300))
-    assert reporting.canonical_json([row_table(300), 1]) == json_oracle([rows, 1])
+    assert canonical_json([row_table(300), 1]) == json_oracle([rows, 1])
     nested = {"a": row_table(3), "b": [{"c": row_table(300)}, "x"]}
-    assert reporting.canonical_json(nested) == json_oracle(nested)
-    assert reporting.canonical_json(row_table(300)) == json_oracle(rows)
-    assert reporting.canonical_json(reporting.Table({})) == "[]\n"
-    assert reporting.render_csv(row_table(300)) == reporting.render_csv(rows)
+    assert canonical_json(nested) == json_oracle(nested)
+    assert canonical_json(row_table(300)) == json_oracle(rows)
+    assert canonical_json(reporting.Table({})) == "[]\n"
+    assert render_csv(row_table(300)) == render_csv(rows)
 
 
 @pytest.mark.parametrize(
@@ -199,9 +207,9 @@ def test_canonical_json_edge_values():
         "objects": np.array([Fraction(1, 3), None], dtype=object),
         "pair": [Fraction(-2, 4), (np.int64(-5), np.bool_(True))],
     }
-    assert reporting.canonical_json(data) == json_oracle(data)
-    assert reporting.canonical_json([]) == "[]\n"
-    assert reporting.canonical_json(Fraction(3)) == '"3/1"\n'
+    assert canonical_json(data) == json_oracle(data)
+    assert canonical_json([]) == "[]\n"
+    assert canonical_json(Fraction(3)) == '"3/1"\n'
 
 
 @pytest.mark.parametrize("bad", [{1, 2}, 1j, object(), np.complex128(1j), [b"bytes"]])
@@ -210,7 +218,7 @@ def test_canonical_json_rejects_what_json_rejects(bad):
     with pytest.raises(TypeError):
         json_oracle(data)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        reporting.canonical_json(data)
+        canonical_json(data)
 
 
 def test_config_digest_stability():
@@ -386,6 +394,16 @@ REMOVED_EXPORTS = (
     "name_word",
     "DensityMarginal",
     "density_marginal",
+    "ExtensionPoint",
+    "flip",
+    "skew_step",
+    "zero_extension_point",
+    "neg",
+    "sub",
+    "point",
+    "tower_address",
+    "zero_point",
+    "sbh_quadratic_form",
 )
 
 
@@ -413,13 +431,30 @@ def test_lazy_exports_are_the_submodules_objects():
         getattr(ms, name)
 
 
+def test_src_holds_no_unreached_defs(tmp_path):
+    # every top-level def of src/ is reached from cli, import time or the gate
+    script = Path(__file__).parent.parent / "scripts" / "unreached_src.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    # an orphan is found, though cli's parser has a local variable of its name
+    src = tmp_path / "morsespec"
+    src.mkdir()
+    for path in Path(ms.__file__).parent.glob("*.py"):
+        (src / path.name).write_text(path.read_text())
+    with open(src / "odometer.py", "a") as fh:
+        fh.write("\n\ndef sub(a, b):\n    return a\n")
+    gate = Path(__file__).parent / "test_acceptance.py"
+    done = subprocess.run([sys.executable, str(script), str(src), str(gate)], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "odometer.sub\n")
+
+
 def test_flatten_paths():
-    rows = reporting.render_csv({"b": [10, {"z": 1}], "a": Fraction(1, 2)})
+    rows = render_csv({"b": [10, {"z": 1}], "a": Fraction(1, 2)})
     assert rows.splitlines() == ["key,value", "a,1/2", "b[0],10", "b[1].z,1"]
 
 
 def test_render_csv_quoting():
-    rows = reporting.render_csv({"msg": 'has,comma "and" quotes', "n": 3})
+    rows = render_csv({"msg": 'has,comma "and" quotes', "n": 3})
     lines = rows.splitlines()
     assert lines[0] == "key,value"
     assert lines[1] == 'msg,"has,comma ""and"" quotes"'
@@ -427,7 +462,7 @@ def test_render_csv_quoting():
     # a bare carriage return would end the row for a CSV reader
     for end in ("\n", "\r", "\r\n"):
         data = {"file": f"/tmp/h{end}x.csv", "msg": f'a "b"{end}c,d'}
-        rows = reporting.render_csv(data)
+        rows = render_csv(data)
         assert list(csv.reader(io.StringIO(rows, newline=""))) == [
             ["key", "value"],
             ["file", data["file"]],
@@ -666,9 +701,10 @@ def _gauss_check_per_element(pmax):
             parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
             max_parity = max(max_parity, parity)
         table = ms.legendre_table(p)
+        signs = table.signs.astype(np.int64)
         for j in range(p):
-            c = Fraction(ms.charsums.autocorrelation_numerator(table, j), p)
-            closed_form_ok = closed_form_ok and c == autocorrelation_closed_form(p, j)
+            c = autocorrelation_closed_form(p, j)
+            closed_form_ok = closed_form_ok and c * p == np.dot(signs, np.roll(signs, -j))
             max_density = max(max_density, abs(float(c) - float(table.density_fourier[j])))
     return max_gauss, worst, max_parity, max_density, closed_form_ok
 
@@ -962,6 +998,38 @@ def test_certify_refuses_theorem_7_before_building_a_table(capsys, monkeypatch):
     assert "6103515637" in err
 
 
+def test_coeffs_checks_every_prime_against_the_fft_budget(capsys, monkeypatch):
+    # [5, 7] transform 10 and 15 points: a budget of 12 refuses 7, on
+    # fresh tables, before either route reads a sign or runs an FFT
+    def refused(*args):
+        raise AssertionError("read past the budget check")
+
+    monkeypatch.setattr(charsums, "_FFT_BUDGET", 12)
+    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
+    monkeypatch.setattr(charsums, "_quadratic_signs", refused)
+    monkeypatch.setattr(np.fft, "rfft", refused)
+    code, out, err = run_cli(capsys, "coeffs", "--primes", "5,7")
+    assert (code, out) == (64, "")
+    assert err == "budget exceeded: the density route at p=7 needs 15 FFT points, budget is 12\n"
+
+
+def test_coeffs_refuses_theorem_6_before_any_table_work(capsys, monkeypatch):
+    # p_5 = 244 140 683 would transform about 4.9e8 points: tens of GB of
+    # FFT scratch.  Never run this command unguarded; here a missing guard
+    # fails at once, at the first sign or FFT
+    def refused(*args):
+        raise AssertionError("read past the budget check")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", refused)
+    monkeypatch.setattr(np.fft, "rfft", refused)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "coeffs", "--theorem", "6", "1,2,3,4,5,6")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (64, "")
+    assert err.startswith("budget exceeded: the density route at p=244140683 needs ")
+    assert err.count("\n") == 1
+
+
 def test_bad_format_flag(capsys):
     code, _, err = run_cli(capsys, "certify", "--theorem", "3", "--format", "xml")
     assert code == 64
@@ -1075,6 +1143,38 @@ def test_each_command_help_lists_every_option(capsys, command):
 )
 def test_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
     assert run_cli(capsys, *argv) == (64, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        [],
+        ["bogus"],
+        ["--help", "certify"],
+        ["certify", "--bogus"],
+    ],
+)
+def test_one_subcommand_parser_answers_as_all_five_do(capsys, monkeypatch, argv):
+    # a command in first place builds only its own subparser; stdout,
+    # stderr and exit code are those of the parser with every subcommand
+    build = cli._build_parser
+    choices = build(argv)._actions[-1].choices
+    assert list(choices) == (argv[:1] if argv[:1] and argv[0] in cli._COMMANDS else list(cli._COMMANDS))
+
+    def answer():
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    one = answer()
+    # a leading non-command word makes the parser build all five subcommands
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build(["", *argv]))
+    assert build(["", *argv])._actions[-1].choices.keys() == cli._COMMANDS.keys()
+    assert one == answer()
 
 
 def test_config_echo_keys():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec import spectral
-from morsespec.charsums import autocorrelation_numerator
+from morsespec import cocycle, spectral
 from morsespec.errors import BudgetError, ConfigError
-from oracles import autocorrelation_closed_form
+from oracles import autocorrelation_closed_form, neg, sbh_quadratic_form, sub
 
 CFG = ms.make_group_config([5, 7])
 CTX = ms.build_context(CFG)
@@ -44,7 +44,7 @@ def test_coefficient_symmetry_and_size(ctx57):
     cfg = ctx57.cfg
     for g in ms.enumerate_level_group(2, cfg):
         v = ms.spectral_coefficient(g, ctx57).value
-        assert ms.spectral_coefficient(ms.neg(g, cfg), ctx57).value == v
+        assert ms.spectral_coefficient(neg(g, cfg), ctx57).value == v
         assert abs(v) <= 1
         if not g.is_identity:
             assert abs(v) < 1
@@ -86,7 +86,7 @@ def test_whole_array_routes_match_the_per_coordinate_products(ctx5711):
         want_q, want_x = Fraction(1), 1.0
         for p, r in zip(cfg.primes, row):
             if r:
-                want_q *= Fraction(autocorrelation_numerator(ms.legendre_table(p), r), p)
+                want_q *= autocorrelation_closed_form(p, r)
             want_x *= float(ms.legendre_table(p).density_fourier[r])
         assert q == want_q, row
         assert x == want_x, row
@@ -129,16 +129,17 @@ def test_exact_ratios_stay_exact_past_int64():
         want = Fraction(1)
         for p, r in zip(primes, row):
             if r:
-                want *= Fraction(autocorrelation_numerator(ms.legendre_table(p), r), p)
+                want *= autocorrelation_closed_form(p, r)
         assert (num, den) == (want.numerator, want.denominator), row
         assert num / den == float(want), row
 
 
-def test_exact_route_reads_only_per_shift_numerators(cfg5711):
+def test_exact_route_reads_only_per_shift_numerators(cfg5711, monkeypatch):
     # the exact route reads the closed form off the int8 signs: nothing
     # else is cached on the tables
-    tables = tuple(ms.LegendreTable(p) for p in cfg5711.primes)
-    ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
+    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
+    ctx = ms.CocycleContext(cfg5711)
+    tables = ctx.tables
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
     assert values == [
         autocorrelation_closed_form(5, 1)
@@ -160,8 +161,9 @@ def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     monkeypatch.setattr(np.fft, "ifft", no_fft)
-    tables = tuple(ms.LegendreTable(p) for p in cfg5711.primes)
-    ctx = ms.CocycleContext(cfg=cfg5711, tables=tables)
+    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
+    ctx = ms.CocycleContext(cfg5711)
+    tables = ctx.tables
     for g in ms.enumerate_level_group(3, cfg5711):
         ms.spectral_coefficient(g, ctx)
         ms.spectral_coefficient_from_density(g, ctx)
@@ -252,21 +254,21 @@ def test_quadratic_form_frozen_pair(ctx57):
     cfg = ctx57.cfg
     theta = (ms.IDENTITY, ms.element([1, 0], cfg))
     # Q = 1 + coeff(theta1 - theta0) = 1 + 1/5 with aligned signs
-    assert ms.sbh_quadratic_form(theta, (1, 1), ctx57) == Fraction(6, 5)
-    assert ms.sbh_quadratic_form(theta, (1, -1), ctx57) == Fraction(4, 5)
+    assert sbh_quadratic_form(theta, (1, 1), ctx57) == Fraction(6, 5)
+    assert sbh_quadratic_form(theta, (1, -1), ctx57) == Fraction(4, 5)
 
 
 def test_quadratic_form_validation(ctx57):
     cfg = ctx57.cfg
     g = ms.element([1, 0], cfg)
     with pytest.raises(ConfigError):
-        ms.sbh_quadratic_form((), (), ctx57)
+        sbh_quadratic_form((), (), ctx57)
     with pytest.raises(ConfigError):
-        ms.sbh_quadratic_form((g,), (1, 1), ctx57)
+        sbh_quadratic_form((g,), (1, 1), ctx57)
     with pytest.raises(ConfigError):
-        ms.sbh_quadratic_form((g,), (2,), ctx57)
+        sbh_quadratic_form((g,), (2,), ctx57)
     with pytest.raises(ConfigError):
-        ms.sbh_quadratic_form((g, g), (1, 1), ctx57)
+        sbh_quadratic_form((g, g), (1, 1), ctx57)
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,7 +287,7 @@ def test_quadratic_form_nonnegative(data):
     )
     signs = tuple(data.draw(st.sampled_from((1, -1))) for _ in range(k))
     theta = tuple(elems[i] for i in idx)
-    assert ms.sbh_quadratic_form(theta, signs, CTX) >= 0
+    assert sbh_quadratic_form(theta, signs, CTX) >= 0
 
 
 def test_quadratic_form_bounded_by_certificate(theorem_ctx):
@@ -299,7 +301,7 @@ def brute_search(n, k, ctx):
     # arithmetic, each coefficient computed once per ordered element pair
     elems = list(ms.enumerate_level_group(n, ctx.cfg))
     coeff = {
-        (a, b): ms.spectral_coefficient(ms.sub(ga, gb, ctx.cfg), ctx).value
+        (a, b): ms.spectral_coefficient(sub(ga, gb, ctx.cfg), ctx).value
         for a, ga in enumerate(elems)
         for b, gb in enumerate(elems)
     }
@@ -314,7 +316,7 @@ def brute_search(n, k, ctx):
             if best is None or q > best:
                 best, argmax = q, (combo, signs)
     combo, signs = argmax
-    assert ms.sbh_quadratic_form(tuple(elems[i] for i in combo), signs, ctx) == best
+    assert sbh_quadratic_form(tuple(elems[i] for i in combo), signs, ctx) == best
     return best
 
 
@@ -344,7 +346,7 @@ def test_search_probe_is_selfconsistent(ctx29):
     probe = result.probe
     assert probe.signs[0] == 1
     assert list(probe.theta) == sorted(probe.theta, key=lambda g: g.vector(1))
-    assert ms.sbh_quadratic_form(probe.theta, probe.signs, ctx29) == probe.value
+    assert sbh_quadratic_form(probe.theta, probe.signs, ctx29) == probe.value
 
 
 def test_search_local_mode(ctx29):
@@ -354,7 +356,7 @@ def test_search_local_mode(ctx29):
     assert result.evaluations <= 3000
     assert result.probe.value >= 1
     assert (
-        ms.sbh_quadratic_form(result.probe.theta, result.probe.signs, ctx29)
+        sbh_quadratic_form(result.probe.theta, result.probe.signs, ctx29)
         == result.probe.value
     )
     again = ms.sbh_adversarial_search(1, 4, ctx29, budget=3000, seed=1)
