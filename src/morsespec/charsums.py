@@ -30,6 +30,8 @@ LegendreTable(p) is the single precomputation layer for its prime: its
 int8 sign array (the squares mask), polynomial (P), density_fourier (the
 density-route coefficients) and numerators (the exact p * c(j)) are each
 derived at most once, on first use; legendre_table keeps one per prime.
+Only the squares mask is refused past int64, when it is built, so a
+table of any odd prime can be made and asked what needs only p.
 What the Gauss and Jacobi sums give in closed form needs no table at all:
 flatness_report reads the extremes of |P| and the sup of |P|^2 off p, and
 numerator_counts the value counts of p * c(j), since
@@ -93,8 +95,7 @@ def check_table_prime(p: int) -> None:
 
 
 def _check_odd_prime(p: int) -> None:
-    """Refuse p unless it is an odd prime whose table fits check_table_prime."""
-    check_table_prime(p)
+    """Refuse p unless it is an odd prime."""
     if not is_prime(p) or p == 2:
         raise ConfigError(f"{p} is not an odd prime")
 
@@ -103,7 +104,8 @@ class LegendreTable:
     """The quadratic-character sign table of an odd prime p: +1 at 0 and on
     the nonzero squares mod p, -1 elsewhere (Euler's criterion, as in
     legendre, is the reference).  The prime is checked here; the read-only
-    int8 array `signs` is built on its first read.
+    int8 array `signs` is built on its first read, which refuses a prime
+    past check_table_prime.
 
     Tables compare by identity; legendre_table returns one per prime.
     """
@@ -214,6 +216,7 @@ def _quadratic_signs(p: int) -> np.ndarray:
     """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
     k and p - k have the same square, so k <= (p - 1) / 2 reach them all;
     they are squared a fixed-size chunk at a time."""
+    check_table_prime(p)
     signs = np.full(p, -1, dtype=np.int8)
     signs[0] = 1
     half = (p + 1) // 2
@@ -283,9 +286,13 @@ def flatness_report(p: int) -> FlatnessReport:
     """The extremes of |P(x)| over x != 0 and the sup of |P|^2, checked
     against the flatness window.  The Gauss sum fixes them: 1 -/+ 1/sqrt(p)
     and (1 + 1/sqrt(p))^2 when p = 1 (mod 4), sqrt(1 + 1/p) and 1 + 1/p
-    when p = 3 (mod 4); no table and no P is formed."""
+    when p = 3 (mod 4); no table and no P is formed.  A p past the float
+    range is refused."""
     _check_odd_prime(p)
-    root = math.sqrt(p)
+    try:
+        root = math.sqrt(p)
+    except OverflowError:
+        raise ConfigError(f"a prime of {p.bit_length()} bits is past the float range") from None
     if p % 4 == 1:
         lo, hi, sup = 1 - 1 / root, 1 + 1 / root, (1 + 1 / root) ** 2
     else:

@@ -22,7 +22,6 @@ commutes with every such map.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .charsums import LegendreTable, legendre_table
@@ -31,15 +30,14 @@ from .odometer import (
     GroupConfig,
     GroupElement,
     add,
-    fiber_size,
     level_fiber,
-    random_fiber_point,
     translate,
 )
 
 
 class CocycleContext(NamedTuple):
-    """A configuration; its sign tables follow from its primes."""
+    """A configuration; its sign tables follow from its primes, and none
+    is made until `tables` or a sign is read."""
 
     cfg: GroupConfig
 
@@ -50,11 +48,10 @@ class CocycleContext(NamedTuple):
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
-    """The context of cfg, with every prime's table constructed: LegendreTable
-    checks each prime and builds no sign array until one is read."""
-    ctx = CocycleContext(cfg)
-    ctx.tables
-    return ctx
+    """The context of cfg.  make_group_config has checked every prime, so
+    no table is made here; a sign array is built, and refused past int64,
+    only where a command reads it."""
+    return CocycleContext(cfg)
 
 
 def cocycle_value(x: tuple[int, ...], g: GroupElement, ctx: CocycleContext) -> int:
@@ -85,25 +82,12 @@ def check_cocycle_identity(
     return lhs == rhs
 
 
-def check_level_constancy(
-    n: int,
-    g: GroupElement,
-    h: GroupElement,
-    ctx: CocycleContext,
-    budget: int = 10**6,
-    samples: int = 2000,
-    seed: int = 0,
-) -> bool:
-    """Verify w(., g) is the constant w0(g + h) * w0(h) on the stage-n piece
-    indexed by h.  Exhaustive when the piece fits the budget, otherwise a
-    seeded sample of `samples` points."""
+def check_level_constancy(n: int, g: GroupElement, h: GroupElement, ctx: CocycleContext) -> bool:
+    """Verify w(., g) is the constant w0(g + h) * w0(h) at every point of
+    the stage-n piece indexed by h; level_fiber refuses a piece past its
+    enumeration budget."""
     cfg = ctx.cfg
     if g.max_index() >= n or h.max_index() >= n:
         raise ConfigError(f"both elements must lie in G_{n}")
     expected = cocycle_at_zero(add(g, h, cfg), ctx) * cocycle_at_zero(h, ctx)
-    if fiber_size(n, cfg) <= budget:
-        points = level_fiber(h, n, cfg, budget=budget)
-    else:
-        rng = random.Random(seed)
-        points = (random_fiber_point(h, n, cfg, rng) for _ in range(samples))
-    return all(cocycle_value(x, g, ctx) == expected for x in points)
+    return all(cocycle_value(x, g, ctx) == expected for x in level_fiber(h, n, cfg))

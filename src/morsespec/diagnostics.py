@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .charsums import numerator_counts
 from .cocycle import CocycleContext
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 from .odometer import level_group_order
 from .reporting import write_atomic
 
@@ -51,26 +51,41 @@ class SeparationReport(NamedTuple):
     histogram: tuple[tuple[Fraction, int], ...]  # (distance, count), ascending
 
 
+# value combinations name_separation may multiply out: 69 984 at theorem
+# stage 12, 209 952 at stage 13
+_COMBINATION_BUDGET = 10**5
+
+
 def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     """Distances of all distinct word pairs from the law above: coeff's value
     counts over G_n multiply per prime, and each unordered {h, h'} with
-    coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2."""
+    coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2.
+    With D = |G_n| and c = v / D, those distances are (D -/+ v) / 2D: bins
+    are keyed by that integer numerator, one Fraction per bin at the end."""
     size = level_group_order(n, ctx.cfg)
-    per_prime = [{Fraction(v, p): m for v, m in numerator_counts(p).items()} for p in ctx.cfg.primes[:n]]
+    per_prime = [numerator_counts(p) for p in ctx.cfg.primes[:n]]
+    combinations = math.prod(map(len, per_prime))
+    if combinations > _COMBINATION_BUDGET:
+        raise BudgetError(
+            f"stage {n} has {combinations} coefficient value combinations, budget is {_COMBINATION_BUDGET}"
+        )
+    # a dict's keys and values iterate in the same order, so the two products pair up
+    values = map(math.prod, itertools.product(*(counts.keys() for counts in per_prime)))
+    multiplicities = map(math.prod, itertools.product(*(counts.values() for counts in per_prime)))
     histogram: Counter = Counter()
-    for combo in itertools.product(*(counts.items() for counts in per_prime)):
-        c = math.prod(value for value, _ in combo)
-        m = math.prod(count for _, count in combo)  # differences g with coeff(g) = c
-        histogram[(1 - c) / 2] += m * size
-        histogram[(1 + c) / 2] += m * size
+    for v, m in zip(values, multiplicities):
+        m *= size  # m differences g have coeff(g) = v / D
+        histogram[size - v] += m
+        histogram[size + v] += m
     # g = 0 gives the |G_n| complement pairs at 1 and |G_n| self-pairs at 0
-    histogram -= Counter({Fraction(0): size})
+    histogram -= Counter({0: size})
+    bins = tuple((Fraction(num, 2 * size), count) for num, count in sorted(histogram.items()))
     return SeparationReport(
         level=n,
         name_count=2 * size,
         pair_count=math.comb(2 * size, 2),
-        delta_min=min(histogram),
-        histogram=tuple(sorted(histogram.items())),
+        delta_min=bins[0][0],
+        histogram=bins,
     )
 
 

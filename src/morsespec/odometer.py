@@ -256,14 +256,6 @@ def random_point(cfg: GroupConfig, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randrange(p) for p in cfg.primes)
 
 
-def random_fiber_point(
-    h: GroupElement, n: int, cfg: GroupConfig, rng: random.Random
-) -> tuple[int, ...]:
-    """Uniform point of the stage-n tower piece indexed by h."""
-    _check_stage(n, cfg)
-    return h.vector(n) + tuple(rng.randrange(p) for p in cfg.primes[n:])
-
-
 def _check_stage(n: int, cfg: GroupConfig) -> None:
     if not 0 <= n <= cfg.level:
         raise ConfigError(f"stage {n} outside 0..{cfg.level}")

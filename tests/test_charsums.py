@@ -79,12 +79,15 @@ def test_table_accepts_sequences_and_arrays():
 
 
 def test_legendre_table_refuses_primes_squared_past_int64(monkeypatch):
-    def no_table(p):
-        raise AssertionError(f"table for {p} built")
+    # the check sits where the squares are formed: the table of p_6 is made,
+    # and the first read of its signs is refused before a mask is allocated
+    def no_mask(*args, **kwargs):
+        raise AssertionError("a squares mask was allocated")
 
-    monkeypatch.setattr(charsums, "_quadratic_signs", no_table)
+    monkeypatch.setattr(charsums.np, "full", no_mask)
+    table = ms.LegendreTable(6_103_515_637)  # p_6 of the theorem sequence
     with pytest.raises(ConfigError, match="int64"):
-        ms.legendre_table(6_103_515_637)  # p_6 of the theorem sequence
+        table.signs
     # ((p - 1) // 2)^2 <= 2^63 - 1 exactly up to p = 6 074 001 000
     charsums.check_table_prime(6_074_001_000)
     with pytest.raises(ConfigError):
@@ -155,23 +158,32 @@ def test_closed_form_numerators_match_the_window_route_below_3000():
 
 
 def test_table_validation(monkeypatch):
-    # LegendreTable and flatness_report refuse what is no odd prime, and a
-    # prime past the int64 squares limit (p_6), before building anything;
-    # flatness_report never fills legendre_table's cache
+    # LegendreTable and flatness_report refuse what is no odd prime before
+    # building anything; a prime past the int64 squares limit (p_6) makes a
+    # table and a flatness report, as neither reads a sign; flatness_report
+    # never fills legendre_table's cache
     def no_table(p):
         raise AssertionError(f"table for {p} built")
 
     cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
     monkeypatch.setattr(charsums, "legendre_table", cache)
     monkeypatch.setattr(charsums, "_quadratic_signs", no_table)
-    for p in (1, 2, 9, 15, 6_103_515_637):
+    for p in (1, 2, 9, 15):
         with pytest.raises(ConfigError):
             ms.LegendreTable(p)
         with pytest.raises(ConfigError):
             ms.flatness_report(p)
-    for p in (5, 7, 29):
+    p6 = 6_103_515_637
+    assert ms.LegendreTable(p6).prime == p6
+    for p in (5, 7, 29, p6):
         ms.flatness_report(p)
+    assert ms.flatness_report(p6).max_modulus == 1 + 1 / math.sqrt(p6)  # p6 = 1 (mod 4)
     assert cache.cache_info().currsize == 0
+
+
+def test_flatness_report_refuses_a_prime_past_the_float_range():
+    with pytest.raises(ConfigError, match="a prime of 1025 bits is past the float range"):
+        ms.flatness_report(2**1024 + 643)  # the least prime past 2^1024
 
 
 def test_tables_are_built_without_table_sized_temporaries():

@@ -25,7 +25,7 @@ def _cocycle_all_coordinates(x, g, ctx):
 
 def test_context_tables_follow_from_the_primes(cfg57, monkeypatch):
     # a context is its configuration: its tables are the cached ones of its
-    # primes, and build_context constructs each of them, checking the prime
+    # primes, and build_context makes none of them, so it takes p_6 and on
     ctx = ms.CocycleContext(cfg57)
     assert all(t is ms.legendre_table(p) for t, p in zip(ctx.tables, (5, 7), strict=True))
     other = ctx._replace(cfg=ms.make_group_config([7, 11]))
@@ -33,9 +33,9 @@ def test_context_tables_follow_from_the_primes(cfg57, monkeypatch):
     built = []
     monkeypatch.setattr(cocycle, "legendre_table", lambda p: built.append(p) or ms.LegendreTable(p))
     assert ms.build_context(cfg57) == ctx
-    assert built == [5, 7]
-    with pytest.raises(ConfigError, match="int64"):
-        ms.build_context(ms.make_group_config(ms.theorem_primes(7), ms.THEOREM_GRADE))
+    cfg7 = ms.make_group_config(ms.theorem_primes(7), ms.THEOREM_GRADE)
+    assert ms.build_context(cfg7) == ms.CocycleContext(cfg7)
+    assert built == []
 
 
 def test_cocycle_value_identity_element(ctx57):
@@ -118,14 +118,6 @@ def test_level_constancy_rejects_wide_support(ctx57):
     wide = ms.element([0, 1], ctx57.cfg)
     with pytest.raises(ConfigError):
         ms.check_level_constancy(1, wide, ms.IDENTITY, ctx57)
-
-
-def test_level_constancy_sampled_branch(theorem_ctx):
-    # force the sampled path by shrinking the exhaustive budget
-    cfg = theorem_ctx.cfg
-    g = ms.element({0: 5}, cfg)
-    h = ms.element({0: 11}, cfg)
-    assert ms.check_level_constancy(1, g, h, theorem_ctx, budget=10, samples=50, seed=3)
 
 
 def test_skew_step_composes_like_the_group(ctx57):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
+from morsespec import diagnostics
+from morsespec.charsums import numerator_counts
 from morsespec.errors import BudgetError, ConfigError
 from oracles import FunnyWord, complement, hamming, name_atlas, name_word, sub
 
@@ -254,6 +256,34 @@ def test_separation_theorem_stage(theorem_ctx):
     assert report.delta_min == Fraction(13, 29)
     assert len(report.histogram) == 31
     assert sum(count for _, count in report.histogram) == report.pair_count
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_separation_past_the_int64_tables_adds_up(n):
+    # stages whose primes no sign table reaches: the counts still cover
+    # every pair, from per-prime value counts that sum to p with mean 1/p
+    primes = ms.theorem_primes(n)
+    report = ms.name_separation(n, ms.build_context(ms.make_group_config(primes, ms.THEOREM_GRADE)))
+    assert sum(count for _, count in report.histogram) == report.pair_count
+    assert report.pair_count == math.comb(2 * math.prod(primes), 2)
+    assert report.delta_min == Fraction(13, 29)
+    for p in primes:
+        counts = numerator_counts(p)
+        assert sum(counts.values()) == p, p
+        assert sum(value * count for value, count in counts.items()) == 1, p
+
+
+def test_separation_refuses_past_its_combination_budget(monkeypatch):
+    # [5, 7] has 3 * 2 value combinations; the theorem stages admit 12
+    # (69 984 combinations) and refuse 13 (209 952)
+    assert 69_984 <= diagnostics._COMBINATION_BUDGET < 209_952
+    ctx = ms.build_context(ms.make_group_config([5, 7]))
+    expected = ms.name_separation(2, ctx)
+    monkeypatch.setattr(diagnostics, "_COMBINATION_BUDGET", 6)
+    assert ms.name_separation(2, ctx) == expected
+    monkeypatch.setattr(diagnostics, "_COMBINATION_BUDGET", 5)
+    with pytest.raises(BudgetError, match="6 coefficient value combinations, budget is 5"):
+        ms.name_separation(2, ctx)
 
 
 def test_ball_bound_small_radius(ctx57):

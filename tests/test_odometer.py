@@ -35,11 +35,16 @@ def test_theorem_primes_frozen():
 
 
 def test_theorem_primes_are_least_admissible():
-    primes = ms.theorem_primes(4)
+    primes = ms.theorem_primes(12)
     for n, p in enumerate(primes):
         floor = ms.growth_floor(n)
         assert p >= floor and ms.is_prime(p)
         assert all(not ms.is_prime(q) for q in range(floor, p))
+    # past p_5 the deterministic Miller-Rabin set, not a table, vouches for
+    # each prime: sympy is the second route, on the primes and the gaps
+    for n, p in enumerate(primes[6:], start=6):
+        assert sympy.isprime(p), n
+        assert not any(sympy.isprime(q) for q in range(ms.growth_floor(n), p)), n
 
 
 def test_make_group_config_validations():

@@ -8,9 +8,11 @@ import json
 import math
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -838,11 +841,9 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
     assert code == 0 and report["results"]["certificate"]["status"] == "certified"
     code, report, _ = run_json(capsys, "sbh-search", "--primes", "29", "--k-max", "4")
     assert code == 0 and report["results"]["stage_sup"] == (1 + 1 / 29**0.5) ** 2
-    primes = ms.theorem_primes(4)
-    assert cache.cache_info().currsize == len(primes)
-    for p in primes:
-        table = cache(p)
-        assert set(table.__dict__) <= {"prime", "signs", "numerators"}, p
+    # certify makes no table; the search makes the one it reads
+    assert cache.cache_info().currsize == 1
+    assert set(cache(29).__dict__) == {"prime", "signs", "numerators"}
 
 
 def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
@@ -868,6 +869,79 @@ def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
     code, report, _ = run_json(capsys, *argv)
     assert code == 0
     assert report["results"]["best"]["value"] == "1/1"
+
+
+def test_float_range_primes_are_refused_where_a_float_is_formed(capsys):
+    # certify and sbh-search read the Gauss-sum sups, floats in 1/sqrt(p);
+    # names stays in exact integers and answers for the same primes
+    primes = f"100000000000000000039,{sympy.nextprime(10**309)}"
+    for argv in (["certify"], ["sbh-search", "--k-max", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--primes", primes)
+        assert (code, out) == (64, ""), argv
+        assert err == "configuration error: a prime of 1027 bits is past the float range\n"
+    code, report, err = run_json(capsys, "names", "--primes", primes)
+    assert (code, err) == (0, "")
+    assert report["results"]["delta_min"] == "50000000000000000019/100000000000000000039"
+
+
+# address space each capped child may map: a p_6 squares mask alone is 6 GB
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def run_capped(*argv):
+    """Run `python -m morsespec.cli <argv>` in a child whose address space is
+    capped at CHILD_ADDRESS_SPACE (setrlimit in the child only), so a
+    regression that builds a huge table fails at once instead of exhausting
+    the machine.  Returns the exit code, stdout, stderr and peak RSS in MB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morsespec.cli", *argv], stdout=out, stderr=err, env=env, preexec_fn=cap
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--theorem", "7"),
+        ("certify", "--theorem", "12"),
+        ("names", "--theorem", "10"),
+        ("names", "--theorem", "12"),
+        ("sbh-search", "--theorem", "10", "--level", "10", "--k-max", "1"),
+    ],
+)
+def test_theorem_stages_7_to_12_run_in_small_memory(argv):
+    code, out, err, rss_mb = run_capped(*argv)
+    assert (code, err) == (0, ""), argv
+    assert json.loads(out)["results"]
+    assert rss_mb < 128, argv
+
+
+@pytest.mark.parametrize(
+    "argv, first_words",
+    [
+        (("names", "--theorem", "13"), "budget exceeded: stage 13 has 209952 coefficient value combinations"),
+        (
+            ("sbh-search", "--primes", "6103515637", "--k-max", "2"),
+            "configuration error: the sign table for 6103515637 would square residues past int64",
+        ),
+        (("certify", "--primes", str(2**1024 + 643)), "configuration error: a prime of 1025 bits"),
+        (("sbh-search", "--k-max", "1", "--primes", str(2**1024 + 643)), "configuration error: a prime of 1025 bits"),
+    ],
+)
+def test_refusals_past_the_budgets_and_ranges_are_one_line(argv, first_words):
+    code, out, err, _ = run_capped(*argv)
+    assert (code, out) == (64, "")
+    assert err.startswith(first_words) and err.count("\n") == 1, err
 
 
 def test_tables_build_their_signs_on_first_read(capsys, monkeypatch):
@@ -984,18 +1058,28 @@ def test_bad_numeric_config_values_are_usage_errors(capsys, tmp_path):
         assert line.split(" = ")[1] in err
 
 
-def test_certify_refuses_theorem_7_before_building_a_table(capsys, monkeypatch):
-    # p_6 = 6 103 515 637 squares residues past int64; p_0..p_5 must not be built first
+def test_theorem_stages_past_the_int64_tables_read_no_sign(capsys, monkeypatch):
+    # p_6 = 6 103 515 637 squares residues past int64, but the certificate,
+    # the name counts and a k = 1 search need only the primes
     def no_table(p):
         raise AssertionError(f"table for {p} built")
 
     monkeypatch.setattr("morsespec.charsums._quadratic_signs", no_table)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "certify", "--theorem", "7")
-    assert time.perf_counter() - start < 1.0
-    assert code == 64
-    assert out == ""
-    assert "6103515637" in err
+    code, stage6, _ = run_json(capsys, "certify", "--theorem", "6")
+    assert code == 0
+    for stage in ("7", "10"):
+        code, report, err = run_json(capsys, "certify", "--theorem", stage)
+        assert (code, err) == (0, ""), stage
+        res = report["results"]
+        assert res["verdict"]["verdict"] == "non-AT certified"
+        assert res["certificate"]["total_bound"] <= stage6["results"]["certificate"]["total_bound"]
+    code, report, err = run_json(capsys, "names", "--theorem", "10")
+    assert (code, err) == (0, "")
+    assert report["results"]["delta_min"] == "13/29"
+    argv = ("sbh-search", "--theorem", "10", "--level", "10", "--k-max", "1")
+    code, report, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert report["results"]["best"]["value"] == "1/1"
 
 
 def test_coeffs_checks_every_prime_against_the_fft_budget(capsys, monkeypatch):
