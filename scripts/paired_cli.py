@@ -1,24 +1,26 @@
-"""Compare one CLI command's child CPU time and peak RSS between two source
-trees, in alternating pairs.
+"""Compare one CLI command's output, child CPU time and peak RSS between
+two source trees, in alternating pairs.
 
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 -- coeffs --primes 5,7,11,13
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 --
+    python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 0 -- certify --bogus
 
 Each run is one `python -m morsespec.cli <argv>` child with PYTHONPATH set
 to the tree, stdout and stderr sent to /dev/null, reaped with os.wait4 for
 its own user + system CPU time and peak RSS.  With nothing after `--`,
 each child is `python -c "import morsespec.cli"` instead: the start-up
 that every command pays, which prints nothing to compare.  One untimed
-run per tree comes first, its stdout kept in a temporary file, then the
-pairs; pair i runs OLD first when i is even and NEW first when it is
-odd.  The script prints each side's median and quartiles, the median of
-the paired differences (new - old) and how many pairs each side won; ties
+run per tree comes first, its stdout and stderr kept in temporary files,
+then the pairs; pair i runs OLD first when i is even and NEW first when
+it is odd.  With --pairs 0 only the untimed runs are made and compared.
+The script prints each side's median and quartiles, the median of the
+paired differences (new - old) and how many pairs each side won; ties
 count for neither.  It ends with one verdict line per metric: `gain` when NEW is
 lower in at least nine tenths of the pairs and the medians differ by more
 than OLD's interquartile range, `regression` when the same holds with the
 sides swapped, `unresolved` otherwise.  It exits 1 if the two trees' runs
 end with different exit codes, or if their untimed runs print different
-stdout once the report's timestamp line is removed.
+stdout, once the report's timestamp line is removed, or different stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import sys
 import tempfile
 
 
-def run(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> tuple[int, float, float]:
+def run(
+    src: str, argv: list[str], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+) -> tuple[int, float, float]:
     """Exit code, CPU seconds and peak RSS in MB of one CLI child, or of
     a bare import of morsespec.cli when argv is empty."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -41,20 +45,22 @@ def run(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> tuple[int, floa
         [sys.executable, *child],
         env=env,
         stdout=stdout,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
     )
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
-def untimed_stdout(src: str, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout, timestamp line removed, of one CLI child."""
-    with tempfile.TemporaryFile("w+") as out:
-        code = run(src, argv, out)[0]
+def untimed_output(src: str, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout with the timestamp line removed, and stderr of
+    one CLI child."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        code = run(src, argv, out, err)[0]
         out.seek(0)
-        text = out.read()
-    return code, re.sub(r'^(\s*"timestamp": "[^"]*",?|timestamp,.*)\n', "", text, flags=re.M)
+        err.seek(0)
+        text = re.sub(r'^(\s*"timestamp": "[^"]*",?|timestamp,.*)\n', "", out.read(), flags=re.M)
+        return code, text, err.read()
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -84,17 +90,24 @@ def main() -> int:
     )
     parser.add_argument("old_src", help="source tree of the parent, e.g. a checkout's src")
     parser.add_argument("new_src", help="source tree of the change")
-    parser.add_argument("--pairs", type=int, default=10, help="number of alternating pairs")
+    parser.add_argument(
+        "--pairs", type=int, default=10, help="number of alternating pairs; 0 compares output only"
+    )
     own = sys.argv[1:]
     split = own.index("--") if "--" in own else len(own)
     args = parser.parse_args(own[:split])
     argv = own[split + 1 :]
-    if "--" not in own or args.pairs < 1:
-        parser.error("give --pairs >= 1 and --, then the CLI arguments if any")
+    if "--" not in own or args.pairs < 0:
+        parser.error("give --pairs >= 0 and --, then the CLI arguments if any")
 
     sides = {"old": args.old_src, "new": args.new_src}
-    first = {name: untimed_stdout(src, argv) for name, src in sides.items()}
-    codes = {name: {code} for name, (code, _) in first.items()}
+    first = {name: untimed_output(src, argv) for name, src in sides.items()}
+    codes = {name: {first[name][0]} for name in sides}
+    if args.pairs == 0:
+        print(f"argv: {' '.join(argv) or '(import morsespec.cli)'}  pairs: 0")
+        for name, src in sides.items():
+            print(f"{name} ({src}) exit {first[name][0]}")
+        return differences(codes, first)
     cpu = {name: [] for name in sides}
     rss = {name: [] for name in sides}
     for i in range(args.pairs):
@@ -119,13 +132,22 @@ def main() -> int:
         )
     for metric, values in (("cpu_s", cpu), ("peak_rss_mb", rss)):
         print(f"{metric} verdict: {verdict(values['old'], values['new'])}")
+    return differences(codes, first)
+
+
+def differences(codes: dict, first: dict) -> int:
+    """1, with a line on stderr per difference, when the trees' exit codes
+    or untimed stdout or stderr differ; 0 when they match."""
+    found = []
     if codes["old"] != codes["new"]:
-        print("exit codes differ between the trees", file=sys.stderr)
-        return 1
+        found.append("exit codes differ between the trees")
     if first["old"][1] != first["new"][1]:
-        print("stdout differs between the trees, timestamp aside", file=sys.stderr)
-        return 1
-    return 0
+        found.append("stdout differs between the trees, timestamp aside")
+    if first["old"][2] != first["new"][2]:
+        found.append("stderr differs between the trees")
+    for line in found:
+        print(line, file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -88,7 +88,6 @@ _EXPORTS = {
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-# reporting is bound too: the eager imports used to load it through diagnostics
 _SUBMODULES = (*_EXPORTS, "reporting")
 
 __all__ = list(_OWNER)

@@ -45,7 +45,6 @@ from .odometer import (
     EXPERIMENTAL,
     THEOREM_GRADE,
     GroupConfig,
-    GroupElement,
     element,
     is_prime,
     level_group_order,
@@ -237,10 +236,6 @@ def _envelope(command: str, rc: RunConfig, cfg: GroupConfig | None, results: dic
     }
 
 
-def _vector(g: GroupElement, cfg: GroupConfig) -> list[int]:
-    return list(g.vector(cfg.level))
-
-
 def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Flatness per prime, density certificate, final verdict."""
     cfg = resolve_group_config(rc)
@@ -261,27 +256,12 @@ def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
         )
     verdict = sbh_verdict(
         ctx, split_level=rc.split_level, assume_tail_rule=rc.assume_tail_rule
-    )
-    cert = verdict.certificate
+    )._asdict()
+    cert = verdict.pop("certificate")
     results = {
         "flatness": flatness,
-        "certificate": {
-            "split_level": cert.split_level,
-            "finite_sup": cert.finite_sup,
-            "finite_window": cert.finite_window,
-            "tail_bound": cert.tail_bound,
-            "total_bound": cert.total_bound,
-            "status": cert.status,
-            "sbh_certified": cert.sbh_certified,
-            "op": "density_certificate",
-        },
-        "verdict": {
-            "verdict": verdict.verdict,
-            "reasons": list(verdict.reasons),
-            "assumptions": list(verdict.assumptions),
-            "cited": list(verdict.cited),
-            "op": "sbh_verdict",
-        },
+        "certificate": {**cert._asdict(), "op": "density_certificate"},
+        "verdict": {**verdict, "op": "sbh_verdict"},
     }
     code = EXIT_OK if cert.sbh_certified else EXIT_INCONCLUSIVE
     return _envelope("certify", rc, cfg, results), code
@@ -377,13 +357,8 @@ def cmd_names(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
             "only the trivial bound applies"
         )
     results = {
-        "level": n,
-        "name_count": sep.name_count,
-        "pair_count": sep.pair_count,
-        "delta_min": sep.delta_min,
-        "histogram": [
-            {"distance": dist, "count": cnt} for dist, cnt in sep.histogram
-        ],
+        **sep._asdict(),
+        "histogram": [{"distance": dist, "count": cnt} for dist, cnt in sep.histogram],
         "epsilon_used": epsilon,
         "ball_bound": bound,
         "interpretation": interpretation,
@@ -422,10 +397,9 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
             )
         entry = {
             "k": k,
-            "value": probe.value,
+            **probe._asdict(),
             "value_float": float(probe.value),
-            "theta": [_vector(g, cfg) for g in probe.theta],
-            "signs": list(probe.signs),
+            "theta": [g.vector(cfg.level) for g in probe.theta],
             "mode": result.mode,
             "evaluations": result.evaluations,
             "falsification": cert.sbh_certified and probe.value > cert.total_bound,
@@ -543,16 +517,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of argv, with the run options on the subcommand argv
-    invokes only: argv's first command name, since what comes before the
-    command can only be an option.  A command in first place is all that
-    argv can reach, so it is the one subcommand built; otherwise all are,
-    for the help and the errors that list them."""
+    """The parser of argv: every subcommand, with the run options on the
+    one argv invokes only.  That is argv's first command name, since what
+    comes before the command can only be an option."""
     invoked = next((arg for arg in argv if arg in _COMMANDS), None)
     parser = _Parser(prog="morsespec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command in [invoked] if argv[:1] == [invoked] else _COMMANDS:
-        cmd = sub.add_parser(command, help=_COMMANDS[command][1])
+    for command, (_, summary) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
         if command != invoked:
             continue
         cmd.add_argument("--config", help="flat key = value config file")

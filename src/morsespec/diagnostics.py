@@ -28,7 +28,6 @@ verdict comes from the spectral density certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -51,9 +50,9 @@ class SeparationReport(NamedTuple):
     histogram: tuple[tuple[Fraction, int], ...]  # (distance, count), ascending
 
 
-# value combinations name_separation may multiply out: 69 984 at theorem
-# stage 12, 209 952 at stage 13
-_COMBINATION_BUDGET = 10**5
+# distinct coefficient values name_separation may hold after a prime's
+# fold: 40 960 at theorem stage 13, 81 920 at stage 14
+_VALUE_BUDGET = 5 * 10**4
 
 
 def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
@@ -61,19 +60,23 @@ def name_separation(n: int, ctx: CocycleContext) -> SeparationReport:
     counts over G_n multiply per prime, and each unordered {h, h'} with
     coeff(h' - h) = c gives two word pairs at (1 - c)/2 and two at (1 + c)/2.
     With D = |G_n| and c = v / D, those distances are (D -/+ v) / 2D: bins
-    are keyed by that integer numerator, one Fraction per bin at the end."""
+    are keyed by that integer numerator, one Fraction per bin at the end.
+    The counts of v are folded in one prime at a time, equal values merged."""
     size = level_group_order(n, ctx.cfg)
-    per_prime = [numerator_counts(p) for p in ctx.cfg.primes[:n]]
-    combinations = math.prod(map(len, per_prime))
-    if combinations > _COMBINATION_BUDGET:
-        raise BudgetError(
-            f"stage {n} has {combinations} coefficient value combinations, budget is {_COMBINATION_BUDGET}"
-        )
-    # a dict's keys and values iterate in the same order, so the two products pair up
-    values = map(math.prod, itertools.product(*(counts.keys() for counts in per_prime)))
-    multiplicities = map(math.prod, itertools.product(*(counts.values() for counts in per_prime)))
+    values = Counter({1: 1})
+    for p in ctx.cfg.primes[:n]:
+        folded: Counter = Counter()
+        for num, cnt in numerator_counts(p).items():
+            for v, m in values.items():
+                folded[v * num] += m * cnt
+        values = folded
+        # p is one of p's numerators, so no later fold lowers this count
+        if len(values) > _VALUE_BUDGET:
+            raise BudgetError(
+                f"stage {n} has at least {len(values)} distinct coefficient values, budget is {_VALUE_BUDGET}"
+            )
     histogram: Counter = Counter()
-    for v, m in zip(values, multiplicities):
+    for v, m in values.items():
         m *= size  # m differences g have coeff(g) = v / D
         histogram[size - v] += m
         histogram[size + v] += m

@@ -191,20 +191,22 @@ def level_group_order(n: int, cfg: GroupConfig) -> int:
     return math.prod(cfg.primes[:n])
 
 
-def level_group_vectors(
-    n: int, cfg: GroupConfig, budget: int = 10**6
-) -> Iterator[tuple[int, ...]]:
+# elements or points any one enumeration below may yield
+_ENUMERATION_BUDGET = 10**6
+
+
+def level_group_vectors(n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
     """The dense residue vectors of G_n, of length n, in lexicographic
     order (identity first)."""
     size = level_group_order(n, cfg)
-    if size > budget:
-        raise BudgetError(f"|G_{n}| = {size} exceeds enumeration budget {budget}")
+    if size > _ENUMERATION_BUDGET:
+        raise BudgetError(f"|G_{n}| = {size} exceeds enumeration budget {_ENUMERATION_BUDGET}")
     return itertools.product(*(range(p) for p in cfg.primes[:n]))
 
 
-def enumerate_level_group(n: int, cfg: GroupConfig, budget: int = 10**6) -> Iterator[GroupElement]:
+def enumerate_level_group(n: int, cfg: GroupConfig) -> Iterator[GroupElement]:
     """All of G_n in lexicographic order of dense vectors (identity first)."""
-    for vec in level_group_vectors(n, cfg, budget):
+    for vec in level_group_vectors(n, cfg):
         yield GroupElement(tuple((i, r) for i, r in enumerate(vec) if r))
 
 
@@ -222,25 +224,23 @@ def fiber_size(n: int, cfg: GroupConfig) -> int:
     return math.prod(cfg.primes[n:])
 
 
-def level_fiber(
-    h: GroupElement, n: int, cfg: GroupConfig, budget: int = 10**6
-) -> Iterator[tuple[int, ...]]:
+def level_fiber(h: GroupElement, n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
     """All points of the tower piece indexed by h at stage n: first n
     coordinates equal h, remaining coordinates free."""
     _check_stage(n, cfg)
     if h.max_index() >= n:
         raise ConfigError(f"index element must lie in G_{n}")
     size = fiber_size(n, cfg)
-    if size > budget:
-        raise BudgetError(f"fiber size {size} exceeds enumeration budget {budget}")
+    if size > _ENUMERATION_BUDGET:
+        raise BudgetError(f"fiber size {size} exceeds enumeration budget {_ENUMERATION_BUDGET}")
     prefix = h.vector(n)
     for tail in itertools.product(*(range(p) for p in cfg.primes[n:])):
         yield prefix + tail
 
 
-def enumerate_points(cfg: GroupConfig, budget: int = 10**6) -> Iterator[tuple[int, ...]]:
+def enumerate_points(cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
     """The whole truncated space, lexicographically."""
-    return level_fiber(IDENTITY, 0, cfg, budget=budget)
+    return level_fiber(IDENTITY, 0, cfg)
 
 
 def random_element(cfg: GroupConfig, rng: random.Random, level: int | None = None) -> GroupElement:

@@ -274,15 +274,15 @@ def test_separation_past_the_int64_tables_adds_up(n):
 
 
 def test_separation_refuses_past_its_combination_budget(monkeypatch):
-    # [5, 7] has 3 * 2 value combinations; the theorem stages admit 12
-    # (69 984 combinations) and refuse 13 (209 952)
-    assert 69_984 <= diagnostics._COMBINATION_BUDGET < 209_952
+    # [5, 7] folds to 3 and then 3 * 2 distinct values; the theorem stages
+    # admit 13 (40 960 values) and refuse 14 (81 920)
+    assert 40_960 <= diagnostics._VALUE_BUDGET < 81_920
     ctx = ms.build_context(ms.make_group_config([5, 7]))
     expected = ms.name_separation(2, ctx)
-    monkeypatch.setattr(diagnostics, "_COMBINATION_BUDGET", 6)
+    monkeypatch.setattr(diagnostics, "_VALUE_BUDGET", 6)
     assert ms.name_separation(2, ctx) == expected
-    monkeypatch.setattr(diagnostics, "_COMBINATION_BUDGET", 5)
-    with pytest.raises(BudgetError, match="6 coefficient value combinations, budget is 5"):
+    monkeypatch.setattr(diagnostics, "_VALUE_BUDGET", 5)
+    with pytest.raises(BudgetError, match="stage 2 has at least 6 distinct coefficient values, budget is 5"):
         ms.name_separation(2, ctx)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
+from morsespec import odometer
 from morsespec.errors import BudgetError, ConfigError
 from oracles import neg, sub
 
@@ -115,9 +116,10 @@ def test_enumeration_is_lexicographic(cfg57):
     assert len(set(group)) == 35
 
 
-def test_enumeration_budget(cfg5711):
-    with pytest.raises(BudgetError):
-        list(ms.enumerate_level_group(3, cfg5711, budget=10))
+def test_enumeration_budget(cfg5711, monkeypatch):
+    monkeypatch.setattr(odometer, "_ENUMERATION_BUDGET", 10)
+    with pytest.raises(BudgetError, match="exceeds enumeration budget 10"):
+        list(ms.enumerate_level_group(3, cfg5711))
 
 
 def test_point_and_translate(cfg57):
@@ -142,12 +144,13 @@ def test_tower_partition(cfg57):
         assert len(seen) == 35
 
 
-def test_level_fiber_validation(cfg57):
+def test_level_fiber_validation(cfg57, monkeypatch):
     too_wide = ms.element([0, 1], cfg57)
     with pytest.raises(ConfigError):
         list(ms.level_fiber(too_wide, 1, cfg57))
-    with pytest.raises(BudgetError):
-        list(ms.level_fiber(ms.IDENTITY, 0, cfg57, budget=3))
+    monkeypatch.setattr(odometer, "_ENUMERATION_BUDGET", 3)
+    with pytest.raises(BudgetError, match="exceeds enumeration budget 3"):
+        list(ms.level_fiber(ms.IDENTITY, 0, cfg57))
 
 
 def test_enumerate_points_order(cfg57):

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import stat
 import subprocess
 import sys
@@ -449,6 +450,28 @@ def test_src_holds_no_unreached_defs(tmp_path):
     gate = Path(__file__).parent / "test_acceptance.py"
     done = subprocess.run([sys.executable, str(script), str(src), str(gate)], capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (1, "odometer.sub\n")
+
+
+def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
+    # --pairs 0 runs each tree once, untimed, and compares what the runs print
+    script = Path(__file__).parent.parent / "scripts" / "paired_cli.py"
+    for tree in ("old", "same", "changed"):
+        shutil.copytree(
+            Path(cli.__file__).parent, tmp_path / tree / "morsespec", ignore=shutil.ignore_patterns("__pycache__")
+        )
+    changed = tmp_path / "changed" / "morsespec" / "cli.py"
+    text = changed.read_text()
+    assert "one of --primes or --theorem is required" in text
+    changed.write_text(text.replace("one of --primes or --theorem is required", "give --primes or --theorem"))
+
+    def compare(tree):
+        argv = [str(tmp_path / "old"), str(tmp_path / tree), "--pairs", "0", "--", "certify"]
+        return subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+
+    same = compare("same")
+    assert (same.returncode, same.stderr) == (0, "")
+    differs = compare("changed")
+    assert (differs.returncode, differs.stderr) == (1, "stderr differs between the trees\n")
 
 
 def test_flatten_paths():
@@ -926,10 +949,20 @@ def test_theorem_stages_7_to_12_run_in_small_memory(argv):
     assert rss_mb < 128, argv
 
 
+def test_names_at_theorem_stage_13_fits_its_budget():
+    code, out, err, rss_mb = run_capped("names", "--theorem", "13")
+    assert (code, err) == (0, "")
+    assert rss_mb < 256
+    results = json.loads(out)["results"]
+    assert results["delta_min"] == "13/29"
+    assert len(results["histogram"]) == 81_919
+    assert sum(row["count"] for row in results["histogram"]) == results["pair_count"]
+
+
 @pytest.mark.parametrize(
     "argv, first_words",
     [
-        (("names", "--theorem", "13"), "budget exceeded: stage 13 has 209952 coefficient value combinations"),
+        (("names", "--theorem", "14"), "budget exceeded: stage 14 has at least 81920 distinct coefficient values"),
         (
             ("sbh-search", "--primes", "6103515637", "--k-max", "2"),
             "configuration error: the sign table for 6103515637 would square residues past int64",
@@ -981,6 +1014,13 @@ GOLDEN = Path(__file__).parent / "golden"
         ("certify_theorem_3", ["certify", "--theorem", "3", "--format", "csv"]),
         ("names_theorem_6", ["names", "--theorem", "6"]),
         ("certify_theorem_6", ["certify", "--theorem", "6"]),
+        ("certify_5_7", ["certify", "--primes", "5,7"]),
+        ("certify_29_assume_tail_rule", ["certify", "--primes", "29", "--assume-tail-rule"]),
+        ("names_5_7_11_csv", ["names", "--primes", "5,7,11", "--format", "csv"]),
+        (
+            "sbh_search_29_k4_seed1_csv",
+            ["sbh-search", "--primes", "29", "--k-max", "4", "--seed", "1", "--format", "csv"],
+        ),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):
@@ -990,7 +1030,8 @@ def test_reports_match_golden(capsys, name, argv):
     report change, with `python -m morsespec.cli <argv> > tests/golden/<name>.<format>`."""
     fmt = "csv" if "csv" in argv else "json"
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    # the one inconclusive verdict: experimental mode bounds no tail
+    assert code == (1 if name == "certify_5_7" else 0)
     assert strip_timestamp(out) == strip_timestamp((GOLDEN / f"{name}.{fmt}").read_text())
 
 
@@ -1240,25 +1281,15 @@ def test_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
         ["certify", "--bogus"],
     ],
 )
-def test_one_subcommand_parser_answers_as_all_five_do(capsys, monkeypatch, argv):
-    # a command in first place builds only its own subparser; stdout,
-    # stderr and exit code are those of the parser with every subcommand
-    build = cli._build_parser
-    choices = build(argv)._actions[-1].choices
-    assert list(choices) == (argv[:1] if argv[:1] and argv[0] in cli._COMMANDS else list(cli._COMMANDS))
-
-    def answer():
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        return code, *capsys.readouterr()
-
-    one = answer()
-    # a leading non-command word makes the parser build all five subcommands
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: build(["", *argv]))
-    assert build(["", *argv])._actions[-1].choices.keys() == cli._COMMANDS.keys()
-    assert one == answer()
+def test_one_subcommand_parser_answers_as_all_five_do(argv):
+    # every parser lists all five commands for the help and the errors,
+    # and only the subcommand argv invokes carries the run options
+    subparsers = cli._build_parser(argv)._actions[-1].choices
+    assert list(subparsers) == list(cli._COMMANDS)
+    invoked = [arg for arg in argv if arg in cli._COMMANDS]
+    for command, parser in subparsers.items():
+        options = {option for action in parser._actions for option in action.option_strings}
+        assert ("--primes" in options) == (command in invoked), (argv, command)
 
 
 def test_config_echo_keys():
