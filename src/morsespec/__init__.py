@@ -49,10 +49,8 @@ _EXPORTS = {
     ),
     "odometer": (
         "EXPERIMENTAL",
-        "IDENTITY",
         "THEOREM_GRADE",
         "GroupConfig",
-        "GroupElement",
         "add",
         "element",
         "enumerate_level_group",
@@ -62,12 +60,10 @@ _EXPORTS = {
         "is_prime",
         "level_fiber",
         "level_group_order",
-        "level_group_vectors",
         "make_group_config",
         "random_element",
         "random_point",
         "theorem_primes",
-        "translate",
     ),
     "spectral": (
         "DensityCertificate",

@@ -46,9 +46,8 @@ from .odometer import (
     THEOREM_GRADE,
     GroupConfig,
     element,
+    enumerate_level_group,
     is_prime,
-    level_group_order,
-    level_group_vectors,
     make_group_config,
     theorem_primes,
 )
@@ -279,12 +278,8 @@ def _parse_elements(specs: list[str], cfg: GroupConfig) -> np.ndarray:
             raise UsageError(f"bad element spec {specs[0]!r}") from None
         if not 0 <= n <= cfg.level:
             raise UsageError(f"level {n} outside 0..{cfg.level}")
-        vectors = level_group_vectors(n, cfg)
-        size = level_group_order(n, cfg)
-        out = np.zeros((size, cfg.level), dtype=np.int64)
-        flat = itertools.chain.from_iterable(vectors)
-        out[:, :n] = np.fromiter(flat, dtype=np.int64, count=size * n).reshape(size, n)
-        return out
+        flat = itertools.chain.from_iterable(enumerate_level_group(n, cfg))
+        return np.fromiter(flat, dtype=np.int64).reshape(-1, cfg.level)
     out = []
     for spec in specs:
         try:
@@ -296,10 +291,7 @@ def _parse_elements(specs: list[str], cfg: GroupConfig) -> np.ndarray:
                 f"element {spec!r} has {len(residues)} coordinates, "
                 f"configuration has {cfg.level}"
             )
-        try:
-            out.append(element(residues, cfg).vector(cfg.level))
-        except ConfigError as exc:
-            raise UsageError(f"bad element {spec!r}: {exc}") from None
+        out.append(element(residues, cfg))
     return np.array(out, dtype=np.int64)
 
 
@@ -399,7 +391,6 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
             "k": k,
             **probe._asdict(),
             "value_float": float(probe.value),
-            "theta": [g.vector(cfg.level) for g in probe.theta],
             "mode": result.mode,
             "evaluations": result.evaluations,
             "falsification": cert.sbh_certified and probe.value > cert.total_bound,

@@ -26,13 +26,7 @@ from typing import NamedTuple
 
 from .charsums import LegendreTable, legendre_table
 from .errors import ConfigError
-from .odometer import (
-    GroupConfig,
-    GroupElement,
-    add,
-    level_fiber,
-    translate,
-)
+from .odometer import GroupConfig, add, level_fiber
 
 
 class CocycleContext(NamedTuple):
@@ -54,40 +48,39 @@ def build_context(cfg: GroupConfig) -> CocycleContext:
     return CocycleContext(cfg)
 
 
-def cocycle_value(x: tuple[int, ...], g: GroupElement, ctx: CocycleContext) -> int:
-    """w(x, g) in {+1, -1}; the empty product for the identity."""
+def cocycle_value(x: tuple[int, ...], g: tuple[int, ...], ctx: CocycleContext) -> int:
+    """w(x, g) in {+1, -1}; the empty product for the identity.  A
+    coordinate where g is 0 contributes t(x_n)^2 = 1, so only the support
+    of g reads a table."""
     out = 1
-    for idx, res in g.coords:
-        p = ctx.cfg.primes[idx]
-        t = legendre_table(p).signs  # ctx.tables[idx], without the tuple
-        out *= int(t[x[idx]] * t[(x[idx] + res) % p])
+    for p, xn, res in zip(ctx.cfg.primes, x, g):
+        if res:
+            t = legendre_table(p).signs  # this prime's entry of ctx.tables, without the tuple
+            out *= int(t[xn] * t[(xn + res) % p])
     return out
 
 
-def cocycle_at_zero(g: GroupElement, ctx: CocycleContext) -> int:
+def cocycle_at_zero(g: tuple[int, ...], ctx: CocycleContext) -> int:
     """w0(g) = w(0, g) = prod of table entries at the residues of g."""
-    out = 1
-    for idx, res in g.coords:
-        out *= int(legendre_table(ctx.cfg.primes[idx]).signs[res])
-    return out
+    return cocycle_value((0,) * ctx.cfg.level, g, ctx)
 
 
 def check_cocycle_identity(
-    x: tuple[int, ...], g: GroupElement, g2: GroupElement, ctx: CocycleContext
+    x: tuple[int, ...], g: tuple[int, ...], g2: tuple[int, ...], ctx: CocycleContext
 ) -> bool:
     """w(x, g + g2) == w(x, g2) * w(x + g2, g)."""
     cfg = ctx.cfg
     lhs = cocycle_value(x, add(g, g2, cfg), ctx)
-    rhs = cocycle_value(x, g2, ctx) * cocycle_value(translate(x, g2, cfg), g, ctx)
+    rhs = cocycle_value(x, g2, ctx) * cocycle_value(add(x, g2, cfg), g, ctx)
     return lhs == rhs
 
 
-def check_level_constancy(n: int, g: GroupElement, h: GroupElement, ctx: CocycleContext) -> bool:
+def check_level_constancy(n: int, g: tuple[int, ...], h: tuple[int, ...], ctx: CocycleContext) -> bool:
     """Verify w(., g) is the constant w0(g + h) * w0(h) at every point of
     the stage-n piece indexed by h; level_fiber refuses a piece past its
     enumeration budget."""
     cfg = ctx.cfg
-    if g.max_index() >= n or h.max_index() >= n:
+    if any(g[n:]) or any(h[n:]):
         raise ConfigError(f"both elements must lie in G_{n}")
     expected = cocycle_at_zero(add(g, h, cfg), ctx) * cocycle_at_zero(h, ctx)
     return all(cocycle_value(x, g, ctx) == expected for x in level_fiber(h, n, cfg))

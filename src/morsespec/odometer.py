@@ -1,10 +1,11 @@
 """Truncated odometer space over a growing list of distinct odd primes.
 
 A configuration fixes primes p_0 < p_1 < ... < p_{N-1}.  The acting group
-is the direct sum of the cyclic groups Z/p_n, realised as finitely
-supported residue vectors added coordinatewise.  The space it acts on is
-the full product of the same cyclic groups, a point being a residue
-vector of length N, and the action is coordinatewise translation.
+is the direct sum of the cyclic groups Z/p_n and the space it acts on is
+their full product; with finitely many primes the two are one set.  So a
+group element and a point are both a tuple of N residues, the n-th in
+0..p_n - 1, and the group law and the action are both coordinatewise
+addition (add).  An element of G_n is zero past coordinate n.
 
 Stage n of the tower structure partitions the space by the first n
 coordinates: the base consists of the points whose first n coordinates
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, ConfigError
 
@@ -118,71 +119,18 @@ def make_group_config(primes: Sequence[int], mode: str = EXPERIMENTAL) -> GroupC
     return GroupConfig(primes=primes, mode=mode)
 
 
-class GroupElement(NamedTuple):
-    """Finitely supported residue vector, stored sparsely.
-
-    `coords` lists (index, residue) pairs with 0 < residue < p_index,
-    sorted by index.  The identity is the empty tuple.
-    """
-
-    coords: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.coords)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.coords
-
-    def residue(self, n: int) -> int:
-        for idx, res in self.coords:
-            if idx == n:
-                return res
-        return 0
-
-    def max_index(self) -> int:
-        """Largest coordinate index in the support, -1 for the identity."""
-        return self.coords[-1][0] if self.coords else -1
-
-    def vector(self, level: int) -> tuple[int, ...]:
-        """Dense residue vector of length `level`."""
-        out = [0] * level
-        for idx, res in self.coords:
-            if idx >= level:
-                raise ValueError(f"support index {idx} exceeds level {level}")
-            out[idx] = res
-        return tuple(out)
+def element(residues: Sequence[int], cfg: GroupConfig) -> tuple[int, ...]:
+    """The element with these leading residues, each reduced mod its
+    prime, zero-padded to one residue per configured prime."""
+    if len(residues) > cfg.level:
+        raise ConfigError(f"{len(residues)} residues for a configuration of {cfg.level} primes")
+    tail = (0,) * (cfg.level - len(residues))
+    return tuple(int(r) % p for r, p in zip(residues, cfg.primes)) + tail
 
 
-IDENTITY = GroupElement()
-
-
-def element(data: Mapping[int, int] | Sequence[int], cfg: GroupConfig) -> GroupElement:
-    """Build a group element from a dense residue sequence or a sparse
-    index->residue mapping; residues are reduced mod the matching prime."""
-    if isinstance(data, Mapping):
-        items = data.items()
-    else:
-        items = enumerate(data)
-    coords = []
-    for idx, res in items:
-        if not 0 <= idx < cfg.level:
-            raise ConfigError(f"coordinate index {idx} outside configuration of {cfg.level} primes")
-        res = int(res) % cfg.primes[idx]
-        if res:
-            coords.append((idx, res))
-    coords.sort()
-    if len({idx for idx, _ in coords}) != len(coords):
-        raise ConfigError("duplicate coordinate index")
-    return GroupElement(tuple(coords))
-
-
-def add(a: GroupElement, b: GroupElement, cfg: GroupConfig) -> GroupElement:
-    merged: dict[int, int] = dict(a.coords)
-    for idx, res in b.coords:
-        merged[idx] = (merged.get(idx, 0) + res) % cfg.primes[idx]
-    return GroupElement(tuple(sorted((i, r) for i, r in merged.items() if r)))
+def add(a: tuple[int, ...], b: tuple[int, ...], cfg: GroupConfig) -> tuple[int, ...]:
+    """The group law, and the action on points: coordinatewise addition."""
+    return tuple((x + y) % p for x, y, p in zip(a, b, cfg.primes))
 
 
 def level_group_order(n: int, cfg: GroupConfig) -> int:
@@ -195,27 +143,14 @@ def level_group_order(n: int, cfg: GroupConfig) -> int:
 _ENUMERATION_BUDGET = 10**6
 
 
-def level_group_vectors(n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
-    """The dense residue vectors of G_n, of length n, in lexicographic
-    order (identity first)."""
+def enumerate_level_group(n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
+    """All of G_n in lexicographic order (identity first), each element
+    zero-padded to full length."""
     size = level_group_order(n, cfg)
     if size > _ENUMERATION_BUDGET:
         raise BudgetError(f"|G_{n}| = {size} exceeds enumeration budget {_ENUMERATION_BUDGET}")
-    return itertools.product(*(range(p) for p in cfg.primes[:n]))
-
-
-def enumerate_level_group(n: int, cfg: GroupConfig) -> Iterator[GroupElement]:
-    """All of G_n in lexicographic order of dense vectors (identity first)."""
-    for vec in level_group_vectors(n, cfg):
-        yield GroupElement(tuple((i, r) for i, r in enumerate(vec) if r))
-
-
-def translate(x: tuple[int, ...], g: GroupElement, cfg: GroupConfig) -> tuple[int, ...]:
-    """The action: add g to x coordinatewise."""
-    out = list(x)
-    for idx, res in g.coords:
-        out[idx] = (out[idx] + res) % cfg.primes[idx]
-    return tuple(out)
+    tail = (0,) * (cfg.level - n)
+    return (vec + tail for vec in itertools.product(*(range(p) for p in cfg.primes[:n])))
 
 
 def fiber_size(n: int, cfg: GroupConfig) -> int:
@@ -224,36 +159,34 @@ def fiber_size(n: int, cfg: GroupConfig) -> int:
     return math.prod(cfg.primes[n:])
 
 
-def level_fiber(h: GroupElement, n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
+def level_fiber(h: tuple[int, ...], n: int, cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
     """All points of the tower piece indexed by h at stage n: first n
     coordinates equal h, remaining coordinates free."""
     _check_stage(n, cfg)
-    if h.max_index() >= n:
+    if any(h[n:]):
         raise ConfigError(f"index element must lie in G_{n}")
     size = fiber_size(n, cfg)
     if size > _ENUMERATION_BUDGET:
         raise BudgetError(f"fiber size {size} exceeds enumeration budget {_ENUMERATION_BUDGET}")
-    prefix = h.vector(n)
+    prefix = h[:n]
     for tail in itertools.product(*(range(p) for p in cfg.primes[n:])):
         yield prefix + tail
 
 
 def enumerate_points(cfg: GroupConfig) -> Iterator[tuple[int, ...]]:
     """The whole truncated space, lexicographically."""
-    return level_fiber(IDENTITY, 0, cfg)
+    return level_fiber((0,) * cfg.level, 0, cfg)
 
 
-def random_element(cfg: GroupConfig, rng: random.Random, level: int | None = None) -> GroupElement:
-    """Uniform element of G_level (default: the full truncated group)."""
+def random_element(cfg: GroupConfig, rng: random.Random, level: int | None = None) -> tuple[int, ...]:
+    """Uniform element of G_level (default: the full truncated group, so
+    equally a uniform point)."""
     n = cfg.level if level is None else level
     _check_stage(n, cfg)
-    return GroupElement(
-        tuple((i, r) for i in range(n) if (r := rng.randrange(cfg.primes[i])))
-    )
+    return tuple(rng.randrange(p) for p in cfg.primes[:n]) + (0,) * (cfg.level - n)
 
 
-def random_point(cfg: GroupConfig, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(p) for p in cfg.primes)
+random_point = random_element
 
 
 def _check_stage(n: int, cfg: GroupConfig) -> None:

@@ -36,25 +36,19 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import lazy_numpy
 from .charsums import flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
-from .odometer import (
-    THEOREM_GRADE,
-    GroupElement,
-    growth_floor,
-    level_group_order,
-)
+from .odometer import THEOREM_GRADE, growth_floor, level_group_order
 
 np = lazy_numpy()
 
 
 class SpectralCoefficient(NamedTuple):
-    element: GroupElement
+    element: tuple[int, ...]
     value: Fraction
 
 
@@ -118,23 +112,17 @@ def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext
     return out
 
 
-def _residue_row(g: GroupElement, ctx: CocycleContext) -> np.ndarray:
-    if g.max_index() >= ctx.cfg.level:
-        raise ConfigError(f"element support exceeds the configured {ctx.cfg.level} primes")
-    return np.array([g.vector(ctx.cfg.level)], dtype=np.int64)
-
-
-def spectral_coefficient(g: GroupElement, ctx: CocycleContext) -> SpectralCoefficient:
+def spectral_coefficient(g: tuple[int, ...], ctx: CocycleContext) -> SpectralCoefficient:
     """coeff(g) by the exact rational route: product of per-coordinate
     autocorrelations over the support of g."""
-    value = spectral_coefficients(_residue_row(g, ctx), ctx)[0]
+    value = spectral_coefficients([g], ctx)[0]
     return SpectralCoefficient(element=g, value=value)
 
 
-def spectral_coefficient_from_density(g: GroupElement, ctx: CocycleContext) -> float:
+def spectral_coefficient_from_density(g: tuple[int, ...], ctx: CocycleContext) -> float:
     """coeff(g) by the density route, one Fourier coefficient of |P_n|^2
     per coordinate."""
-    return float(spectral_coefficients_from_density(_residue_row(g, ctx), ctx)[0])
+    return float(spectral_coefficients_from_density([g], ctx)[0])
 
 
 def geometric_tail_bound(a: float) -> float:
@@ -254,7 +242,7 @@ class SbhProbe(NamedTuple):
     """A candidate for the averaged quadratic form: distinct group
     elements with signs, and the exact value achieved."""
 
-    theta: tuple[GroupElement, ...]
+    theta: tuple[tuple[int, ...], ...]
     signs: tuple[int, ...]
     value: Fraction
 
@@ -266,22 +254,6 @@ class SearchResult(NamedTuple):
     probe: SbhProbe
     mode: str  # "exhaustive" or "local"
     evaluations: int
-
-
-@lru_cache(maxsize=None)
-def _pattern_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sign patterns with the first sign fixed to +1 (the form is
-    invariant under a global flip), plus the per-pair sign products in
-    combinations(range(k), 2) order."""
-    patterns = np.array(
-        [(1,) + tail for tail in itertools.product((1, -1), repeat=k - 1)],
-        dtype=np.int64,
-    )
-    pairs = list(itertools.combinations(range(k), 2))
-    pairsigns = np.array(
-        [[row[i] * row[j] for i, j in pairs] for row in patterns], dtype=np.int64
-    )
-    return patterns, pairsigns
 
 
 # sign-pattern scores the exhaustive scan holds at once
@@ -329,9 +301,10 @@ def sbh_adversarial_search(
     primes_n = cfg.primes[:n]
     weights = [math.prod(primes_n[i + 1 :]) for i in range(n)]
 
-    def as_element(idx: int) -> GroupElement:
-        coords = ((i, idx // w % p) for i, (w, p) in enumerate(zip(weights, primes_n)))
-        return GroupElement(tuple((i, r) for i, r in coords if r))
+    tail = (0,) * (cfg.level - n)
+
+    def as_element(idx: int) -> tuple[int, ...]:
+        return tuple(idx // w % p for w, p in zip(weights, primes_n)) + tail
 
     if k == 1:
         # every single-element probe scores coeff(0) = 1 exactly
@@ -360,8 +333,11 @@ def sbh_adversarial_search(
     # fixes the mode, and with it the reported result, for every input
     if subsets * 2**k <= budget and m <= 1500:
         mode = "exhaustive"
-        patterns, pairsigns = _pattern_matrices(k)
+        # every sign pattern with the first sign +1 (the form is invariant
+        # under a global flip), and each pattern's per-pair sign products
+        patterns = np.array([(1, *rest) for rest in itertools.product((1, -1), repeat=k - 1)], dtype=np.int64)
         left, right = np.array(list(itertools.combinations(range(k), 2))).T
+        pairsigns = patterns[:, left] * patterns[:, right]
         flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
         rows = max(1, _SCORE_CHUNK // len(patterns))
         best_s = None

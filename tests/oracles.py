@@ -32,14 +32,7 @@ import numpy as np
 from morsespec.charsums import LegendreTable, legendre
 from morsespec.cocycle import CocycleContext, cocycle_at_zero, cocycle_value
 from morsespec.errors import BudgetError, ConfigError
-from morsespec.odometer import (
-    GroupConfig,
-    GroupElement,
-    add,
-    enumerate_level_group,
-    level_group_order,
-    translate,
-)
+from morsespec.odometer import GroupConfig, add, enumerate_level_group, level_group_order
 from morsespec.spectral import spectral_coefficient
 
 
@@ -73,7 +66,7 @@ def fft_scan_flatness(p: int) -> tuple[float, float, float, float]:
 class FunnyWord:
     """A {0,1}-word indexed by an ordered list of group elements."""
 
-    domain: tuple[GroupElement, ...]
+    domain: tuple[tuple[int, ...], ...]
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -83,7 +76,7 @@ class FunnyWord:
             raise ConfigError(f"{len(self.domain)} indices but {len(self.bits)} bits")
         if any(b not in (0, 1) for b in self.bits):
             raise ConfigError("bits must be 0 or 1")
-        if len({g.coords for g in self.domain}) != len(self.domain):
+        if len(set(self.domain)) != len(self.domain):
             raise ConfigError("domain elements must be distinct")
 
 
@@ -99,12 +92,12 @@ def hamming(w1: FunnyWord, w2: FunnyWord) -> Fraction:
     return Fraction(differ, len(w1.bits))
 
 
-def name_word(h: GroupElement, gamma: int, n: int, ctx: CocycleContext) -> FunnyWord:
+def name_word(h: tuple[int, ...], gamma: int, n: int, ctx: CocycleContext) -> FunnyWord:
     """The common word of every point in the stage-n piece indexed by h,
     on the fiber side gamma: bit 0 at g iff w0(g+h) * w0(h) * gamma = 1."""
     if gamma not in (-1, 1):
         raise ConfigError("gamma must be +1 or -1")
-    if h.max_index() >= n:
+    if any(h[n:]):
         raise ConfigError(f"index element must lie in G_{n}")
     cfg = ctx.cfg
     domain = tuple(enumerate_level_group(n, cfg))
@@ -123,11 +116,11 @@ class NameAtlas:
     each word class carries; the classes tile the extension."""
 
     level: int
-    keys: tuple[tuple[GroupElement, int], ...]
+    keys: tuple[tuple[tuple[int, ...], int], ...]
     words: tuple[FunnyWord, ...]
     class_measure: Fraction
 
-    def word(self, h: GroupElement, gamma: int) -> FunnyWord:
+    def word(self, h: tuple[int, ...], gamma: int) -> FunnyWord:
         return self.words[self.keys.index((h, gamma))]
 
 
@@ -147,11 +140,11 @@ def name_atlas(n: int, ctx: CocycleContext, max_names: int = 100_000) -> NameAtl
     )
 
 
-def neg(a: GroupElement, cfg: GroupConfig) -> GroupElement:
-    return GroupElement(tuple((i, cfg.primes[i] - r) for i, r in a.coords))
+def neg(a: tuple[int, ...], cfg: GroupConfig) -> tuple[int, ...]:
+    return tuple(-r % p for r, p in zip(a, cfg.primes))
 
 
-def sub(a: GroupElement, b: GroupElement, cfg: GroupConfig) -> GroupElement:
+def sub(a: tuple[int, ...], b: tuple[int, ...], cfg: GroupConfig) -> tuple[int, ...]:
     return add(a, neg(b, cfg), cfg)
 
 
@@ -172,10 +165,10 @@ class ExtensionPoint(_Point):
         return super().__new__(cls, base, sign)
 
 
-def skew_step(pt: ExtensionPoint, g: GroupElement, ctx: CocycleContext) -> ExtensionPoint:
+def skew_step(pt: ExtensionPoint, g: tuple[int, ...], ctx: CocycleContext) -> ExtensionPoint:
     """Apply g to the extension: translate the base, twist the sign."""
     return ExtensionPoint(
-        base=translate(pt.base, g, ctx.cfg),
+        base=add(pt.base, g, ctx.cfg),
         sign=cocycle_value(pt.base, g, ctx) * pt.sign,
     )
 
@@ -190,7 +183,7 @@ def zero_extension_point(ctx: CocycleContext) -> ExtensionPoint:
 
 
 def sbh_quadratic_form(
-    theta: tuple[GroupElement, ...], signs: tuple[int, ...], ctx: CocycleContext
+    theta: tuple[tuple[int, ...], ...], signs: tuple[int, ...], ctx: CocycleContext
 ) -> Fraction:
     """Q = (1/k) sum_{i,j} eta_i eta_j coeff(theta_i - theta_j), exact."""
     k = len(theta)
@@ -200,7 +193,7 @@ def sbh_quadratic_form(
         raise ConfigError(f"{k} elements but {len(signs)} signs")
     if any(s not in (-1, 1) for s in signs):
         raise ConfigError("signs must be +1 or -1")
-    if len({g.coords for g in theta}) != k:
+    if len(set(theta)) != k:
         raise ConfigError("elements must be distinct")
     total = Fraction(0)
     for i in range(k):

@@ -15,11 +15,10 @@ CTX = ms.build_context(CFG)
 
 def _cocycle_all_coordinates(x, g, ctx):
     # full product over every coordinate; coordinates off the support
-    # contribute t(x)^2 = 1, so this must agree with the sparse route
+    # contribute t(x)^2 = 1, so this must agree with the support-only route
     out = 1
     for n, table in enumerate(ctx.tables):
-        res = g.residue(n)
-        out *= int(table.signs[x[n]]) * int(table.signs[(x[n] + res) % ctx.cfg.primes[n]])
+        out *= int(table.signs[x[n]]) * int(table.signs[(x[n] + g[n]) % ctx.cfg.primes[n]])
     return out
 
 
@@ -40,7 +39,7 @@ def test_context_tables_follow_from_the_primes(cfg57, monkeypatch):
 
 def test_cocycle_value_identity_element(ctx57):
     for x in ms.enumerate_points(ctx57.cfg):
-        assert ms.cocycle_value(x, ms.IDENTITY, ctx57) == 1
+        assert ms.cocycle_value(x, (0, 0), ctx57) == 1
 
 
 def test_cocycle_value_matches_full_product(ctx57):
@@ -90,7 +89,7 @@ def test_cocycle_identity_statement_explicit(ctx57):
     g2 = ms.element([4, 6], cfg)
     lhs = ms.cocycle_value(x, ms.add(g, g2, cfg), ctx57)
     rhs = ms.cocycle_value(x, g2, ctx57) * ms.cocycle_value(
-        ms.translate(x, g2, cfg), g, ctx57
+        ms.add(x, g2, cfg), g, ctx57
     )
     assert lhs == rhs
 
@@ -117,7 +116,7 @@ def test_level_constancy_constant_value(ctx57):
 def test_level_constancy_rejects_wide_support(ctx57):
     wide = ms.element([0, 1], ctx57.cfg)
     with pytest.raises(ConfigError):
-        ms.check_level_constancy(1, wide, ms.IDENTITY, ctx57)
+        ms.check_level_constancy(1, wide, (0, 0), ctx57)
 
 
 def test_skew_step_composes_like_the_group(ctx57):

@@ -73,9 +73,9 @@ def test_hamming_triangle_inequality(b1, b2, b3):
 def test_name_word_frozen_base_name():
     # base class of stage 1 over p=5: bit at g is 0 iff z(g) = +1,
     # and the zero-values of the table product are (1,1,-1,-1,1)
-    word = name_word(ms.IDENTITY, 1, 1, CTX5)
+    word = name_word((0,), 1, 1, CTX5)
     assert word.bits == (0, 0, 1, 1, 0)
-    flipped = name_word(ms.IDENTITY, -1, 1, CTX5)
+    flipped = name_word((0,), -1, 1, CTX5)
     assert flipped.bits == (1, 1, 0, 0, 1)
     assert flipped == complement(word)
 
@@ -94,7 +94,7 @@ def test_name_word_oracle_exhaustive():
 
 def test_name_word_validation():
     with pytest.raises(ConfigError):
-        name_word(ms.IDENTITY, 0, 1, CTX5)
+        name_word((0,), 0, 1, CTX5)
     wide = ms.element([0, 1], ms.make_group_config([5, 7]))
     with pytest.raises(ConfigError):
         name_word(wide, 1, 1, CTX5)
@@ -161,7 +161,7 @@ def test_distance_twisted_invariance():
                 * ms.cocycle_at_zero(h, CTX5)
                 * ms.cocycle_at_zero(hp, CTX5)
             )
-            key = (sub(hp, h, CFG5).coords, twist)
+            key = (sub(hp, h, CFG5), twist)
             d = hamming(atlas.word(h, gamma), atlas.word(hp, gammap))
             assert seen.setdefault(key, d) == d
 

@@ -68,24 +68,12 @@ def test_make_group_config_validations():
 
 
 def test_element_reduction_and_validation(cfg57):
-    g = ms.element([7, 9], cfg57)
-    assert g.vector(2) == (2, 2)
-    h = ms.element({1: 3}, cfg57)
-    assert h.vector(2) == (0, 3)
-    assert ms.element([5, 7], cfg57).is_identity
-    with pytest.raises(ConfigError):
-        ms.element({2: 1}, cfg57)
+    assert ms.element([7, 9], cfg57) == (2, 2)
+    assert ms.element([-3, 7 * 10**22 + 3], cfg57) == (2, 3)
+    assert ms.element([4], cfg57) == (4, 0)
+    assert ms.element([5, 7], cfg57) == ms.element([], cfg57) == (0, 0)
     with pytest.raises(ConfigError):
         ms.element([1, 2, 3], cfg57)
-
-
-def test_element_sparse_storage(cfg57):
-    g = ms.element([0, 3], cfg57)
-    assert g.coords == ((1, 3),)
-    assert g.support == (1,)
-    assert g.residue(0) == 0 and g.residue(1) == 3
-    assert g.max_index() == 1
-    assert ms.IDENTITY.max_index() == -1
 
 
 @st.composite
@@ -101,19 +89,20 @@ def test_group_laws(a, b, c):
     cfg = ms.make_group_config([5, 7, 11])
     assert ms.add(ms.add(a, b, cfg), c, cfg) == ms.add(a, ms.add(b, c, cfg), cfg)
     assert ms.add(a, b, cfg) == ms.add(b, a, cfg)
-    assert ms.add(a, ms.IDENTITY, cfg) == a
-    assert ms.add(a, neg(a, cfg), cfg) == ms.IDENTITY
+    assert ms.add(a, (0, 0, 0), cfg) == a
+    assert ms.add(a, neg(a, cfg), cfg) == (0, 0, 0)
     assert sub(a, b, cfg) == ms.add(a, neg(b, cfg), cfg)
 
 
 def test_enumeration_is_lexicographic(cfg57):
     group = list(ms.enumerate_level_group(2, cfg57))
     assert len(group) == ms.level_group_order(2, cfg57) == 35
-    vectors = [g.vector(2) for g in group]
-    assert vectors == sorted(vectors)
-    assert group[0] == ms.IDENTITY
-    assert vectors[1] == (0, 1)
+    assert group == sorted(group)
+    assert group[0] == (0, 0)
+    assert group[1] == (0, 1)
     assert len(set(group)) == 35
+    # G_1 inside the level-2 configuration: zeros past coordinate 1
+    assert list(ms.enumerate_level_group(1, cfg57)) == [(r, 0) for r in range(5)]
 
 
 def test_enumeration_budget(cfg5711, monkeypatch):
@@ -122,13 +111,13 @@ def test_enumeration_budget(cfg5711, monkeypatch):
         list(ms.enumerate_level_group(3, cfg5711))
 
 
-def test_point_and_translate(cfg57):
+def test_add_acts_on_points(cfg57):
     x = (4, 6)
     g = ms.element([2, 3], cfg57)
-    assert ms.translate(x, g, cfg57) == (1, 2)
-    roundtrip = ms.translate(ms.translate(x, g, cfg57), neg(g, cfg57), cfg57)
+    assert ms.add(x, g, cfg57) == (1, 2)
+    roundtrip = ms.add(ms.add(x, g, cfg57), neg(g, cfg57), cfg57)
     assert roundtrip == x
-    assert ms.translate((0, 0), g, cfg57) == g.vector(2)
+    assert ms.add((0, 0), g, cfg57) == g
 
 
 def test_tower_partition(cfg57):
@@ -139,7 +128,7 @@ def test_tower_partition(cfg57):
             fiber = list(ms.level_fiber(h, n, cfg57))
             assert len(fiber) == ms.fiber_size(n, cfg57)
             for x in fiber:
-                assert x[:n] == h.vector(n)
+                assert x[:n] == h[:n]
             seen.update(fiber)
         assert len(seen) == 35
 
@@ -150,7 +139,7 @@ def test_level_fiber_validation(cfg57, monkeypatch):
         list(ms.level_fiber(too_wide, 1, cfg57))
     monkeypatch.setattr(odometer, "_ENUMERATION_BUDGET", 3)
     with pytest.raises(BudgetError, match="exceeds enumeration budget 3"):
-        list(ms.level_fiber(ms.IDENTITY, 0, cfg57))
+        list(ms.level_fiber((0, 0), 0, cfg57))
 
 
 def test_enumerate_points_order(cfg57):
@@ -168,7 +157,7 @@ def test_random_helpers_are_seed_deterministic(cfg5711):
         cfg5711, random.Random(3)
     )
     g = ms.random_element(cfg5711, random.Random(1), level=2)
-    assert g.max_index() < 2
+    assert len(g) == 3 and g[2] == 0
 
 
 def test_fiber_size_values(cfg5711):

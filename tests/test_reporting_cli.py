@@ -386,7 +386,8 @@ def test_console_script_and_module_run_the_same_entry():
     assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({func}())"]
 
 
-# test-only routes moved to tests/oracles.py, and the deleted density marginal
+# test-only routes moved to tests/oracles.py, the deleted density marginal,
+# and the sparse element format with what converted it
 REMOVED_EXPORTS = (
     "autocorrelation_closed_form",
     "gauss_sum_brute",
@@ -408,6 +409,10 @@ REMOVED_EXPORTS = (
     "tower_address",
     "zero_point",
     "sbh_quadratic_form",
+    "GroupElement",
+    "IDENTITY",
+    "translate",
+    "level_group_vectors",
 )
 
 
@@ -450,6 +455,14 @@ def test_src_holds_no_unreached_defs(tmp_path):
     gate = Path(__file__).parent / "test_acceptance.py"
     done = subprocess.run([sys.executable, str(script), str(src), str(gate)], capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (1, "odometer.sub\n")
+    # so is a method of a reached class whose name no reached code loads as
+    # an attribute, though a top-level def of that name is reached
+    text = (src / "odometer.py").read_text()
+    level = "    def level(self) -> int:\n        return len(self.primes)\n"
+    assert level in text
+    (src / "odometer.py").write_text(text.replace(level, level + "\n    def _check_stage(self):\n        return None\n"))
+    done = subprocess.run([sys.executable, str(script), str(src), str(gate)], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "odometer.sub\nodometer.GroupConfig._check_stage\n")
 
 
 def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
@@ -911,25 +924,43 @@ def test_float_range_primes_are_refused_where_a_float_is_formed(capsys):
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
+# Runs morsespec.cli as `python -m` does, and at exit writes the process's
+# VmHWM line to the pipe descriptor given as its first argument.  A child's
+# rusage carries the parent's peak RSS across fork and exec, so it reads at
+# least the test process's size; exec resets VmHWM.
+_PEAK_REPORTING_CLI = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    with open("/proc/self/status") as fh:
+        os.write(fd, next(line for line in fh if line.startswith("VmHWM:")).encode())
+atexit.register(report)
+runpy.run_module("morsespec.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def run_capped(*argv):
     """Run `python -m morsespec.cli <argv>` in a child whose address space is
     capped at CHILD_ADDRESS_SPACE (setrlimit in the child only), so a
     regression that builds a huge table fails at once instead of exhausting
-    the machine.  Returns the exit code, stdout, stderr and peak RSS in MB."""
+    the machine.  Returns the exit code, stdout, stderr and the child's own
+    peak RSS in MB (nan if it exited without reporting one)."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "morsespec.cli", *argv], stdout=out, stderr=err, env=env, preexec_fn=cap
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    peak_r, peak_w = os.pipe()
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, open(peak_r, "rb") as peak:
+        with open(peak_w, "wb"):  # closed once the child exits, so the read below ends
+            done = subprocess.run(
+                [sys.executable, "-c", _PEAK_REPORTING_CLI, str(peak_w), *argv],
+                stdout=out, stderr=err, env=env, preexec_fn=cap, pass_fds=(peak_w,),
+            )
+        hwm = peak.read().split()  # b"VmHWM:", the size, b"kB"; empty without a report
         out.seek(0)
         err.seek(0)
-        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+        return done.returncode, out.read().decode(), err.read().decode(), int(hwm[1]) / 1024 if hwm else math.nan
 
 
 @pytest.mark.parametrize(
@@ -957,6 +988,18 @@ def test_names_at_theorem_stage_13_fits_its_budget():
     assert results["delta_min"] == "13/29"
     assert len(results["histogram"]) == 81_919
     assert sum(row["count"] for row in results["histogram"]) == results["pair_count"]
+
+
+def test_capped_runs_read_the_childs_own_peak():
+    # a touched 200 MB in this process: rusage would report at least that
+    # for every child, the child's own high-water mark does not
+    ballast = bytearray(b"\1") * (200 << 20)
+    code, _, _, small = run_capped("sbh-search", "--theorem", "10", "--level", "10", "--k-max", "1")
+    assert (code, len(ballast)) == (0, 200 << 20)
+    assert small < 64
+    # the reading still sees the child's own growth
+    code, _, _, large = run_capped("names", "--theorem", "13")
+    assert code == 0 and large > 100
 
 
 @pytest.mark.parametrize(
@@ -1020,6 +1063,16 @@ GOLDEN = Path(__file__).parent / "golden"
         (
             "sbh_search_29_k4_seed1_csv",
             ["sbh-search", "--primes", "29", "--k-max", "4", "--seed", "1", "--format", "csv"],
+        ),
+        # theta padded past the stage; exhaustive for k <= 3, local for k = 4, 5
+        (
+            "sbh_search_5_7_11_level2_k5_seed2",
+            ["sbh-search", "--primes", "5,7,11", "--level", "2", "--k-max", "5", "--seed", "2"],
+        ),
+        # negative, past-int64 and short element specs
+        (
+            "coeffs_5_7_elements",
+            ["coeffs", "--primes", "5,7", "--", "1,2", "-3,9", "99999999999999999999999,1", "0"],
         ),
     ],
 )
