@@ -5,11 +5,12 @@ two source trees, in alternating pairs.
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 --
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 0 -- certify --bogus
 
-Each run is one `python -m morsespec.cli <argv>` child with PYTHONPATH set
-to the tree, stdout and stderr sent to /dev/null, reaped with os.wait4 for
-its own user + system CPU time and peak RSS.  With nothing after `--`,
-each child is `python -c "import morsespec.cli"` instead: the start-up
-that every command pays, which prints nothing to compare.  One untimed
+Each run is one child that runs morsespec.cli <argv> as `python -m` does,
+with the tree first on PYTHONPATH and stdout and stderr sent to /dev/null.
+It is reaped with os.wait4 for its own user + system CPU time, and at exit
+it writes its own peak RSS (VmHWM) to a pipe.  With nothing after `--`,
+each child only imports morsespec.cli instead: the start-up that every
+command pays, which prints nothing to compare.  One untimed
 run per tree comes first, its stdout and stderr kept in temporary files,
 then the pairs; pair i runs OLD first when i is even and NEW first when
 it is odd.  With --pairs 0 only the untimed runs are made and compared.
@@ -26,6 +27,7 @@ stdout, once the report's timestamp line is removed, or different stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import statistics
@@ -34,22 +36,48 @@ import sys
 import tempfile
 
 
+# Runs morsespec.cli as `python -m` does, or only imports it when given no
+# arguments, and at exit writes the process's VmHWM line to the pipe
+# descriptor given as its first argument.  A child's rusage carries the
+# parent's peak RSS across fork and exec, so ru_maxrss reads at least the
+# caller's size; exec resets VmHWM.
+PEAK_REPORTING_CLI = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    with open("/proc/self/status") as fh:
+        os.write(fd, next(line for line in fh if line.startswith("VmHWM:")).encode())
+atexit.register(report)
+if sys.argv[1:]:
+    runpy.run_module("morsespec.cli", run_name="__main__", alter_sys=True)
+else:
+    import morsespec.cli
+"""
+
+
 def run(
-    src: str, argv: list[str], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    src: str, argv: list[str], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, preexec_fn=None
 ) -> tuple[int, float, float]:
-    """Exit code, CPU seconds and peak RSS in MB of one CLI child, or of
-    a bare import of morsespec.cli when argv is empty."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    child = ["-m", "morsespec.cli", *argv] if argv else ["-c", "import morsespec.cli"]
-    proc = subprocess.Popen(
-        [sys.executable, *child],
-        env=env,
-        stdout=stdout,
-        stderr=stderr,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+    """Exit code, CPU seconds and own peak RSS in MB (nan if it exited
+    without reporting one) of one CLI child, or of a bare import of
+    morsespec.cli when argv is empty.  preexec_fn runs in the child
+    before it starts Python, as in subprocess.Popen."""
+    path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
+    peak_r, peak_w = os.pipe()
+    with open(peak_r, "rb") as peak:
+        with open(peak_w, "wb"):  # this copy closes here: the read ends when the child's does
+            proc = subprocess.Popen(
+                [sys.executable, "-c", PEAK_REPORTING_CLI, str(peak_w), *argv],
+                env=dict(os.environ, PYTHONPATH=path),
+                stdout=stdout,
+                stderr=stderr,
+                preexec_fn=preexec_fn,
+                pass_fds=(peak_w,),
+            )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        hwm = peak.read().split()  # b"VmHWM:", the size, b"kB"; empty without a report
+    return proc.returncode, usage.ru_utime + usage.ru_stime, int(hwm[1]) / 1024 if hwm else math.nan
 
 
 def untimed_output(src: str, argv: list[str]) -> tuple[int, str, str]:

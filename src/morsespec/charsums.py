@@ -27,19 +27,20 @@ the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
 As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
 LegendreTable(p) is the single precomputation layer for its prime: its
-int8 sign array (the squares mask), polynomial (P), density_fourier (the
-density-route coefficients) and numerators (the exact p * c(j)) are each
-derived at most once, on first use; legendre_table keeps one per prime.
-Only the squares mask is refused past int64, when it is built, so a
-table of any odd prime can be made and asked what needs only p.
-What the Gauss and Jacobi sums give in closed form needs no table at all:
-flatness_report reads the extremes of |P| and the sup of |P|^2 off p, and
-numerator_counts the value counts of p * c(j), since
-p * c(j) = -1 + chi(j) + chi(-j) for j != 0, with chi the signs off 0;
-jacobi_numerators is that sum at any shifts.  The prime-length FFT in
-polynomial and the direct window sum in window_autocorrelation_numerators
-stay as the references that gauss-check compares those closed forms with.
-The density route refuses a transform longer than _FFT_BUDGET points.
+int8 sign array (the squares mask), polynomial (P) and density_fourier
+(the density-route coefficients), each a pass over the table, are derived
+at most once, on first use; legendre_table keeps one per prime.  Only the
+squares mask is refused past int64, when it is built, so a table of any
+odd prime can be made and asked what needs only p.  flatness_report reads
+the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.  For
+j != 0 the Jacobi sum gives p * c(j) = -1 + chi(j) + chi(-j), chi the
+signs off 0, which chi(-1) = (-1)^((p-1)/2) collapses to -1 when p = 3
+(mod 4) and to 2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen, ch. 8):
+jacobi_numerators at any shifts, numerator_counts its value counts.  The
+prime-length FFT in polynomial and the direct window sum in
+window_autocorrelation_numerators are the references that gauss-check
+compares those closed forms with.  The density route refuses a transform
+longer than _FFT_BUDGET points.
 """
 
 from __future__ import annotations
@@ -153,13 +154,6 @@ class LegendreTable:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def numerators(self) -> np.ndarray:
-        """p * c(j) for every shift j (entry 0 is p) as exact int64; read-only."""
-        out = jacobi_numerators(self.signs, np.arange(self.prime))
-        out.flags.writeable = False
-        return out
-
 
 def _fft_length(m: int) -> int:
     """The smallest 2^a * 3^b * 5^c >= m (m >= 1): pocketfft transforms
@@ -200,15 +194,20 @@ def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
 
 
-def jacobi_numerators(chars: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """p * c(j) for each shift j in 0..p-1 of an int array, as a fresh int64
-    array: the Jacobi sum -1 + chi(j) + chi(-j), and p at j = 0.  chars is
-    a table's signs or legendre_symbols(p); the two differ only at 0."""
+def jacobi_numerators(chars: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """p * c(j) for each shift j in 0..p-1 of an int array, or for every
+    shift when shifts is None, as a fresh int64 array: -1 when p = 3
+    (mod 4), 2 chi(j) - 1 when p = 1 (mod 4), and p at j = 0.  chars is a
+    table's signs or legendre_symbols(p); the two differ only at 0, and
+    p = 3 (mod 4) reads neither."""
     p = len(chars)
-    out = chars[shifts].astype(np.int64)
-    out += chars[-shifts % p]
-    out -= 1
-    out[shifts == 0] = p
+    if p % 4 == 3:
+        out = np.full(p if shifts is None else np.shape(shifts), -1, dtype=np.int64)
+    else:
+        out = (chars if shifts is None else chars[shifts]).astype(np.int64)
+        out *= 2
+        out -= 1
+    out[0 if shifts is None else shifts == 0] = p
     return out
 
 
@@ -236,10 +235,10 @@ def legendre_table(p: int) -> LegendreTable:
 
 
 def numerator_counts(p: int) -> dict[int, int]:
-    """How many shifts j give each value of p * c(j): the Jacobi sum and
-    chi(-1) fix them from p alone.  1 and -3 occur (p - 1) / 2 times each
-    when p = 1 (mod 4), -1 occurs p - 1 times when p = 3 (mod 4), and p
-    once, at j = 0."""
+    """How many shifts j give each value of p * c(j), from p alone: off
+    j = 0 jacobi_numerators gives 2 chi(j) - 1, so 1 and -3 (p - 1) / 2
+    times each, when p = 1 (mod 4), and -1 p - 1 times when p = 3 (mod 4);
+    p occurs once, at j = 0."""
     if p % 4 == 1:
         return {1: (p - 1) // 2, -3: (p - 1) // 2, p: 1}
     return {-1: p - 1, p: 1}

@@ -460,7 +460,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         )
         # summed over the table, not read off the closed form it is checked against
         numerators = window_autocorrelation_numerators(table.signs)
-        closed = jacobi_numerators(chi, np.arange(p))
+        closed = jacobi_numerators(chi)
         closed_form_ok = closed_form_ok and np.array_equal(numerators, closed)
         max_density_err = max(
             max_density_err,
@@ -527,7 +527,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             cmd.add_argument(
                 "elements",
                 nargs="*",
-                help="elements as comma-separated residues, or a single 'level:n'",
+                help="elements as comma-separated residues, or a single 'level:n'; -- before a spec starting with -",
             )
     return parser
 

@@ -29,13 +29,14 @@ EXPERIMENTAL = "experimental"
 THEOREM_GRADE = "theorem-grade"
 
 # Deterministic Miller-Rabin witness set, complete for n < 3.317e24
-# (Sorenson-Webster).  Beyond that we defer to sympy.
+# (Sorenson-Webster).  Beyond that sympy.isprime decides by BPSW, a
+# probable-prime test: theorem stages 18 and up (from p_17) rest on it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; exact for every input."""
+    """Primality: exact below _MR_LIMIT, a probable-prime test past it."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

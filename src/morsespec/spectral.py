@@ -74,8 +74,8 @@ def spectral_coefficient_ratios(
     and positive denominators: the product over the coordinates of the
     numerators p_n * c_n(r_n), over prod p_n.  A coordinate at residue 0
     contributes p_n / p_n, so only the support counts.  Each column's
-    numerators come from the Jacobi sum on the signs, never the all-shift
-    array."""
+    numerators come from jacobi_numerators on the signs, one gather per
+    column."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
@@ -316,7 +316,7 @@ def sbh_adversarial_search(
     _check_score_range(n, k, m)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
-    luts = [t.numerators for t in ctx.tables[:n]]
+    luts = [jacobi_numerators(t.signs) for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the

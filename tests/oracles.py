@@ -7,6 +7,9 @@ direct form of something the package computes in closed form or in bulk.
   (charsums.gauss_sum and gauss_sum_all are checked against it);
 - autocorrelation_closed_form: c_p(j) by Euler's criterion, as an exact
   Fraction (the numerators of a Legendre table are checked against it);
+- jacobi_numerators_gather: p * c_p(j) = -1 + chi(j) + chi(-j) by
+  gathering the character at j and at -j, before chi(-1) collapses it
+  (charsums.jacobi_numerators is checked against it);
 - fft_scan_flatness: the extremes of |P| and of |P|^2 by scanning P at
   every p-th root of unity (charsums.flatness_report is checked against it);
 - FunnyWord, complement, hamming, name_word, NameAtlas, name_atlas: the
@@ -51,6 +54,16 @@ def autocorrelation_closed_form(p: int, j: int) -> Fraction:
     if j == 0:
         return Fraction(1)
     return Fraction(-1 + legendre(j, p) + legendre(p - j, p), p)
+
+
+def jacobi_numerators_gather(chars: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """p * c_p(j) for each shift j of an int array, as int64: the Jacobi sum
+    -1 + chi(j) + chi(-j) with chi read at j and at -j mod p, and p at
+    j = 0.  chars is a table's signs or legendre_symbols(p)."""
+    p = len(chars)
+    out = chars[shifts].astype(np.int64) + chars[-shifts % p] - 1
+    out[shifts == 0] = p
+    return out
 
 
 def fft_scan_flatness(p: int) -> tuple[float, float, float, float]:

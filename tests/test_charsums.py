@@ -14,14 +14,14 @@ import morsespec as ms
 from morsespec import charsums
 from morsespec.charsums import jacobi_numerators, legendre_symbols
 from morsespec.errors import ConfigError, InternalConsistencyError
-from oracles import autocorrelation_closed_form, fft_scan_flatness, gauss_sum_brute
+from oracles import autocorrelation_closed_form, fft_scan_flatness, gauss_sum_brute, jacobi_numerators_gather
 
 ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
 
 def _autocorrelation(p, j):
-    return Fraction(int(ms.legendre_table(p).numerators[j % p]), p)
+    return Fraction(int(jacobi_numerators(ms.legendre_table(p).signs, np.array([j % p]))[0]), p)
 
 
 def test_legendre_matches_sympy():
@@ -63,13 +63,13 @@ def test_legendre_table_structure():
 
 def test_table_accepts_sequences_and_arrays():
     # a table is built from its prime alone, directly or through the
-    # per-prime cache, and hands out read-only int8 signs and numerators
+    # per-prime cache, and hands out read-only int8 signs
     expected = [1, 1, -1, -1, 1]
     for table in (ms.LegendreTable(5), ms.legendre_table(5)):
         assert table.signs.dtype == np.int8
         assert not table.signs.flags.writeable
         assert table.signs.tolist() == expected
-        assert table.numerators.tolist() == [5, 1, -3, -3, 1]
+        assert jacobi_numerators(table.signs).tolist() == [5, 1, -3, -3, 1]
         with pytest.raises(ValueError):
             table.signs[1] = -1
     # identity equality and hashing: one table per prime from legendre_table
@@ -121,9 +121,7 @@ def test_legendre_symbols_refuse_int64_overflow():
 def test_autocorrelation_numerators_match_per_shift_and_closed_form():
     for p in ODD_PRIMES_BELOW_500 + [15629]:
         table = ms.legendre_table(p)
-        numerators = table.numerators
-        assert numerators is table.numerators  # held on the table
-        assert not numerators.flags.writeable
+        numerators = jacobi_numerators(table.signs)
         # any shifts, in any order, on either form of the character
         shifts = np.random.default_rng(p).permutation(p)
         for chars in (table.signs, legendre_symbols(p)):
@@ -139,7 +137,7 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
     p = 390_647
     table = ms.legendre_table(p)
     s = table.signs.astype(np.int64)
-    numerators = table.numerators
+    numerators = jacobi_numerators(table.signs)
     shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
     per_shift = jacobi_numerators(table.signs, np.array(shifts))
     for j, value in zip(shifts, per_shift.tolist()):
@@ -151,10 +149,26 @@ def test_closed_form_numerators_match_the_window_route_below_3000():
     for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
         table = ms.legendre_table(p)
         window = charsums.window_autocorrelation_numerators(table.signs)
-        assert np.array_equal(table.numerators, window), p
         # the Jacobi sum on both forms of the character, at every shift
         for chars in (table.signs, legendre_symbols(p)):
+            assert np.array_equal(jacobi_numerators(chars), window), p
             assert np.array_equal(jacobi_numerators(chars, np.arange(p)), window), p
+
+
+def test_jacobi_numerators_match_the_gather_form():
+    # the collapsed closed form against -1 + chi(j) + chi(-j), gathered at
+    # j and at -j: on permuted shifts and both forms of the character below
+    # 500, at every shift on the signs of p_2 and p_3
+    for p in ODD_PRIMES_BELOW_500:
+        shifts = np.random.default_rng(p).permutation(p)
+        for chars in (ms.legendre_table(p).signs, legendre_symbols(p)):
+            gathered = jacobi_numerators_gather(chars, shifts)
+            assert np.array_equal(jacobi_numerators(chars, shifts), gathered), p
+    for p in (15_629, 390_647):
+        signs = ms.LegendreTable(p).signs  # uncached: freed with the next prime
+        gathered = jacobi_numerators_gather(signs, np.arange(p))
+        assert np.array_equal(jacobi_numerators(signs, np.arange(p)), gathered), p
+        assert np.array_equal(jacobi_numerators(signs), gathered), p
 
 
 def test_table_validation(monkeypatch):
@@ -304,7 +318,7 @@ def test_numerator_counts_closed_form_against_the_numerators():
         if p < 3000:
             numerators = charsums.window_autocorrelation_numerators(table.signs)
         else:
-            numerators = table.numerators
+            numerators = jacobi_numerators(table.signs)
         values, m = np.unique(numerators, return_counts=True)
         assert counts == dict(zip(values.tolist(), m.tolist())), p
         assert sum(counts.values()) == p
@@ -403,7 +417,7 @@ def test_density_route_matches_exact_numerators_at_every_shift():
         table = ms.legendre_table(p)
         route = table.density_fourier
         assert not route.flags.writeable
-        assert np.abs(route - table.numerators / p).max() < 1e-12, p
+        assert np.abs(route - jacobi_numerators_gather(table.signs, np.arange(p)) / p).max() < 1e-12, p
     # p = 3 pads to n = 6, the smallest transform
     assert ms.legendre_table(3).density_fourier.tolist() == pytest.approx(
         [1, -1 / 3, -1 / 3], abs=1e-15
@@ -483,9 +497,8 @@ def test_all_shift_numerators_match_an_int64_window_sum():
     rng = np.random.default_rng(5)
     arrays = []
     for table in [ms.legendre_table(p) for p in (3, 5, 97, 997)]:
-        numerators = table.numerators
+        numerators = jacobi_numerators(table.signs)
         assert numerators.dtype == np.int64
-        assert not numerators.flags.writeable
         arrays.append((table.signs, numerators))
     for p in (3, 8, 101, 1000):
         arrays.append((rng.choice([-1, 1], size=p).astype(np.int8), None))

@@ -2,7 +2,7 @@ import ast
 import csv
 import functools
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -30,6 +30,10 @@ import morsespec as ms
 import morsespec.cli as cli
 from morsespec import charsums, cocycle, reporting
 from oracles import autocorrelation_closed_form
+
+PAIRED_CLI = Path(__file__).parent.parent / "scripts" / "paired_cli.py"
+paired_cli = importlib.util.module_from_spec(importlib.util.spec_from_file_location("paired_cli", PAIRED_CLI))
+paired_cli.__spec__.loader.exec_module(paired_cli)
 
 
 def canonical_json(data):
@@ -467,7 +471,6 @@ def test_src_holds_no_unreached_defs(tmp_path):
 
 def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
     # --pairs 0 runs each tree once, untimed, and compares what the runs print
-    script = Path(__file__).parent.parent / "scripts" / "paired_cli.py"
     for tree in ("old", "same", "changed"):
         shutil.copytree(
             Path(cli.__file__).parent, tmp_path / tree / "morsespec", ignore=shutil.ignore_patterns("__pycache__")
@@ -479,7 +482,7 @@ def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
 
     def compare(tree):
         argv = [str(tmp_path / "old"), str(tmp_path / tree), "--pairs", "0", "--", "certify"]
-        return subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+        return subprocess.run([sys.executable, str(PAIRED_CLI), *argv], capture_output=True, text=True)
 
     same = compare("same")
     assert (same.returncode, same.stderr) == (0, "")
@@ -879,7 +882,7 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
     assert code == 0 and report["results"]["stage_sup"] == (1 + 1 / 29**0.5) ** 2
     # certify makes no table; the search makes the one it reads
     assert cache.cache_info().currsize == 1
-    assert set(cache(29).__dict__) == {"prime", "signs", "numerators"}
+    assert set(cache(29).__dict__) == {"prime", "signs"}
 
 
 def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
@@ -924,43 +927,22 @@ def test_float_range_primes_are_refused_where_a_float_is_formed(capsys):
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
-# Runs morsespec.cli as `python -m` does, and at exit writes the process's
-# VmHWM line to the pipe descriptor given as its first argument.  A child's
-# rusage carries the parent's peak RSS across fork and exec, so it reads at
-# least the test process's size; exec resets VmHWM.
-_PEAK_REPORTING_CLI = """\
-import atexit, os, runpy, sys
-fd = int(sys.argv.pop(1))
-def report():
-    with open("/proc/self/status") as fh:
-        os.write(fd, next(line for line in fh if line.startswith("VmHWM:")).encode())
-atexit.register(report)
-runpy.run_module("morsespec.cli", run_name="__main__", alter_sys=True)
-"""
-
-
 def run_capped(*argv):
     """Run `python -m morsespec.cli <argv>` in a child whose address space is
     capped at CHILD_ADDRESS_SPACE (setrlimit in the child only), so a
     regression that builds a huge table fails at once instead of exhausting
     the machine.  Returns the exit code, stdout, stderr and the child's own
-    peak RSS in MB (nan if it exited without reporting one)."""
+    peak RSS in MB (nan if it exited without reporting one), as
+    scripts/paired_cli.py reads it."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    peak_r, peak_w = os.pipe()
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, open(peak_r, "rb") as peak:
-        with open(peak_w, "wb"):  # closed once the child exits, so the read below ends
-            done = subprocess.run(
-                [sys.executable, "-c", _PEAK_REPORTING_CLI, str(peak_w), *argv],
-                stdout=out, stderr=err, env=env, preexec_fn=cap, pass_fds=(peak_w,),
-            )
-        hwm = peak.read().split()  # b"VmHWM:", the size, b"kB"; empty without a report
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        code, _, rss_mb = paired_cli.run(SRC, list(argv), out, err, preexec_fn=cap)
         out.seek(0)
         err.seek(0)
-        return done.returncode, out.read().decode(), err.read().decode(), int(hwm[1]) / 1024 if hwm else math.nan
+        return code, out.read().decode(), err.read().decode(), rss_mb
 
 
 @pytest.mark.parametrize(
@@ -980,6 +962,15 @@ def test_theorem_stages_7_to_12_run_in_small_memory(argv):
     assert rss_mb < 128, argv
 
 
+def test_search_at_theorem_stage_4_fits_its_budget():
+    # the search's lookup tables come from the collapsed Jacobi sum: at
+    # p_3 = 390 647 one int64 array, not the four of a -j mod p gather
+    code, out, err, rss_mb = run_capped("sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["falsification"] is False
+    assert rss_mb < 37
+
+
 def test_names_at_theorem_stage_13_fits_its_budget():
     code, out, err, rss_mb = run_capped("names", "--theorem", "13")
     assert (code, err) == (0, "")
@@ -997,6 +988,12 @@ def test_capped_runs_read_the_childs_own_peak():
     code, _, _, small = run_capped("sbh-search", "--theorem", "10", "--level", "10", "--k-max", "1")
     assert (code, len(ballast)) == (0, 200 << 20)
     assert small < 64
+    # the same reading in scripts/paired_cli.py, uncapped, and for the bare
+    # import it runs when given no arguments
+    code, cpu_s, small = paired_cli.run(SRC, ["certify", "--theorem", "3"])
+    assert code == 0 and 0 < small < 32 and cpu_s > 0
+    code, _, small = paired_cli.run(SRC, [])
+    assert code == 0 and 0 < small < 32
     # the reading still sees the child's own growth
     code, _, _, large = run_capped("names", "--theorem", "13")
     assert code == 0 and large > 100
@@ -1074,6 +1071,11 @@ GOLDEN = Path(__file__).parent / "golden"
             "coeffs_5_7_elements",
             ["coeffs", "--primes", "5,7", "--", "1,2", "-3,9", "99999999999999999999999,1", "0"],
         ),
+        # the first search golden with a lookup past p = 29: theorem stage 4
+        (
+            "sbh_search_theorem_4_level4_k4",
+            ["sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4"],
+        ),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):
@@ -1106,6 +1108,14 @@ def test_largest_coeffs_report_is_pinned(capsys, fmt, digest):
     code, out, _ = run_cli(capsys, "coeffs", "--primes", "5,7,11,13", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == digest
+
+
+def test_coeffs_spec_starting_with_a_minus_needs_a_double_dash(capsys):
+    # argparse reads -3,9 as an option; after `--` it is an element spec
+    # (golden coeffs_5_7_elements)
+    code, out, err = run_cli(capsys, "coeffs", "--primes", "5,7", "1,2", "-3,9")
+    assert (code, out) == (64, "")
+    assert err.count("\n") == 1 and "-3,9" in err, err
 
 
 def test_usage_errors(capsys):
