@@ -25,7 +25,6 @@ _EXPORTS = {
         "gauss_sum",
         "gauss_sum_all",
         "legendre",
-        "legendre_table",
     ),
     "cocycle": (
         "CocycleContext",

@@ -29,7 +29,8 @@ As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 LegendreTable(p) is the single precomputation layer for its prime: its
 int8 sign array (the squares mask), polynomial (P) and density_fourier
 (the density-route coefficients), each a pass over the table, are derived
-at most once, on first use; legendre_table keeps one per prime.  Only the
+at most once, on first use, and freed with the table.  No cache keeps a
+table: a context (cocycle.build_context) owns one per prime.  Only the
 squares mask is refused past int64, when it is built, so a table of any
 odd prime can be made and asked what needs only p.  flatness_report reads
 the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.  For
@@ -46,7 +47,7 @@ longer than _FFT_BUDGET points.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from . import lazy_numpy
@@ -74,7 +75,7 @@ def legendre(a: int, p: int) -> int:
 def legendre_symbols(p: int) -> np.ndarray:
     """(x|p) for every x mod p at once (entry 0 is 0): Euler's criterion as
     square-and-multiply on int64 arrays, independent of the squares mask
-    that builds legendre_table."""
+    that builds a LegendreTable."""
     if p < 3 or p * p >= 2**63:
         raise ConfigError(f"legendre_symbols needs 3 <= p and p^2 < 2^63, got {p}")
     base = np.arange(p, dtype=np.int64)
@@ -108,7 +109,8 @@ class LegendreTable:
     int8 array `signs` is built on its first read, which refuses a prime
     past check_table_prime.
 
-    Tables compare by identity; legendre_table returns one per prime.
+    Making a table is free; each derived array lives as long as the table.
+    Tables compare by identity, and none is shared: a context holds its own.
     """
 
     def __init__(self, prime: int) -> None:
@@ -227,13 +229,6 @@ def _quadratic_signs(p: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
-def legendre_table(p: int) -> LegendreTable:
-    """LegendreTable(p), one per prime.  No squares mask is built until
-    signs is first read, so what needs only p builds none."""
-    return LegendreTable(p)
-
-
 def numerator_counts(p: int) -> dict[int, int]:
     """How many shifts j give each value of p * c(j), from p alone: off
     j = 0 jacobi_numerators gives 2 chi(j) - 1, so 1 and -3 (p - 1) / 2
@@ -266,7 +261,7 @@ def gauss_sum_all(p: int) -> np.ndarray:
 
 
 def character_polynomial_values(p: int) -> np.ndarray:
-    return legendre_table(p).polynomial
+    return LegendreTable(p).polynomial
 
 
 class FlatnessReport(NamedTuple):

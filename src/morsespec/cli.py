@@ -448,7 +448,7 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             max_gauss_err = err
             worst_prime = p
         max_parity_err = max(max_parity_err, np.abs(off_axis).max())
-        table = LegendreTable(p)  # uncached: freed with the next prime
+        table = LegendreTable(p)  # freed with the next prime
         # the Gauss-sum closed form (it raises on a window violation) against
         # the exhaustive scan of |P| that it replaces everywhere else
         flatness = flatness_report(p)

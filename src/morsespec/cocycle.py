@@ -1,7 +1,7 @@
 """Product-of-signs cocycle over the odometer action, and its two-point extension.
 
-With a sign table per coordinate (entry 0 fixed to +1), a group element g
-acts on the value
+With a sign table per coordinate (entry 0 fixed to +1), the tables of a
+CocycleContext, a group element g acts on the value
 
     w(x, g) = prod_{n in supp(g)} t_n(x_n) * t_n(x_n + g_n  mod p_n),
 
@@ -24,28 +24,24 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .charsums import LegendreTable, legendre_table
+from .charsums import LegendreTable
 from .errors import ConfigError
 from .odometer import GroupConfig, add, level_fiber
 
 
 class CocycleContext(NamedTuple):
-    """A configuration; its sign tables follow from its primes, and none
-    is made until `tables` or a sign is read."""
+    """A configuration and the sign table of each of its primes, in order;
+    the tables live as long as the context."""
 
     cfg: GroupConfig
-
-    @property
-    def tables(self) -> tuple[LegendreTable, ...]:
-        """The cached legendre_table of each prime, in order."""
-        return tuple(map(legendre_table, self.cfg.primes))
+    tables: tuple[LegendreTable, ...]
 
 
 def build_context(cfg: GroupConfig) -> CocycleContext:
-    """The context of cfg.  make_group_config has checked every prime, so
-    no table is made here; a sign array is built, and refused past int64,
-    only where a command reads it."""
-    return CocycleContext(cfg)
+    """The context of cfg, with a fresh table per prime.  make_group_config
+    has checked every prime, and a table builds its sign array, refused
+    past int64, only where a command reads it."""
+    return CocycleContext(cfg, tuple(map(LegendreTable, cfg.primes)))
 
 
 def cocycle_value(x: tuple[int, ...], g: tuple[int, ...], ctx: CocycleContext) -> int:
@@ -53,10 +49,10 @@ def cocycle_value(x: tuple[int, ...], g: tuple[int, ...], ctx: CocycleContext) -
     coordinate where g is 0 contributes t(x_n)^2 = 1, so only the support
     of g reads a table."""
     out = 1
-    for p, xn, res in zip(ctx.cfg.primes, x, g):
+    for table, xn, res in zip(ctx.tables, x, g):
         if res:
-            t = legendre_table(p).signs  # this prime's entry of ctx.tables, without the tuple
-            out *= int(t[xn] * t[(xn + res) % p])
+            t = table.signs
+            out *= int(t[xn] * t[(xn + res) % table.prime])
     return out
 
 

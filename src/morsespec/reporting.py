@@ -103,14 +103,13 @@ def _dumps(data, default=_plain) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _table_parts(table: Table, nl: str, parts: list[str]):
-    """Append the JSON text of a Table at the indentation nl ("\\n" plus
-    two spaces per level) to parts: one % template per row, with a slot
-    per 1-D column and per column of a 2-D one, filled from each column's
-    text a batch of rows at a time.  The generator yields, with no value,
-    after each batch, for the caller to take parts away."""
+def _table_parts(table: Table, nl: str):
+    """The JSON text of a Table at the indentation nl ("\\n" plus two
+    spaces per level), one string per batch of rows: one % template per
+    row, with a slot per 1-D column and per column of a 2-D one, filled
+    from each column's text a batch of rows at a time."""
     if not table.length:
-        parts.append("[]")
+        yield "[]"
         return
     row_nl = nl + "  "
     cell_nl = row_nl + "  "
@@ -135,10 +134,9 @@ def _table_parts(table: Table, nl: str, parts: list[str]):
             rows = map(row.__mod__, zip(*texts))
         else:
             rows = itertools.repeat(row, min(_ROWS, table.length - start))
-        parts.append(sep + ("," + row_nl).join(rows))
+        yield sep + ("," + row_nl).join(rows)
         sep = "," + row_nl
-        yield
-    parts.append(nl + "]")
+    yield nl + "]"
 
 
 def _texts(cells, nl: str):
@@ -174,12 +172,8 @@ def json_pieces(data):
         line = head[head.rfind("\n") + 1 :]
         yield head
         index, head = piece.split('"', 1)
-        parts: list[str] = []
         nl = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        for _ in _table_parts(tables[int(index)], nl, parts):
-            yield "".join(parts)
-            parts.clear()
-        yield "".join(parts)
+        yield from _table_parts(tables[int(index)], nl)
     yield head
 
 

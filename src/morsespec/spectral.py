@@ -42,7 +42,7 @@ from . import lazy_numpy
 from .charsums import flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
-from .odometer import THEOREM_GRADE, growth_floor, level_group_order
+from .odometer import _MR_LIMIT, THEOREM_GRADE, growth_floor, level_group_order
 
 np = lazy_numpy()
 
@@ -480,6 +480,12 @@ def sbh_verdict(
             f"the growth floor p_n >= 5^(2(n+1)) holds for every coordinate n >= "
             f"{cert.split_level} (asserted by assume_tail_rule; checked only against "
             "the configured primes)",
+        )
+    probable = [p for p in ctx.cfg.primes if p >= _MR_LIMIT]
+    if probable:
+        assumptions += (
+            f"{probable[0]} and every later configured prime passed sympy's BPSW "
+            "probable-prime test, not a proof of primality",
         )
     return SbhVerdict(
         certificate=cert,

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,8 +19,9 @@ ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
 
-def _autocorrelation(p, j):
-    return Fraction(int(jacobi_numerators(ms.legendre_table(p).signs, np.array([j % p]))[0]), p)
+def _autocorrelations(p):
+    # c(j) for every shift j, off one table's signs
+    return [Fraction(n, p) for n in jacobi_numerators(ms.LegendreTable(p).signs).tolist()]
 
 
 def test_legendre_matches_sympy():
@@ -41,13 +41,13 @@ def test_legendre_is_multiplicative(a, b, p):
 
 
 def test_legendre_table_frozen():
-    assert ms.legendre_table(5).signs.tolist() == [1, 1, -1, -1, 1]
-    assert ms.legendre_table(7).signs.tolist() == [1, 1, 1, -1, 1, -1, -1]
+    assert ms.LegendreTable(5).signs.tolist() == [1, 1, -1, -1, 1]
+    assert ms.LegendreTable(7).signs.tolist() == [1, 1, 1, -1, 1, -1, -1]
 
 
 def test_legendre_table_structure():
     for p in (5, 7, 11, 29):
-        table = ms.legendre_table(p)
+        table = ms.LegendreTable(p)
         assert table.signs[0] == 1
         # entry 0 overridden to +1, the rest balanced
         assert table.signs.sum() == 1
@@ -56,26 +56,24 @@ def test_legendre_table_structure():
         assert table.signs.dtype == np.int8
         assert not table.signs.flags.writeable
     with pytest.raises(ConfigError):
-        ms.legendre_table(9)
+        ms.LegendreTable(9)
     with pytest.raises(ConfigError):
-        ms.legendre_table(2)
+        ms.LegendreTable(2)
 
 
 def test_table_accepts_sequences_and_arrays():
-    # a table is built from its prime alone, directly or through the
-    # per-prime cache, and hands out read-only int8 signs
-    expected = [1, 1, -1, -1, 1]
-    for table in (ms.LegendreTable(5), ms.legendre_table(5)):
-        assert table.signs.dtype == np.int8
-        assert not table.signs.flags.writeable
-        assert table.signs.tolist() == expected
-        assert jacobi_numerators(table.signs).tolist() == [5, 1, -3, -3, 1]
-        with pytest.raises(ValueError):
-            table.signs[1] = -1
-    # identity equality and hashing: one table per prime from legendre_table
-    assert ms.legendre_table(5) == ms.legendre_table(5)
+    # a table is built from its prime alone and hands out read-only int8 signs
+    table = ms.LegendreTable(5)
+    assert table.signs.dtype == np.int8
+    assert not table.signs.flags.writeable
+    assert table.signs.tolist() == [1, 1, -1, -1, 1]
+    assert jacobi_numerators(table.signs).tolist() == [5, 1, -3, -3, 1]
+    with pytest.raises(ValueError):
+        table.signs[1] = -1
+    # identity equality and hashing: no two tables are equal
+    assert table == table
     assert ms.LegendreTable(5) != ms.LegendreTable(5)
-    assert len({ms.LegendreTable(5), ms.legendre_table(5), ms.legendre_table(5)}) == 2
+    assert len({table, table, ms.LegendreTable(5)}) == 2
 
 
 def test_legendre_table_refuses_primes_squared_past_int64(monkeypatch):
@@ -98,7 +96,7 @@ def test_legendre_table_matches_euler_criterion():
     # the table is built from a mask of squares; Euler's criterion is the
     # reference route
     for p in [q for q in range(3, 500) if sympy.isprime(q)] + [15629]:
-        values = ms.legendre_table(p).signs.tolist()
+        values = ms.LegendreTable(p).signs.tolist()
         assert all(values[k] == ms.legendre(k, p) for k in range(1, p)), p
 
 
@@ -120,7 +118,7 @@ def test_legendre_symbols_refuse_int64_overflow():
 
 def test_autocorrelation_numerators_match_per_shift_and_closed_form():
     for p in ODD_PRIMES_BELOW_500 + [15629]:
-        table = ms.legendre_table(p)
+        table = ms.LegendreTable(p)
         numerators = jacobi_numerators(table.signs)
         # any shifts, in any order, on either form of the character
         shifts = np.random.default_rng(p).permutation(p)
@@ -135,7 +133,7 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
     # p_3 = 390 647: the O(1) closed form against the O(p) direct sum at
     # 200 seeded shifts, on the table's own signs
     p = 390_647
-    table = ms.legendre_table(p)
+    table = ms.LegendreTable(p)
     s = table.signs.astype(np.int64)
     numerators = jacobi_numerators(table.signs)
     shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
@@ -147,7 +145,7 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
 
 def test_closed_form_numerators_match_the_window_route_below_3000():
     for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
-        table = ms.legendre_table(p)
+        table = ms.LegendreTable(p)
         window = charsums.window_autocorrelation_numerators(table.signs)
         # the Jacobi sum on both forms of the character, at every shift
         for chars in (table.signs, legendre_symbols(p)):
@@ -161,11 +159,11 @@ def test_jacobi_numerators_match_the_gather_form():
     # 500, at every shift on the signs of p_2 and p_3
     for p in ODD_PRIMES_BELOW_500:
         shifts = np.random.default_rng(p).permutation(p)
-        for chars in (ms.legendre_table(p).signs, legendre_symbols(p)):
+        for chars in (ms.LegendreTable(p).signs, legendre_symbols(p)):
             gathered = jacobi_numerators_gather(chars, shifts)
             assert np.array_equal(jacobi_numerators(chars, shifts), gathered), p
     for p in (15_629, 390_647):
-        signs = ms.LegendreTable(p).signs  # uncached: freed with the next prime
+        signs = ms.LegendreTable(p).signs
         gathered = jacobi_numerators_gather(signs, np.arange(p))
         assert np.array_equal(jacobi_numerators(signs, np.arange(p)), gathered), p
         assert np.array_equal(jacobi_numerators(signs), gathered), p
@@ -174,13 +172,10 @@ def test_jacobi_numerators_match_the_gather_form():
 def test_table_validation(monkeypatch):
     # LegendreTable and flatness_report refuse what is no odd prime before
     # building anything; a prime past the int64 squares limit (p_6) makes a
-    # table and a flatness report, as neither reads a sign; flatness_report
-    # never fills legendre_table's cache
+    # table and a flatness report, as neither reads a sign
     def no_table(p):
         raise AssertionError(f"table for {p} built")
 
-    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
-    monkeypatch.setattr(charsums, "legendre_table", cache)
     monkeypatch.setattr(charsums, "_quadratic_signs", no_table)
     for p in (1, 2, 9, 15):
         with pytest.raises(ConfigError):
@@ -192,7 +187,6 @@ def test_table_validation(monkeypatch):
     for p in (5, 7, 29, p6):
         ms.flatness_report(p)
     assert ms.flatness_report(p6).max_modulus == 1 + 1 / math.sqrt(p6)  # p6 = 1 (mod 4)
-    assert cache.cache_info().currsize == 0
 
 
 def test_flatness_report_refuses_a_prime_past_the_float_range():
@@ -251,8 +245,8 @@ def test_gauss_sum_all_matches_pointwise():
             assert abs(sums[x] - ms.gauss_sum(p, x)) < 1e-9
 
 
-def _poly_direct(p, x):
-    signs = ms.legendre_table(p).signs.tolist()
+def _poly_direct(signs, x):
+    p = len(signs)
     return sum(
         signs[k] * cmath.exp(-2j * cmath.pi * k * x / p) for k in range(p)
     ) / math.sqrt(p)
@@ -260,8 +254,10 @@ def _poly_direct(p, x):
 
 def test_character_polynomial_against_direct_sum():
     for p in (5, 7, 13, 29):
+        values = ms.character_polynomial_values(p)
+        signs = ms.LegendreTable(p).signs.tolist()
         for x in range(p):
-            assert abs(ms.character_polynomial_values(p)[x] - _poly_direct(p, x)) < 1e-10
+            assert abs(values[x] - _poly_direct(signs, x)) < 1e-10
 
 
 def test_character_polynomial_at_zero():
@@ -365,79 +361,73 @@ def test_flatness_report_checks_the_window(monkeypatch):
             ms.flatness_report(p)
 
 
-def _autocorr_brute(p, j):
-    table = ms.legendre_table(p).signs.tolist()
+def _autocorr_brute(table, j):
+    p = len(table)
     return Fraction(sum(table[x] * table[(x + j) % p] for x in range(p)), p)
 
 
 def test_autocorrelation_against_brute_force():
     for p in (3, 5, 7, 11, 13, 29, 47):
-        for j in range(p):
-            assert _autocorrelation(p, j) == _autocorr_brute(p, j)
+        table = ms.LegendreTable(p).signs.tolist()
+        assert _autocorrelations(p) == [_autocorr_brute(table, j) for j in range(p)], p
 
 
 def test_autocorrelation_frozen_values():
-    assert _autocorrelation(5, 0) == 1
-    assert _autocorrelation(5, 1) == Fraction(1, 5)
-    assert _autocorrelation(5, 2) == Fraction(-3, 5)
+    assert _autocorrelations(5) == [1, Fraction(1, 5), Fraction(-3, 5), Fraction(-3, 5), Fraction(1, 5)]
     # -1 is a non-residue mod 7, so every off-zero value collapses to -1/7
-    for j in range(1, 7):
-        assert _autocorrelation(7, j) == Fraction(-1, 7)
+    assert _autocorrelations(7)[1:] == [Fraction(-1, 7)] * 6
 
 
 def test_autocorrelation_closed_form_matches_everywhere():
     for p in [q for q in range(3, 500) if sympy.isprime(q)]:
-        for j in range(p):
-            assert _autocorrelation(p, j) == autocorrelation_closed_form(p, j)
+        assert _autocorrelations(p) == [autocorrelation_closed_form(p, j) for j in range(p)], p
 
 
 def test_autocorrelation_symmetry_and_size():
     for p in (5, 7, 11, 29, 631):
+        c = _autocorrelations(p)
         for j in range(1, p):
-            c = _autocorrelation(p, j)
-            assert c == _autocorrelation(p, p - j)
-            assert abs(c) <= Fraction(3, p)
+            assert c[j] == c[p - j]
+            assert abs(c[j]) <= Fraction(3, p)
 
 
 def test_density_fourier_route_agrees_with_autocorrelation():
     for p in (5, 7, 11, 29, 631):
-        for j in range(p):
-            assert abs(
-                float(_autocorrelation(p, j)) - ms.legendre_table(p).density_fourier[j]
-            ) < 1e-12
+        exact = np.array(_autocorrelations(p), dtype=float)
+        assert np.abs(exact - ms.LegendreTable(p).density_fourier).max() < 1e-12, p
     # large prime: spot checks
+    exact = _autocorrelations(15629)
+    density = ms.LegendreTable(15629).density_fourier
     for j in (0, 1, 2, 7814, 15628):
-        assert abs(
-            float(_autocorrelation(15629, j)) - ms.legendre_table(15629).density_fourier[j]
-        ) < 1e-12
+        assert abs(float(exact[j]) - density[j]) < 1e-12
 
 
 def test_density_route_matches_exact_numerators_at_every_shift():
     for p in ODD_PRIMES_BELOW_500:
-        table = ms.legendre_table(p)
+        table = ms.LegendreTable(p)
         route = table.density_fourier
         assert not route.flags.writeable
         assert np.abs(route - jacobi_numerators_gather(table.signs, np.arange(p)) / p).max() < 1e-12, p
     # p = 3 pads to n = 6, the smallest transform
-    assert ms.legendre_table(3).density_fourier.tolist() == pytest.approx(
+    assert ms.LegendreTable(3).density_fourier.tolist() == pytest.approx(
         [1, -1 / 3, -1 / 3], abs=1e-15
     )
     for p in (15629, 390_647):
         chi = legendre_symbols(p)
         closed = (-1 + chi + chi[-np.arange(p) % p]) / p
         closed[0] = 1
-        assert np.abs(ms.legendre_table(p).density_fourier - closed).max() < 1e-12, p
+        assert np.abs(ms.LegendreTable(p).density_fourier - closed).max() < 1e-12, p
 
 
 @pytest.mark.parametrize("p", [3, 5, 29, 997, 15629])
 def test_density_fourier_is_bit_identical_to_the_reference(p):
     # |rfft|^2 is formed in place; the folded result must not move by a bit
-    signs = ms.legendre_table(p).signs
+    table = ms.LegendreTable(p)
     n = charsums._fft_length(2 * p)
-    spec = np.fft.rfft(signs, n)
+    spec = np.fft.rfft(table.signs, n)
     r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
     reference = (r[:p] + r[n - p :]) / p
-    assert np.array_equal(ms.LegendreTable(p).density_fourier, reference)
+    assert np.array_equal(table.density_fourier, reference)
 
 
 def _smooth(n):
@@ -496,7 +486,7 @@ def test_all_shift_numerators_match_an_int64_window_sum():
     # +/-1 arrays, which no closed form covers
     rng = np.random.default_rng(5)
     arrays = []
-    for table in [ms.legendre_table(p) for p in (3, 5, 97, 997)]:
+    for table in [ms.LegendreTable(p) for p in (3, 5, 97, 997)]:
         numerators = jacobi_numerators(table.signs)
         assert numerators.dtype == np.int64
         arrays.append((table.signs, numerators))

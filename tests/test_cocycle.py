@@ -1,11 +1,12 @@
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec import cocycle
+from morsespec import charsums
 from morsespec.errors import ConfigError
 from oracles import ExtensionPoint, flip, skew_step, zero_extension_point
 
@@ -22,19 +23,43 @@ def _cocycle_all_coordinates(x, g, ctx):
     return out
 
 
-def test_context_tables_follow_from_the_primes(cfg57, monkeypatch):
-    # a context is its configuration: its tables are the cached ones of its
-    # primes, and build_context makes none of them, so it takes p_6 and on
-    ctx = ms.CocycleContext(cfg57)
-    assert all(t is ms.legendre_table(p) for t, p in zip(ctx.tables, (5, 7), strict=True))
-    other = ctx._replace(cfg=ms.make_group_config([7, 11]))
-    assert [t.prime for t in other.tables] == [7, 11]
-    built = []
-    monkeypatch.setattr(cocycle, "legendre_table", lambda p: built.append(p) or ms.LegendreTable(p))
-    assert ms.build_context(cfg57) == ctx
+def test_context_tables_follow_from_the_primes(cfg57):
+    # a context holds one table per prime, in order, with nothing derived yet
+    ctx = ms.build_context(cfg57)
+    assert ctx.cfg is cfg57
+    assert [(type(t), t.__dict__) for t in ctx.tables] == [
+        (ms.LegendreTable, {"prime": 5}),
+        (ms.LegendreTable, {"prime": 7}),
+    ]
+
+
+def test_build_context_reads_no_sign_at_stage_7(monkeypatch):
+    # making a table builds no sign array, so a context takes p_6 and on,
+    # whose squares mask would pass int64
+    def no_signs(p):
+        raise AssertionError(f"sign array for {p} built")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_signs)
     cfg7 = ms.make_group_config(ms.theorem_primes(7), ms.THEOREM_GRADE)
-    assert ms.build_context(cfg7) == ms.CocycleContext(cfg7)
-    assert built == []
+    ctx = ms.build_context(cfg7)
+    assert [t.prime for t in ctx.tables] == list(cfg7.primes)
+
+
+def test_tables_live_as_long_as_their_context(cfg5711):
+    # two contexts of one configuration share no table, and a context's
+    # tables and every array they derived are freed with it
+    ctx = ms.build_context(cfg5711)
+    other = ms.build_context(cfg5711)
+    assert not {id(t) for t in ctx.tables} & {id(t) for t in other.tables}
+    refs = []
+    for table in ctx.tables:
+        arrays = (table.signs, table.polynomial, table.density_fourier)
+        refs += [weakref.ref(obj) for obj in (table, *arrays)]
+    del table, arrays
+    assert all(ref() is not None for ref in refs)
+    del ctx
+    assert [ref() for ref in refs] == [None] * 12
+    assert all(set(t.__dict__) == {"prime"} for t in other.tables)
 
 
 def test_cocycle_value_identity_element(ctx57):

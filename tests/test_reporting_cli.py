@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from hypothesis.extra import numpy as hnp
 
 import morsespec as ms
 import morsespec.cli as cli
-from morsespec import charsums, cocycle, reporting
+from morsespec import charsums, reporting
 from oracles import autocorrelation_closed_form
 
 PAIRED_CLI = Path(__file__).parent.parent / "scripts" / "paired_cli.py"
@@ -391,7 +392,7 @@ def test_console_script_and_module_run_the_same_entry():
 
 
 # test-only routes moved to tests/oracles.py, the deleted density marginal,
-# and the sparse element format with what converted it
+# the sparse element format with what converted it, and the table cache
 REMOVED_EXPORTS = (
     "autocorrelation_closed_form",
     "gauss_sum_brute",
@@ -417,6 +418,7 @@ REMOVED_EXPORTS = (
     "IDENTITY",
     "translate",
     "level_group_vectors",
+    "legendre_table",
 )
 
 
@@ -530,6 +532,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+@pytest.fixture
+def built_contexts(monkeypatch):
+    """The context of each command run in the test, in order, recorded by
+    wrapping the build_context that morsespec.cli calls."""
+    built = []
+    build = cli.build_context
+    monkeypatch.setattr(cli, "build_context", lambda cfg: built.append(build(cfg)) or built[-1])
+    return built
 
 
 def test_certify_theorem_grade(capsys):
@@ -742,7 +754,7 @@ def _gauss_check_per_element(pmax):
                 max_gauss, worst = err, p
             parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
             max_parity = max(max_parity, parity)
-        table = ms.legendre_table(p)
+        table = ms.LegendreTable(p)
         signs = table.signs.astype(np.int64)
         for j in range(p):
             c = autocorrelation_closed_form(p, j)
@@ -810,16 +822,14 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
     assert "3000" in err
 
 
-def test_coeffs_builds_no_all_shift_numerators(capsys, monkeypatch):
+def test_coeffs_builds_no_all_shift_numerators(capsys, built_contexts):
     # the exact route reads one closed-form numerator per distinct shift
     # off the int8 signs: the tables cache only the density route's array
-    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
-    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
-    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
     code, report, _ = run_json(capsys, "coeffs", "--theorem", "3", "1,2,3", "5,0,77")
     assert code == 0 and report["results"]["routes_agree"] is True
-    for p in ms.theorem_primes(3):
-        assert set(cache(p).__dict__) <= {"prime", "signs", "density_fourier"}, p
+    (ctx,) = built_contexts
+    for table in ctx.tables:
+        assert set(table.__dict__) <= {"prime", "signs", "density_fourier"}, table.prime
 
 
 def test_coeffs_level_spec_keeps_its_checks(capsys):
@@ -837,15 +847,20 @@ def test_coeffs_level_spec_keeps_its_checks(capsys):
     assert code == 64 and out == "" and "enumeration budget" in err
 
 
-def test_gauss_check_leaves_the_table_cache_alone(capsys, monkeypatch):
-    # each swept prime's table is built outside the lru_cache and freed, and
-    # flatness_report builds none; an empty cache in its place shows this
-    # even for primes other tests cached
-    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
-    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
-    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "200")
+def test_gauss_check_leaves_no_table_alive(capsys, monkeypatch):
+    # the sweep makes one table per prime, and no table outlives the command
+    refs = []
+
+    def watched(p):
+        table = ms.LegendreTable(p)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(cli, "LegendreTable", watched)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "300")
     assert code == 0 and report["results"]["all_ok"] is True
-    assert cache.cache_info().currsize == 0
+    assert len(refs) == report["results"]["primes_checked"] == 61
+    assert [ref() for ref in refs] == [None] * 61
 
 
 def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
@@ -865,7 +880,7 @@ def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
     assert report["results"]["all_ok"] is False
 
 
-def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
+def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch, built_contexts):
     # flatness and the density sups come from the Gauss sums: no FFT runs,
     # and no table keeps P afterwards
     def no_fft(*args, **kwargs):
@@ -873,16 +888,14 @@ def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch):
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, no_fft)
-    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
-    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
-    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
     code, report, _ = run_json(capsys, "certify", "--theorem", "4")
     assert code == 0 and report["results"]["certificate"]["status"] == "certified"
     code, report, _ = run_json(capsys, "sbh-search", "--primes", "29", "--k-max", "4")
     assert code == 0 and report["results"]["stage_sup"] == (1 + 1 / 29**0.5) ** 2
-    # certify makes no table; the search makes the one it reads
-    assert cache.cache_info().currsize == 1
-    assert set(cache(29).__dict__) == {"prime", "signs"}
+    # certify reads no sign; the search builds the signs it reads
+    certify_ctx, search_ctx = built_contexts
+    assert [set(t.__dict__) for t in certify_ctx.tables] == [{"prime"}] * 4
+    assert [set(t.__dict__) for t in search_ctx.tables] == [{"prime", "signs"}]
 
 
 def test_theorem_stage_6_builds_no_table(capsys, monkeypatch):
@@ -1017,18 +1030,17 @@ def test_refusals_past_the_budgets_and_ranges_are_one_line(argv, first_words):
     assert err.startswith(first_words) and err.count("\n") == 1, err
 
 
-def test_tables_build_their_signs_on_first_read(capsys, monkeypatch):
-    cache = functools.lru_cache(maxsize=None)(ms.legendre_table.__wrapped__)
-    monkeypatch.setattr("morsespec.charsums.legendre_table", cache)
-    monkeypatch.setattr("morsespec.cocycle.legendre_table", cache)
+def test_tables_build_their_signs_on_first_read(capsys, built_contexts):
     for argv in (["certify"], ["names"], ["sbh-search", "--k-max", "1"]):
         code, _, _ = run_cli(capsys, *argv, "--theorem", "1")
         assert code == 0
-        assert set(cache(29).__dict__) == {"prime"}, argv
+        (table,) = built_contexts[-1].tables
+        assert set(table.__dict__) == {"prime"}, argv
     code, _, _ = run_cli(capsys, "sbh-search", "--theorem", "1", "--k-max", "4")
     assert code == 0
-    assert "signs" in cache(29).__dict__
-    assert cache(29).signs.tolist() == [ms.legendre(k, 29) or 1 for k in range(29)]
+    (table,) = built_contexts[-1].tables
+    assert "signs" in table.__dict__
+    assert table.signs.tolist() == [ms.legendre(k, 29) or 1 for k in range(29)]
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1076,6 +1088,8 @@ GOLDEN = Path(__file__).parent / "golden"
             "sbh_search_theorem_4_level4_k4",
             ["sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4"],
         ),
+        # the last stage whose primes are all below the Miller-Rabin bound
+        ("certify_theorem_17", ["certify", "--theorem", "17"]),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):
@@ -1092,6 +1106,22 @@ def test_reports_match_golden(capsys, name, argv):
 
 def strip_timestamp(text):
     return re.sub(r'^(\s*"timestamp": "[^"]*",?|timestamp,.*)\n', "", text, flags=re.MULTILINE)
+
+
+def test_certify_names_the_first_probable_prime(capsys):
+    # p_17 is the first theorem prime past the deterministic Miller-Rabin
+    # bound: from stage 18 the verdict lists what its primality rests on
+    p17 = ms.theorem_primes(18)[17]
+    assert ms.odometer._MR_LIMIT <= p17
+    code, report, _ = run_json(capsys, "certify", "--theorem", "18")
+    assert code == 0
+    assert report["results"]["verdict"]["assumptions"][1:] == [
+        f"{p17} and every later configured prime passed sympy's BPSW "
+        "probable-prime test, not a proof of primality"
+    ]
+    # in any mode (golden certify_theorem_17 holds the stage before)
+    ctx = ms.build_context(ms.make_group_config([5, p17]))
+    assert str(p17) in ms.sbh_verdict(ctx).assumptions[-1]
 
 
 @pytest.mark.parametrize(
@@ -1193,7 +1223,6 @@ def test_coeffs_checks_every_prime_against_the_fft_budget(capsys, monkeypatch):
         raise AssertionError("read past the budget check")
 
     monkeypatch.setattr(charsums, "_FFT_BUDGET", 12)
-    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
     monkeypatch.setattr(charsums, "_quadratic_signs", refused)
     monkeypatch.setattr(np.fft, "rfft", refused)
     code, out, err = run_cli(capsys, "coeffs", "--primes", "5,7")

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec import cocycle, spectral
+from morsespec import spectral
 from morsespec.errors import BudgetError, ConfigError
 from oracles import autocorrelation_closed_form, neg, sbh_quadratic_form, sub
 
@@ -84,10 +83,10 @@ def test_whole_array_routes_match_the_per_coordinate_products(ctx5711):
     assert len(exact) == len(numeric) == len(residues)
     for row, q, x in zip(residues.tolist(), exact, numeric.tolist()):
         want_q, want_x = Fraction(1), 1.0
-        for p, r in zip(cfg.primes, row):
+        for p, table, r in zip(cfg.primes, ctx5711.tables, row):
             if r:
                 want_q *= autocorrelation_closed_form(p, r)
-            want_x *= float(ms.legendre_table(p).density_fourier[r])
+            want_x *= float(table.density_fourier[r])
         assert q == want_q, row
         assert x == want_x, row
 
@@ -134,12 +133,10 @@ def test_exact_ratios_stay_exact_past_int64():
         assert num / den == float(want), row
 
 
-def test_exact_route_reads_only_per_shift_numerators(cfg5711, monkeypatch):
+def test_exact_route_reads_only_per_shift_numerators(cfg5711):
     # the exact route reads the closed form off the int8 signs: nothing
-    # else is cached on the tables
-    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
-    ctx = ms.CocycleContext(cfg5711)
-    tables = ctx.tables
+    # else is cached on the context's fresh tables
+    ctx = ms.build_context(cfg5711)
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
     assert values == [
         autocorrelation_closed_form(5, 1)
@@ -148,7 +145,7 @@ def test_exact_route_reads_only_per_shift_numerators(cfg5711, monkeypatch):
         autocorrelation_closed_form(11, 10),
         autocorrelation_closed_form(5, 4),
     ]
-    for table in tables:
+    for table in ctx.tables:
         assert set(table.__dict__) == {"prime", "signs"}
 
 
@@ -161,13 +158,11 @@ def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     monkeypatch.setattr(np.fft, "ifft", no_fft)
-    monkeypatch.setattr(cocycle, "legendre_table", functools.lru_cache(ms.LegendreTable))
-    ctx = ms.CocycleContext(cfg5711)
-    tables = ctx.tables
+    ctx = ms.build_context(cfg5711)
     for g in ms.enumerate_level_group(3, cfg5711):
         ms.spectral_coefficient(g, ctx)
         ms.spectral_coefficient_from_density(g, ctx)
-    for table in tables:
+    for table in ctx.tables:
         assert set(table.__dict__) == {"prime", "signs", "density_fourier"}
 
 
