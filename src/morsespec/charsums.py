@@ -5,12 +5,13 @@ Legendre symbol, for 0 < k < p.  Packing the table into
 
     P(x) = p^(-1/2) * sum_{k=0}^{p-1} eps(k) * exp(-2 pi i k x / p)
 
-gives an almost flat polynomial on the p-th roots of unity: for x != 0
-the classical Gauss sum evaluation pins |P(x)| inside
-[1 - 1/sqrt(p), 1 + 1/sqrt(p)], while P(0) = 1/sqrt(p).  When p = 1
-(mod 4) the Gauss sum is real and |P(x)| takes only the two extreme
-values; when p = 3 (mod 4) it is purely imaginary and |P(x)| is the
-constant sqrt(1 + 1/p).
+gives an almost flat polynomial on the p-th roots of unity: as k^2 takes
+0 once and each nonzero square twice, sqrt(p) * P(x) = 1 + G(x) for x != 0,
+G(x) = sum_k exp(-2 pi i k^2 x / p) the Gauss sum, and P(0) = 1/sqrt(p)
+(Ireland & Rosen, ch. 6).  As |G(x)| = sqrt(p), |P(x)| lies in
+[1 - 1/sqrt(p), 1 + 1/sqrt(p)] for x != 0.  When p = 1 (mod 4) G is real
+and |P(x)| takes only the two extreme values; when p = 3 (mod 4) G is
+purely imaginary and |P(x)| is the constant sqrt(1 + 1/p).
 
 The autocorrelation of a sign table,
 
@@ -27,21 +28,21 @@ the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
 As r(m) = r(-m), the symmetry of the computed r is its round-off check.
 
 LegendreTable(p) is the single precomputation layer for its prime: its
-int8 sign array (the squares mask), polynomial (P) and density_fourier
-(the density-route coefficients), each a pass over the table, are derived
-at most once, on first use, and freed with the table.  No cache keeps a
-table: a context (cocycle.build_context) owns one per prime.  Only the
-squares mask is refused past int64, when it is built, so a table of any
-odd prime can be made and asked what needs only p.  flatness_report reads
-the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.  For
-j != 0 the Jacobi sum gives p * c(j) = -1 + chi(j) + chi(-j), chi the
-signs off 0, which chi(-1) = (-1)^((p-1)/2) collapses to -1 when p = 3
-(mod 4) and to 2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen, ch. 8):
+int8 sign array (the squares mask) and density_fourier (the density-route
+coefficients), each a pass over the table, are derived at most once, on
+first use, and freed with the table.  No cache keeps a table: a context
+(cocycle.build_context) owns one per prime.  Only the squares mask is
+refused past int64, when it is built, so a table of any odd prime can be
+made and asked what needs only p.  flatness_report reads the extremes of
+|P| and the sup of |P|^2 off p, by the Gauss sum.  For j != 0 the Jacobi
+sum gives p * c(j) = -1 + chi(j) + chi(-j), chi the signs off 0, which
+chi(-1) = (-1)^((p-1)/2) collapses to -1 when p = 3 (mod 4) and to
+2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen, ch. 8):
 jacobi_numerators at any shifts, numerator_counts its value counts.  The
-prime-length FFT in polynomial and the direct window sum in
-window_autocorrelation_numerators are the references that gauss-check
-compares those closed forms with.  The density route refuses a transform
-longer than _FFT_BUDGET points.
+Gauss sums by FFT of the histogram of squares (gauss_sum_all, and P off
+them) and the direct window sum in window_autocorrelation_numerators are
+the references that gauss-check compares those closed forms with.  The
+density route refuses a transform longer than _FFT_BUDGET points.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class LegendreTable:
     """The quadratic-character sign table of an odd prime p: +1 at 0 and on
     the nonzero squares mod p, -1 elsewhere (Euler's criterion, as in
     legendre, is the reference).  The prime is checked here; the read-only
-    int8 array `signs` is built on its first read, which refuses a prime
-    past check_table_prime.
+    arrays `signs` (int8) and `density_fourier` are built on first read,
+    and `signs` refuses a prime past check_table_prime.
 
-    Making a table is free; each derived array lives as long as the table.
+    Making a table is free; the two arrays live as long as the table.
     Tables compare by identity, and none is shared: a context holds its own.
     """
 
@@ -122,12 +123,6 @@ class LegendreTable:
         signs = _quadratic_signs(self.prime)
         signs.flags.writeable = False
         return signs
-
-    @cached_property
-    def polynomial(self) -> np.ndarray:
-        """P(x) for every x mod p, by a prime-length FFT."""
-        # np.fft.fft applies exp(-2 pi i k x / p), the sign convention above
-        return np.fft.fft(self.signs.astype(np.complex128)) / math.sqrt(self.prime)
 
     @cached_property
     def density_fourier(self) -> np.ndarray:
@@ -261,7 +256,11 @@ def gauss_sum_all(p: int) -> np.ndarray:
 
 
 def character_polynomial_values(p: int) -> np.ndarray:
-    return LegendreTable(p).polynomial
+    """P(x) for every x mod p off the Gauss sums: (1 + G(x)) / sqrt(p), 1 / sqrt(p) at 0."""
+    _check_odd_prime(p)
+    values = gauss_sum_all(p) + 1
+    values[0] = 1
+    return values / math.sqrt(p)
 
 
 class FlatnessReport(NamedTuple):
@@ -277,11 +276,10 @@ class FlatnessReport(NamedTuple):
 
 
 def flatness_report(p: int) -> FlatnessReport:
-    """The extremes of |P(x)| over x != 0 and the sup of |P|^2, checked
-    against the flatness window.  The Gauss sum fixes them: 1 -/+ 1/sqrt(p)
-    and (1 + 1/sqrt(p))^2 when p = 1 (mod 4), sqrt(1 + 1/p) and 1 + 1/p
-    when p = 3 (mod 4); no table and no P is formed.  A p past the float
-    range is refused."""
+    """The extremes of |P(x)| over x != 0 and the sup of |P|^2.  The Gauss
+    sum fixes them: 1 -/+ 1/sqrt(p) and (1 + 1/sqrt(p))^2 when p = 1
+    (mod 4), sqrt(1 + 1/p) and 1 + 1/p when p = 3 (mod 4); no table and no
+    P is formed.  A p past the float range is refused."""
     _check_odd_prime(p)
     try:
         root = math.sqrt(p)
@@ -292,8 +290,6 @@ def flatness_report(p: int) -> FlatnessReport:
     else:
         lo = hi = math.sqrt(1 + 1 / p)
         sup = 1 + 1 / p
-    if lo < 1 - 1 / root - _NUMERIC_TOL or hi > 1 + 1 / root + _NUMERIC_TOL:
-        raise InternalConsistencyError(f"flatness window violated at p={p}: [{lo}, {hi}]")
     return FlatnessReport(
         prime=p,
         min_modulus=lo,

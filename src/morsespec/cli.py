@@ -61,7 +61,7 @@ from .reporting import (
     write_atomic,
 )
 from .spectral import (
-    _check_score_range,
+    _check_search_budget,
     density_certificate,
     sbh_adversarial_search,
     sbh_verdict,
@@ -372,7 +372,7 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
         raise UsageError(f"level {n} exceeds the {cfg.level} configured primes")
     group_order = math.prod(cfg.primes[:n])
     k_cap = min(rc.k_max, group_order)
-    _check_score_range(n, k_cap, group_order)  # before any search, not at the k that fails
+    _check_search_budget(k_cap, cfg.primes[:n])  # before any search, not at the k that fails
     # Q never exceeds the stage-n density sup; it can falsify only a certificate
     stage_sup = math.prod(flatness_report(p).density_sup for p in cfg.primes[:n])
     cert = density_certificate(ctx, rc.split_level, rc.assume_tail_rule)
@@ -449,10 +449,10 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             worst_prime = p
         max_parity_err = max(max_parity_err, np.abs(off_axis).max())
         table = LegendreTable(p)  # freed with the next prime
-        # the Gauss-sum closed form (it raises on a window violation) against
-        # the exhaustive scan of |P| that it replaces everywhere else
+        # the Gauss-sum closed form against the exhaustive scan of |P| that
+        # it replaces everywhere else: sqrt(p) * P = 1 + G off 0
         flatness = flatness_report(p)
-        mods = np.abs(table.polynomial)[1:]
+        mods = np.abs(brute + 1) / root
         max_flatness_err = max(
             max_flatness_err,
             abs(float(mods.min()) - flatness.min_modulus),

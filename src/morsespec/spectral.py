@@ -39,9 +39,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .charsums import flatness_report, jacobi_numerators
+from .charsums import check_table_prime, flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
-from .errors import BudgetError, ConfigError, InternalConsistencyError
+from .errors import BudgetError, ConfigError
 from .odometer import _MR_LIMIT, THEOREM_GRADE, growth_floor, level_group_order
 
 np = lazy_numpy()
@@ -204,10 +204,6 @@ def density_certificate(
     for p in cfg.primes[:m]:
         finite_sup *= flatness_report(p).density_sup
         finite_window *= (1.0 + 1.0 / math.sqrt(p)) ** 2
-    if finite_sup > finite_window * (1.0 + 1e-9):
-        raise InternalConsistencyError(
-            f"finite density sup {finite_sup} exceeds analytic window {finite_window}"
-        )
 
     tail_applies = cfg.mode == THEOREM_GRADE
     if not tail_applies and assume_tail_rule:
@@ -259,12 +255,19 @@ class SearchResult(NamedTuple):
 # sign-pattern scores the exhaustive scan holds at once
 _SCORE_CHUNK = 1 << 13
 
+# stage-prime residues a search may hold lookups for (int64 numerator, int8 sign)
+_LOOKUP_BUDGET = 2**21
 
-def _check_score_range(n: int, k: int, m: int) -> None:
-    """Refuse a search for k-subsets of G_n, |G_n| = m, whose int64 scores
-    could overflow; a probe of one element scores nothing."""
+
+def _check_search_budget(k: int, primes: tuple[int, ...]) -> None:
+    """Refuse a k-subset search over the stage primes whose int64 scores
+    could overflow or whose lookups pass _LOOKUP_BUDGET; k = 1 reads none."""
+    n, m = len(primes), math.prod(primes)
     if k > 1 and k * k * m >= 2**62:
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
+    if k > 1 and sum(primes) > _LOOKUP_BUDGET:
+        check_table_prime(max(primes))  # a table that cannot be built is refused as such
+        raise BudgetError(f"the stage-{n} search lookups need {sum(primes)} entries, budget is {_LOOKUP_BUDGET}")
 
 
 def sbh_adversarial_search(
@@ -313,7 +316,7 @@ def sbh_adversarial_search(
             mode="exhaustive",
             evaluations=1,
         )
-    _check_score_range(n, k, m)
+    _check_search_budget(k, primes_n)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
     luts = [jacobi_numerators(t.signs) for t in ctx.tables[:n]]

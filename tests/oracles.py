@@ -10,8 +10,11 @@ direct form of something the package computes in closed form or in bulk.
 - jacobi_numerators_gather: p * c_p(j) = -1 + chi(j) + chi(-j) by
   gathering the character at j and at -j, before chi(-1) collapses it
   (charsums.jacobi_numerators is checked against it);
-- fft_scan_flatness: the extremes of |P| and of |P|^2 by scanning P at
-  every p-th root of unity (charsums.flatness_report is checked against it);
+- polynomial_fft: P at every p-th root of unity by a prime-length FFT of
+  a table's signs (charsums.character_polynomial_values, which reads P
+  off the Gauss sums, is checked against it);
+- fft_scan_flatness: the extremes of |P| and of |P|^2 by scanning that
+  FFT (charsums.flatness_report is checked against it);
 - FunnyWord, complement, hamming, name_word, NameAtlas, name_atlas: the
   exhaustive word atlas of a stage and its exact Hamming distances
   (diagnostics.name_separation is checked against it);
@@ -66,10 +69,16 @@ def jacobi_numerators_gather(chars: np.ndarray, shifts: np.ndarray) -> np.ndarra
     return out
 
 
+def polynomial_fft(p: int) -> np.ndarray:
+    """P(x) for every x mod p, by the prime-length FFT of a fresh table's
+    signs; np.fft.fft applies exp(-2 pi i k x / p), the sign convention of P."""
+    return np.fft.fft(LegendreTable(p).signs.astype(np.complex128)) / np.sqrt(p)
+
+
 def fft_scan_flatness(p: int) -> tuple[float, float, float, float]:
     """min and max of |P(x)| over x != 0, and max and mean of |P(x)|^2
-    over every x, from the prime-length FFT of a fresh table."""
-    vals = LegendreTable(p).polynomial
+    over every x, from polynomial_fft."""
+    vals = polynomial_fft(p)
     density = vals.real**2 + vals.imag**2
     mods = np.abs(vals)[1:]
     return float(mods.min()), float(mods.max()), float(density.max()), float(density.mean())

@@ -13,7 +13,13 @@ import morsespec as ms
 from morsespec import charsums
 from morsespec.charsums import jacobi_numerators, legendre_symbols
 from morsespec.errors import ConfigError, InternalConsistencyError
-from oracles import autocorrelation_closed_form, fft_scan_flatness, gauss_sum_brute, jacobi_numerators_gather
+from oracles import (
+    autocorrelation_closed_form,
+    fft_scan_flatness,
+    gauss_sum_brute,
+    jacobi_numerators_gather,
+    polynomial_fft,
+)
 
 ODD_PRIMES_BELOW_500 = [q for q in range(3, 500) if sympy.isprime(q)]
 SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
@@ -263,6 +269,19 @@ def test_character_polynomial_against_direct_sum():
 def test_character_polynomial_at_zero():
     for p in (5, 7, 29, 631):
         assert abs(ms.character_polynomial_values(p)[0] - 1 / math.sqrt(p)) < 1e-12
+    # the Gauss sums exist mod any q; P only for an odd prime
+    for q in (2, 9):
+        with pytest.raises(ConfigError, match=f"{q} is not an odd prime"):
+            ms.character_polynomial_values(q)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 631, 15629])
+def test_character_polynomial_off_the_gauss_sums_against_the_table_fft(p):
+    # sqrt(p) * P = 1 + G off 0 from the Gauss sums' FFT, against the
+    # prime-length FFT of the sign table that they replace in the package
+    values = ms.character_polynomial_values(p)
+    assert values[0] == 1 / math.sqrt(p)
+    assert np.abs(values - polynomial_fft(p)).max() <= 1e-12
 
 
 def test_flatness_two_value_structure_for_1_mod_4():
@@ -350,15 +369,6 @@ def test_flatness_closed_form_against_the_fft_scan(p):
     else:
         assert rep.min_modulus == rep.max_modulus == math.sqrt(1 + 1 / p)
         assert rep.density_sup == 1 + 1 / p
-
-
-def test_flatness_report_checks_the_window(monkeypatch):
-    # the closed form is checked against the flatness window all the same;
-    # a negative tolerance puts every value outside it
-    monkeypatch.setattr(charsums, "_NUMERIC_TOL", -0.5)
-    for p in (7, 29):
-        with pytest.raises(InternalConsistencyError, match=f"flatness window violated at p={p}"):
-            ms.flatness_report(p)
 
 
 def _autocorr_brute(table, j):

@@ -53,12 +53,12 @@ def test_tables_live_as_long_as_their_context(cfg5711):
     assert not {id(t) for t in ctx.tables} & {id(t) for t in other.tables}
     refs = []
     for table in ctx.tables:
-        arrays = (table.signs, table.polynomial, table.density_fourier)
+        arrays = (table.signs, table.density_fourier)
         refs += [weakref.ref(obj) for obj in (table, *arrays)]
     del table, arrays
     assert all(ref() is not None for ref in refs)
     del ctx
-    assert [ref() for ref in refs] == [None] * 12
+    assert [ref() for ref in refs] == [None] * 9
     assert all(set(t.__dict__) == {"prime"} for t in other.tables)
 
 

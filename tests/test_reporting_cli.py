@@ -657,6 +657,21 @@ def test_sbh_search_refuses_an_overflowing_k_before_any_search(capsys, monkeypat
     assert code == 0 and report["results"]["best"]["value"] == "1/1"
 
 
+def test_sbh_search_refuses_lookups_past_the_budget_before_any_table(capsys, monkeypatch):
+    # p = 10^9 + 7 scores within int64, but its lookups would take 9 GB:
+    # refused before a sign is squared, while a k = 1 probe reads no table
+    def no_signs(p):
+        raise AssertionError(f"sign array for {p} built")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_signs)
+    code, out, err = run_cli(capsys, "sbh-search", "--primes", "1000000007", "--k-max", "2")
+    assert (code, out) == (64, "")
+    budget = ms.spectral._LOOKUP_BUDGET
+    assert err == f"budget exceeded: the stage-1 search lookups need 1000000007 entries, budget is {budget}\n"
+    code, report, _ = run_json(capsys, "sbh-search", "--primes", "1000000007", "--k-max", "1")
+    assert code == 0 and report["results"]["best"]["value"] == "1/1"
+
+
 def test_coeffs_default_level(capsys):
     code, report, _ = run_json(capsys, "coeffs", "--primes", "5,7")
     assert code == 0
@@ -880,6 +895,23 @@ def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
     assert report["results"]["all_ok"] is False
 
 
+def test_gauss_check_makes_one_prime_length_fft_per_prime(capsys, monkeypatch):
+    # the scan of |P| reads sqrt(p) * P = 1 + G off the Gauss sums' own
+    # transform; the sign table's prime-length FFT is a test oracle only
+    fft = np.fft.fft
+    lengths = []
+
+    def counted(a, *args, **kwargs):
+        lengths.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
+    assert code == 0 and report["results"]["all_ok"] is True
+    assert lengths == [p for p in range(3, 61) if sympy.isprime(p)]
+    assert len(lengths) == 16
+
+
 def test_certify_and_search_run_no_fft_on_quadratic_tables(capsys, monkeypatch, built_contexts):
     # flatness and the density sups come from the Gauss sums: no FFT runs,
     # and no table keeps P afterwards
@@ -1090,6 +1122,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ),
         # the last stage whose primes are all below the Miller-Rabin bound
         ("certify_theorem_17", ["certify", "--theorem", "17"]),
+        # the sweep of the prime-sweep benchmark workload
+        ("gauss_check_1000", ["gauss-check", "--pmax", "1000"]),
     ],
 )
 def test_reports_match_golden(capsys, name, argv):
