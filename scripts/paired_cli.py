@@ -7,6 +7,11 @@ two source trees, in alternating pairs.
 
 Each run is one child that runs morsespec.cli <argv> as `python -m` does,
 with the tree first on PYTHONPATH and stdout and stderr sent to /dev/null.
+Each tree gets its own temporary PYTHONPYCACHEPREFIX, and the children
+run without PYTHONDONTWRITEBYTECODE: a tree's untimed run compiles it
+once, its timed runs read that bytecode, and neither reads a __pycache__
+left inside the tree, which may be stale for some modules and valid for
+others.
 It is reaped with os.wait4 for its own user + system CPU time, and at exit
 it writes its own peak RSS (VmHWM) to a pipe.  With nothing after `--`,
 each child only imports morsespec.cli instead: the start-up that every
@@ -56,19 +61,29 @@ else:
 
 
 def run(
-    src: str, argv: list[str], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, preexec_fn=None
+    src: str,
+    argv: list[str],
+    stdout=subprocess.DEVNULL,
+    stderr=subprocess.DEVNULL,
+    preexec_fn=None,
+    pycache: str | None = None,
 ) -> tuple[int, float, float]:
     """Exit code, CPU seconds and own peak RSS in MB (nan if it exited
     without reporting one) of one CLI child, or of a bare import of
     morsespec.cli when argv is empty.  preexec_fn runs in the child
-    before it starts Python, as in subprocess.Popen."""
+    before it starts Python, as in subprocess.Popen.  With a pycache
+    directory the child reads and writes its bytecode there only."""
     path = os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    if pycache:
+        env["PYTHONPYCACHEPREFIX"] = pycache
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
     peak_r, peak_w = os.pipe()
     with open(peak_r, "rb") as peak:
         with open(peak_w, "wb"):  # this copy closes here: the read ends when the child's does
             proc = subprocess.Popen(
                 [sys.executable, "-c", PEAK_REPORTING_CLI, str(peak_w), *argv],
-                env=dict(os.environ, PYTHONPATH=path),
+                env=env,
                 stdout=stdout,
                 stderr=stderr,
                 preexec_fn=preexec_fn,
@@ -80,11 +95,11 @@ def run(
     return proc.returncode, usage.ru_utime + usage.ru_stime, int(hwm[1]) / 1024 if hwm else math.nan
 
 
-def untimed_output(src: str, argv: list[str]) -> tuple[int, str, str]:
+def untimed_output(src: str, argv: list[str], pycache: str) -> tuple[int, str, str]:
     """Exit code, stdout with the timestamp line removed, and stderr of
     one CLI child."""
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
-        code = run(src, argv, out, err)[0]
+        code = run(src, argv, out, err, pycache=pycache)[0]
         out.seek(0)
         err.seek(0)
         text = re.sub(r'^(\s*"timestamp": "[^"]*",?|timestamp,.*)\n', "", out.read(), flags=re.M)
@@ -129,23 +144,30 @@ def main() -> int:
         parser.error("give --pairs >= 0 and --, then the CLI arguments if any")
 
     sides = {"old": args.old_src, "new": args.new_src}
-    first = {name: untimed_output(src, argv) for name, src in sides.items()}
+    with tempfile.TemporaryDirectory() as old_cache, tempfile.TemporaryDirectory() as new_cache:
+        return compare(sides, {"old": old_cache, "new": new_cache}, args.pairs, argv)
+
+
+def compare(sides: dict, caches: dict, pairs: int, argv: list[str]) -> int:
+    """The untimed runs, then the pairs, with each side's bytecode in its
+    own cache directory; prints the report and returns main's exit code."""
+    first = {name: untimed_output(src, argv, caches[name]) for name, src in sides.items()}
     codes = {name: {first[name][0]} for name in sides}
-    if args.pairs == 0:
+    if pairs == 0:
         print(f"argv: {' '.join(argv) or '(import morsespec.cli)'}  pairs: 0")
         for name, src in sides.items():
             print(f"{name} ({src}) exit {first[name][0]}")
         return differences(codes, first)
     cpu = {name: [] for name in sides}
     rss = {name: [] for name in sides}
-    for i in range(args.pairs):
+    for i in range(pairs):
         for name in ("old", "new") if i % 2 == 0 else ("new", "old"):
-            code, cpu_s, rss_mb = run(sides[name], argv)
+            code, cpu_s, rss_mb = run(sides[name], argv, pycache=caches[name])
             codes[name].add(code)
             cpu[name].append(cpu_s)
             rss[name].append(rss_mb)
 
-    print(f"argv: {' '.join(argv) or '(import morsespec.cli)'}  pairs: {args.pairs}")
+    print(f"argv: {' '.join(argv) or '(import morsespec.cli)'}  pairs: {pairs}")
     for name, src in sides.items():
         print(f"{name} ({src}) exit {sorted(codes[name])}")
         print(f"  cpu_s        {summary(cpu[name])}")

@@ -31,18 +31,18 @@ LegendreTable(p) is the single precomputation layer for its prime: its
 int8 sign array (the squares mask) and density_fourier (the density-route
 coefficients), each a pass over the table, are derived at most once, on
 first use, and freed with the table.  No cache keeps a table: a context
-(cocycle.build_context) owns one per prime.  Only the squares mask is
-refused past int64, when it is built, so a table of any odd prime can be
-made and asked what needs only p.  flatness_report reads the extremes of
-|P| and the sup of |P|^2 off p, by the Gauss sum.  For j != 0 the Jacobi
-sum gives p * c(j) = -1 + chi(j) + chi(-j), chi the signs off 0, which
-chi(-1) = (-1)^((p-1)/2) collapses to -1 when p = 3 (mod 4) and to
-2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen, ch. 8):
-jacobi_numerators at any shifts, numerator_counts its value counts.  The
-Gauss sums by FFT of the histogram of squares (gauss_sum_all, and P off
+(cocycle.build_context) owns one per prime.  check_table_prime is the
+one size guard: a prime past _TABLE_BUDGET residues gets no squares
+mask, and so no density route and no Gauss sums either, while a table of
+any odd prime can be made and asked what needs only p.  flatness_report
+reads the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.
+For j != 0 the Jacobi sum gives p * c(j) = -1 + chi(j) + chi(-j), chi
+the signs off 0, which chi(-1) = (-1)^((p-1)/2) collapses to -1 when
+p = 3 (mod 4) and to 2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen,
+ch. 8): jacobi_numerators at any shifts, numerator_counts its value
+counts.  The Gauss sums by FFT of the histogram of squares (gauss_sum_all, and P off
 them) and the direct window sum in window_autocorrelation_numerators are
-the references that gauss-check compares those closed forms with.  The
-density route refuses a transform longer than _FFT_BUDGET points.
+the references that gauss-check compares those closed forms with.
 """
 
 from __future__ import annotations
@@ -90,11 +90,15 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
+# residues a sign table may hold; its density FFT is then at most 2^25
+# points and every square _quadratic_signs forms is below 2^46
+_TABLE_BUDGET = 2**24
+
+
 def check_table_prime(p: int) -> None:
-    """Refuse a prime whose table would square residues past int64:
-    _quadratic_signs squares every k <= (p - 1) / 2 in int64."""
-    if ((p - 1) // 2) ** 2 > 2**63 - 1:
-        raise ConfigError(f"the sign table for {p} would square residues past int64")
+    """Refuse, as a BudgetError, a prime past _TABLE_BUDGET residues."""
+    if p > _TABLE_BUDGET:
+        raise BudgetError(f"the sign table of {p} needs {p} residues, budget is {_TABLE_BUDGET}")
 
 
 def _check_odd_prime(p: int) -> None:
@@ -107,8 +111,9 @@ class LegendreTable:
     """The quadratic-character sign table of an odd prime p: +1 at 0 and on
     the nonzero squares mod p, -1 elsewhere (Euler's criterion, as in
     legendre, is the reference).  The prime is checked here; the read-only
-    arrays `signs` (int8) and `density_fourier` are built on first read,
-    and `signs` refuses a prime past check_table_prime.
+    arrays `signs` (int8) and `density_fourier` are built on first read;
+    `signs`, and so `density_fourier`, refuse a prime past
+    check_table_prime before anything is allocated.
 
     Making a table is free; the two arrays live as long as the table.
     Tables compare by identity, and none is shared: a context holds its own.
@@ -120,6 +125,7 @@ class LegendreTable:
 
     @cached_property
     def signs(self) -> np.ndarray:
+        check_table_prime(self.prime)
         signs = _quadratic_signs(self.prime)
         signs.flags.writeable = False
         return signs
@@ -129,7 +135,7 @@ class LegendreTable:
         """c(j) for every shift j by the zero-padded density route; read-only."""
         # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
         p = self.prime
-        n = density_fft_length(p)
+        n = _fft_length(2 * p)
         spec = np.fft.rfft(self.signs, n)
         # |spec|^2 in place, kept complex with a zero imaginary part: irfft
         # then makes no complex copy of a float input; all of it is freed
@@ -168,20 +174,6 @@ def _fft_length(m: int) -> int:
     return best
 
 
-# FFT points one table's density route may transform; p_4 needs 19 660 800,
-# and each point costs about 33 bytes of pocketfft scratch
-_FFT_BUDGET = 2**25
-
-
-def density_fft_length(p: int) -> int:
-    """_fft_length(2p), the density route's transform length, refused as a
-    BudgetError past _FFT_BUDGET."""
-    n = _fft_length(2 * p)
-    if n > _FFT_BUDGET:
-        raise BudgetError(f"the density route at p={p} needs {n} FFT points, budget is {_FFT_BUDGET}")
-    return n
-
-
 def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     """p * c(j) for every shift j of a +/-1 array of length p by direct
     summation, never the closed form: entry j is sum_x s(x + j) s(x), a
@@ -198,8 +190,9 @@ def jacobi_numerators(chars: np.ndarray, shifts: np.ndarray | None = None) -> np
     table's signs or legendre_symbols(p); the two differ only at 0, and
     p = 3 (mod 4) reads neither."""
     p = len(chars)
+    shifts = None if shifts is None else np.asarray(shifts)
     if p % 4 == 3:
-        out = np.full(p if shifts is None else np.shape(shifts), -1, dtype=np.int64)
+        out = np.full(p if shifts is None else shifts.shape, -1, dtype=np.int64)
     else:
         out = (chars if shifts is None else chars[shifts]).astype(np.int64)
         out *= 2
@@ -212,7 +205,6 @@ def _quadratic_signs(p: int) -> np.ndarray:
     """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
     k and p - k have the same square, so k <= (p - 1) / 2 reach them all;
     they are squared a fixed-size chunk at a time."""
-    check_table_prime(p)
     signs = np.full(p, -1, dtype=np.int8)
     signs[0] = 1
     half = (p + 1) // 2
@@ -249,7 +241,9 @@ def gauss_sum(p: int, x: int) -> complex:
 
 def gauss_sum_all(p: int) -> np.ndarray:
     """Every quadratic Gauss sum mod p at once: entry x holds
-    sum_k exp(-2 pi i k^2 x / p), via the FFT of the histogram of squares."""
+    sum_k exp(-2 pi i k^2 x / p), via the FFT of the histogram of squares;
+    a prime past check_table_prime is refused before any array is made."""
+    check_table_prime(p)
     k = np.arange(p, dtype=np.int64)
     counts = np.bincount((k * k) % p, minlength=p)
     return np.fft.fft(counts.astype(np.complex128))

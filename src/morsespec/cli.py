@@ -31,7 +31,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 from . import lazy_numpy
 from .charsums import (
     LegendreTable,
-    density_fft_length,
+    check_table_prime,
     flatness_report,
     gauss_sum_all,
     jacobi_numerators,
@@ -302,7 +302,7 @@ def cmd_coeffs(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     ctx = build_context(cfg)
     residues = _parse_elements(list(getattr(args, "elements", []) or []), cfg)
     for p in cfg.primes:  # before either route reads a sign
-        density_fft_length(p)
+        check_table_prime(p)
     numerators, denominators = spectral_coefficient_ratios(residues, ctx)
     numeric = spectral_coefficients_from_density(residues, ctx)
     # int true division rounds correctly, so these are float(Fraction) of each

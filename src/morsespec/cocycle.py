@@ -40,7 +40,7 @@ class CocycleContext(NamedTuple):
 def build_context(cfg: GroupConfig) -> CocycleContext:
     """The context of cfg, with a fresh table per prime.  make_group_config
     has checked every prime, and a table builds its sign array, refused
-    past int64, only where a command reads it."""
+    past charsums._TABLE_BUDGET, only where a command reads it."""
     return CocycleContext(cfg, tuple(map(LegendreTable, cfg.primes)))
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .charsums import check_table_prime, flatness_report, jacobi_numerators
+from .charsums import flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError
 from .odometer import _MR_LIMIT, THEOREM_GRADE, growth_floor, level_group_order
@@ -255,19 +255,14 @@ class SearchResult(NamedTuple):
 # sign-pattern scores the exhaustive scan holds at once
 _SCORE_CHUNK = 1 << 13
 
-# stage-prime residues a search may hold lookups for (int64 numerator, int8 sign)
-_LOOKUP_BUDGET = 2**21
-
 
 def _check_search_budget(k: int, primes: tuple[int, ...]) -> None:
     """Refuse a k-subset search over the stage primes whose int64 scores
-    could overflow or whose lookups pass _LOOKUP_BUDGET; k = 1 reads none."""
+    could overflow; k = 1 scores nothing.  The lookups need each stage
+    prime's signs, which the sign table's own budget guards."""
     n, m = len(primes), math.prod(primes)
     if k > 1 and k * k * m >= 2**62:
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
-    if k > 1 and sum(primes) > _LOOKUP_BUDGET:
-        check_table_prime(max(primes))  # a table that cannot be built is refused as such
-        raise BudgetError(f"the stage-{n} search lookups need {sum(primes)} entries, budget is {_LOOKUP_BUDGET}")
 
 
 def sbh_adversarial_search(

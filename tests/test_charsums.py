@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import morsespec as ms
 from morsespec import charsums
 from morsespec.charsums import jacobi_numerators, legendre_symbols
-from morsespec.errors import ConfigError, InternalConsistencyError
+from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
 from oracles import (
     autocorrelation_closed_form,
     fft_scan_flatness,
@@ -82,20 +82,44 @@ def test_table_accepts_sequences_and_arrays():
     assert len({table, table, ms.LegendreTable(5)}) == 2
 
 
-def test_legendre_table_refuses_primes_squared_past_int64(monkeypatch):
-    # the check sits where the squares are formed: the table of p_6 is made,
-    # and the first read of its signs is refused before a mask is allocated
+def test_legendre_table_refuses_primes_past_the_table_budget(monkeypatch):
+    # the table of p_6 is made, and the first read of its signs (or of its
+    # density route, which reads them) is refused before a mask is allocated
     def no_mask(*args, **kwargs):
         raise AssertionError("a squares mask was allocated")
 
     monkeypatch.setattr(charsums.np, "full", no_mask)
     table = ms.LegendreTable(6_103_515_637)  # p_6 of the theorem sequence
-    with pytest.raises(ConfigError, match="int64"):
-        table.signs
-    # ((p - 1) // 2)^2 <= 2^63 - 1 exactly up to p = 6 074 001 000
-    charsums.check_table_prime(6_074_001_000)
-    with pytest.raises(ConfigError):
-        charsums.check_table_prime(6_074_001_001)
+    line = "the sign table of 6103515637 needs 6103515637 residues, budget is 16777216"
+    for attr in ("signs", "density_fourier"):
+        with pytest.raises(BudgetError) as err:
+            getattr(table, attr)
+        assert str(err.value) == line
+    assert charsums._TABLE_BUDGET == 2**24
+    charsums.check_table_prime(2**24)
+    with pytest.raises(BudgetError):
+        charsums.check_table_prime(2**24 + 1)
+
+
+def test_the_table_budget_is_the_density_fft_budget():
+    # a 5-smooth length >= 2p is at most 2^25 exactly when p < 2^24, as
+    # 2^25 is itself one: the table budget bounds the density FFT too
+    for p in (16_777_213, 16_777_259, *ms.theorem_primes(6)):
+        assert sympy.isprime(p), p
+        fits = charsums._fft_length(2 * p) <= 2**25
+        assert fits == (p < charsums._TABLE_BUDGET), p
+    assert charsums._fft_length(2 * 16_777_213) == 2**25
+
+
+def test_gauss_sums_refuse_primes_past_the_table_budget(monkeypatch):
+    # 10^9 + 7 would ask numpy for 7.45 GiB for its arange alone
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(charsums.np, "arange", no_array)
+    for route in (ms.gauss_sum_all, ms.character_polynomial_values):
+        with pytest.raises(BudgetError, match="the sign table of 1000000007 needs"):
+            route(1_000_000_007)
 
 
 def test_legendre_table_matches_euler_criterion():
@@ -130,6 +154,10 @@ def test_autocorrelation_numerators_match_per_shift_and_closed_form():
         shifts = np.random.default_rng(p).permutation(p)
         for chars in (table.signs, legendre_symbols(p)):
             assert np.array_equal(jacobi_numerators(chars, shifts), numerators[shifts]), p
+        # a list or a tuple of shifts is read as the array it spells
+        few = [0, 1, 2]
+        for seq in (few, tuple(few)):
+            assert jacobi_numerators(table.signs, seq).tolist() == numerators[few].tolist(), p
         assert numerators.tolist() == [
             p * autocorrelation_closed_form(p, j) for j in range(p)
         ], p

@@ -304,10 +304,11 @@ def test_cli_import_keeps_a_user_thread_setting(name):
     assert res.stdout.strip() == repr(["2" if k == name else None for k in THREAD_SETTINGS])
 
 
-def numpy_submodules_at_exit(argv):
+def numpy_submodules_at_exit(argv, exit_code=0):
     """The process of `morsespec <argv>` (of `import morsespec.cli` alone
-    for no argv): its result, and the numpy submodules loaded at its exit.
-    The lazy numpy module itself is always there."""
+    for no argv), which must end with exit_code: its result, and the numpy
+    submodules loaded at its exit.  The lazy numpy module itself is always
+    there."""
     code = (
         "import atexit, sys\n"
         "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('numpy.')),"
@@ -317,7 +318,7 @@ def numpy_submodules_at_exit(argv):
         "sys.exit(cli.run() if sys.argv[1:] else 0)\n"
     )
     res = fresh_python(code)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == exit_code, res.stderr
     return res, ast.literal_eval(res.stderr.splitlines()[-1])
 
 
@@ -658,16 +659,20 @@ def test_sbh_search_refuses_an_overflowing_k_before_any_search(capsys, monkeypat
 
 
 def test_sbh_search_refuses_lookups_past_the_budget_before_any_table(capsys, monkeypatch):
-    # p = 10^9 + 7 scores within int64, but its lookups would take 9 GB:
-    # refused before a sign is squared, while a k = 1 probe reads no table
+    # p = 10^9 + 7 scores within int64, but its lookups read its signs, a
+    # 1 GB mask past the table budget: refused before a sign is squared or
+    # numpy loads, while a k = 1 probe reads no table
     def no_signs(p):
         raise AssertionError(f"sign array for {p} built")
 
     monkeypatch.setattr(charsums, "_quadratic_signs", no_signs)
-    code, out, err = run_cli(capsys, "sbh-search", "--primes", "1000000007", "--k-max", "2")
+    argv = ["sbh-search", "--primes", "1000000007", "--k-max", "2"]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (64, "")
-    budget = ms.spectral._LOOKUP_BUDGET
-    assert err == f"budget exceeded: the stage-1 search lookups need 1000000007 entries, budget is {budget}\n"
+    assert err == "budget exceeded: the sign table of 1000000007 needs 1000000007 residues, budget is 16777216\n"
+    assert numpy_submodules_at_exit(argv, exit_code=64)[1] == []
+    code, _, _, rss_mb = run_capped(*argv)
+    assert code == 64 and rss_mb < 20
     code, report, _ = run_json(capsys, "sbh-search", "--primes", "1000000007", "--k-max", "1")
     assert code == 0 and report["results"]["best"]["value"] == "1/1"
 
@@ -1016,6 +1021,16 @@ def test_search_at_theorem_stage_4_fits_its_budget():
     assert rss_mb < 37
 
 
+def test_search_runs_wherever_every_stage_prime_has_a_table():
+    # 10 000 019 is past the old 2^21 lookup budget and under the table's
+    assert sympy.isprime(10_000_019)
+    code, out, err, rss_mb = run_capped("sbh-search", "--primes", "10000019", "--k-max", "2")
+    assert (code, err) == (0, "")
+    # p = 3 (mod 4): a pair reaches the stage sup 1 + 1/p
+    assert json.loads(out)["results"]["best"]["value"] == "10000020/10000019"
+    assert rss_mb < 160
+
+
 def test_names_at_theorem_stage_13_fits_its_budget():
     code, out, err, rss_mb = run_capped("names", "--theorem", "13")
     assert (code, err) == (0, "")
@@ -1050,7 +1065,7 @@ def test_capped_runs_read_the_childs_own_peak():
         (("names", "--theorem", "14"), "budget exceeded: stage 14 has at least 81920 distinct coefficient values"),
         (
             ("sbh-search", "--primes", "6103515637", "--k-max", "2"),
-            "configuration error: the sign table for 6103515637 would square residues past int64",
+            "budget exceeded: the sign table of 6103515637 needs 6103515637 residues, budget is 16777216",
         ),
         (("certify", "--primes", str(2**1024 + 643)), "configuration error: a prime of 1025 bits"),
         (("sbh-search", "--k-max", "1", "--primes", str(2**1024 + 643)), "configuration error: a prime of 1025 bits"),
@@ -1251,17 +1266,18 @@ def test_theorem_stages_past_the_int64_tables_read_no_sign(capsys, monkeypatch):
 
 
 def test_coeffs_checks_every_prime_against_the_fft_budget(capsys, monkeypatch):
-    # [5, 7] transform 10 and 15 points: a budget of 12 refuses 7, on
-    # fresh tables, before either route reads a sign or runs an FFT
+    # the table budget bounds the density FFT as well: a budget of 6
+    # residues refuses 7, on fresh tables, before either route reads a
+    # sign or runs an FFT
     def refused(*args):
         raise AssertionError("read past the budget check")
 
-    monkeypatch.setattr(charsums, "_FFT_BUDGET", 12)
+    monkeypatch.setattr(charsums, "_TABLE_BUDGET", 6)
     monkeypatch.setattr(charsums, "_quadratic_signs", refused)
     monkeypatch.setattr(np.fft, "rfft", refused)
     code, out, err = run_cli(capsys, "coeffs", "--primes", "5,7")
     assert (code, out) == (64, "")
-    assert err == "budget exceeded: the density route at p=7 needs 15 FFT points, budget is 12\n"
+    assert err == "budget exceeded: the sign table of 7 needs 7 residues, budget is 6\n"
 
 
 def test_coeffs_refuses_theorem_6_before_any_table_work(capsys, monkeypatch):
@@ -1277,8 +1293,7 @@ def test_coeffs_refuses_theorem_6_before_any_table_work(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "coeffs", "--theorem", "6", "1,2,3,4,5,6")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (64, "")
-    assert err.startswith("budget exceeded: the density route at p=244140683 needs ")
-    assert err.count("\n") == 1
+    assert err == "budget exceeded: the sign table of 244140683 needs 244140683 residues, budget is 16777216\n"
 
 
 def test_bad_format_flag(capsys):

@@ -398,9 +398,9 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     # any table, pool or subset count is built
     with pytest.raises(BudgetError):
         ms.sbh_adversarial_search(3, 130_000, theorem_ctx)
-    # scores within int64, lookups for 10^9 + 7 residues past the budget
+    # scores within int64, but 10^9 + 7 is past the sign table's budget
     huge = ms.build_context(ms.make_group_config((1_000_000_007,)))
-    with pytest.raises(BudgetError, match="search lookups need 1000000007 entries"):
+    with pytest.raises(BudgetError, match="the sign table of 1000000007 needs 1000000007 residues"):
         ms.sbh_adversarial_search(1, 2, huge)
 
 
