@@ -39,10 +39,12 @@ reads the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.
 For j != 0 the Jacobi sum gives p * c(j) = -1 + chi(j) + chi(-j), chi
 the signs off 0, which chi(-1) = (-1)^((p-1)/2) collapses to -1 when
 p = 3 (mod 4) and to 2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen,
-ch. 8): jacobi_numerators at any shifts, numerator_counts its value
-counts.  The Gauss sums by FFT of the histogram of squares (gauss_sum_all, and P off
-them) and the direct window sum in window_autocorrelation_numerators are
-the references that gauss-check compares those closed forms with.
+ch. 8): jacobi_numerators at any shifts, which reads a table's signs
+only when p = 1 (mod 4), numerator_counts its value counts.  The Gauss
+sums by FFT of the histogram of squares (gauss_sum_all, and P off them),
+Euler's criterion (legendre_symbols) and the direct window sum in
+window_autocorrelation_numerators are the references that gauss-check
+compares those closed forms and the squares mask with.
 """
 
 from __future__ import annotations
@@ -183,18 +185,20 @@ def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
 
 
-def jacobi_numerators(chars: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
-    """p * c(j) for each shift j in 0..p-1 of an int array, or for every
-    shift when shifts is None, as a fresh int64 array: -1 when p = 3
-    (mod 4), 2 chi(j) - 1 when p = 1 (mod 4), and p at j = 0.  chars is a
-    table's signs or legendre_symbols(p); the two differ only at 0, and
-    p = 3 (mod 4) reads neither."""
-    p = len(chars)
+def jacobi_numerators(table: LegendreTable, shifts: np.ndarray | None = None) -> np.ndarray:
+    """p * c(j), p = table.prime, for each shift j in 0..p-1 of an int
+    array, or for every shift when shifts is None, as a fresh int64 array:
+    -1 when p = 3 (mod 4), 2 chi(j) - 1 when p = 1 (mod 4), and p at
+    j = 0.  Only p = 1 (mod 4) reads the table's signs; every shift of a
+    prime past check_table_prime is refused before anything is allocated."""
+    p = table.prime
+    if shifts is None:
+        check_table_prime(p)
     shifts = None if shifts is None else np.asarray(shifts)
     if p % 4 == 3:
         out = np.full(p if shifts is None else shifts.shape, -1, dtype=np.int64)
     else:
-        out = (chars if shifts is None else chars[shifts]).astype(np.int64)
+        out = (table.signs if shifts is None else table.signs[shifts]).astype(np.int64)
         out *= 2
         out -= 1
     out[0 if shifts is None else shifts == 0] = p

@@ -418,8 +418,8 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     """Character-sum invariants over all odd primes up to pmax: Gauss sum
     formula vs direct summation, parity class, the flatness closed form
-    vs an FFT scan of |P|, and the two autocorrelation routes, each checked
-    over a prime's whole table."""
+    vs an FFT scan of |P|, the squares mask vs Euler's criterion, and the
+    two autocorrelation routes, each checked over a prime's whole table."""
     if rc.pmax < 3:
         raise UsageError("pmax must be at least 3")
     if rc.pmax > 3000:
@@ -460,8 +460,11 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
         )
         # summed over the table, not read off the closed form it is checked against
         numerators = window_autocorrelation_numerators(table.signs)
-        closed = jacobi_numerators(chi)
-        closed_form_ok = closed_form_ok and np.array_equal(numerators, closed)
+        # the mask against Euler's criterion off 0, which the closed form
+        # reads only at p = 1 (mod 4)
+        mask_ok = np.array_equal(table.signs[1:], chi[1:])
+        closed = jacobi_numerators(table)
+        closed_form_ok = closed_form_ok and mask_ok and np.array_equal(numerators, closed)
         max_density_err = max(
             max_density_err,
             np.abs(numerators / p - table.density_fourier).max(),

@@ -74,12 +74,13 @@ def spectral_coefficient_ratios(
     and positive denominators: the product over the coordinates of the
     numerators p_n * c_n(r_n), over prod p_n.  A coordinate at residue 0
     contributes p_n / p_n, so only the support counts.  Each column's
-    numerators come from jacobi_numerators on the signs, one gather per
-    column."""
+    numerators come from jacobi_numerators on its table: one gather of
+    the signs per column where p_n = 1 (mod 4), a constant fill where
+    p_n = 3 (mod 4), which builds no signs."""
     residues = _checked_residues(residues, ctx)
     numerators = np.empty(residues.shape, dtype=np.int64)
     for n, table in enumerate(ctx.tables):
-        numerators[:, n] = jacobi_numerators(table.signs, residues[:, n])
+        numerators[:, n] = jacobi_numerators(table, residues[:, n])
     den = math.prod(ctx.cfg.primes)
     # Python ints: the row products can outgrow int64; the rows become
     # lists a block at a time, never the whole matrix at once
@@ -258,8 +259,9 @@ _SCORE_CHUNK = 1 << 13
 
 def _check_search_budget(k: int, primes: tuple[int, ...]) -> None:
     """Refuse a k-subset search over the stage primes whose int64 scores
-    could overflow; k = 1 scores nothing.  The lookups need each stage
-    prime's signs, which the sign table's own budget guards."""
+    could overflow; k = 1 scores nothing.  Each stage prime's lookup holds
+    every shift, which the sign table's own budget guards (in
+    jacobi_numerators) though only p = 1 (mod 4) reads the signs."""
     n, m = len(primes), math.prod(primes)
     if k > 1 and k * k * m >= 2**62:
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
@@ -314,7 +316,7 @@ def sbh_adversarial_search(
     _check_search_budget(k, primes_n)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
-    luts = [jacobi_numerators(t.signs) for t in ctx.tables[:n]]
+    luts = [jacobi_numerators(t) for t in ctx.tables[:n]]
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the

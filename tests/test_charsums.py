@@ -27,7 +27,7 @@ SMALL_ODD_PRIMES = [p for p in range(3, 100) if sympy.isprime(p)]
 
 def _autocorrelations(p):
     # c(j) for every shift j, off one table's signs
-    return [Fraction(n, p) for n in jacobi_numerators(ms.LegendreTable(p).signs).tolist()]
+    return [Fraction(n, p) for n in jacobi_numerators(ms.LegendreTable(p)).tolist()]
 
 
 def test_legendre_matches_sympy():
@@ -73,7 +73,7 @@ def test_table_accepts_sequences_and_arrays():
     assert table.signs.dtype == np.int8
     assert not table.signs.flags.writeable
     assert table.signs.tolist() == [1, 1, -1, -1, 1]
-    assert jacobi_numerators(table.signs).tolist() == [5, 1, -3, -3, 1]
+    assert jacobi_numerators(table).tolist() == [5, 1, -3, -3, 1]
     with pytest.raises(ValueError):
         table.signs[1] = -1
     # identity equality and hashing: no two tables are equal
@@ -149,15 +149,17 @@ def test_legendre_symbols_refuse_int64_overflow():
 def test_autocorrelation_numerators_match_per_shift_and_closed_form():
     for p in ODD_PRIMES_BELOW_500 + [15629]:
         table = ms.LegendreTable(p)
-        numerators = jacobi_numerators(table.signs)
-        # any shifts, in any order, on either form of the character
+        numerators = jacobi_numerators(table)
+        # any shifts, in any order; Euler's criterion gathered at j and -j
+        # is the oracle
         shifts = np.random.default_rng(p).permutation(p)
-        for chars in (table.signs, legendre_symbols(p)):
-            assert np.array_equal(jacobi_numerators(chars, shifts), numerators[shifts]), p
+        assert np.array_equal(jacobi_numerators(table, shifts), numerators[shifts]), p
+        euler = jacobi_numerators_gather(legendre_symbols(p), shifts)
+        assert np.array_equal(euler, numerators[shifts]), p
         # a list or a tuple of shifts is read as the array it spells
         few = [0, 1, 2]
         for seq in (few, tuple(few)):
-            assert jacobi_numerators(table.signs, seq).tolist() == numerators[few].tolist(), p
+            assert jacobi_numerators(table, seq).tolist() == numerators[few].tolist(), p
         assert numerators.tolist() == [
             p * autocorrelation_closed_form(p, j) for j in range(p)
         ], p
@@ -169,9 +171,9 @@ def test_closed_form_numerators_match_slice_pair_dots_at_p3():
     p = 390_647
     table = ms.LegendreTable(p)
     s = table.signs.astype(np.int64)
-    numerators = jacobi_numerators(table.signs)
+    numerators = jacobi_numerators(table)
     shifts = [0, 1, p - 1] + np.random.default_rng(2024).integers(1, p, size=197).tolist()
-    per_shift = jacobi_numerators(table.signs, np.array(shifts))
+    per_shift = jacobi_numerators(table, np.array(shifts))
     for j, value in zip(shifts, per_shift.tolist()):
         dot = int(np.dot(s[: p - j], s[j:]) + np.dot(s[p - j :], s[:j]))
         assert numerators[j] == value == dot, j
@@ -181,10 +183,11 @@ def test_closed_form_numerators_match_the_window_route_below_3000():
     for p in [q for q in range(3, 3000) if sympy.isprime(q)]:
         table = ms.LegendreTable(p)
         window = charsums.window_autocorrelation_numerators(table.signs)
-        # the Jacobi sum on both forms of the character, at every shift
-        for chars in (table.signs, legendre_symbols(p)):
-            assert np.array_equal(jacobi_numerators(chars), window), p
-            assert np.array_equal(jacobi_numerators(chars, np.arange(p)), window), p
+        # the Jacobi sum on the table at every shift, and gathered off
+        # Euler's criterion
+        assert np.array_equal(jacobi_numerators(table), window), p
+        assert np.array_equal(jacobi_numerators(table, np.arange(p)), window), p
+        assert np.array_equal(jacobi_numerators_gather(legendre_symbols(p), np.arange(p)), window), p
 
 
 def test_jacobi_numerators_match_the_gather_form():
@@ -193,14 +196,15 @@ def test_jacobi_numerators_match_the_gather_form():
     # 500, at every shift on the signs of p_2 and p_3
     for p in ODD_PRIMES_BELOW_500:
         shifts = np.random.default_rng(p).permutation(p)
-        for chars in (ms.LegendreTable(p).signs, legendre_symbols(p)):
-            gathered = jacobi_numerators_gather(chars, shifts)
-            assert np.array_equal(jacobi_numerators(chars, shifts), gathered), p
+        table = ms.LegendreTable(p)
+        closed = jacobi_numerators(table, shifts)
+        for chars in (table.signs, legendre_symbols(p)):
+            assert np.array_equal(closed, jacobi_numerators_gather(chars, shifts)), p
     for p in (15_629, 390_647):
-        signs = ms.LegendreTable(p).signs
-        gathered = jacobi_numerators_gather(signs, np.arange(p))
-        assert np.array_equal(jacobi_numerators(signs, np.arange(p)), gathered), p
-        assert np.array_equal(jacobi_numerators(signs), gathered), p
+        table = ms.LegendreTable(p)
+        gathered = jacobi_numerators_gather(table.signs, np.arange(p))
+        assert np.array_equal(jacobi_numerators(table, np.arange(p)), gathered), p
+        assert np.array_equal(jacobi_numerators(table), gathered), p
 
 
 def test_table_validation(monkeypatch):
@@ -361,7 +365,7 @@ def test_numerator_counts_closed_form_against_the_numerators():
         if p < 3000:
             numerators = charsums.window_autocorrelation_numerators(table.signs)
         else:
-            numerators = jacobi_numerators(table.signs)
+            numerators = jacobi_numerators(table)
         values, m = np.unique(numerators, return_counts=True)
         assert counts == dict(zip(values.tolist(), m.tolist())), p
         assert sum(counts.values()) == p
@@ -525,7 +529,7 @@ def test_all_shift_numerators_match_an_int64_window_sum():
     rng = np.random.default_rng(5)
     arrays = []
     for table in [ms.LegendreTable(p) for p in (3, 5, 97, 997)]:
-        numerators = jacobi_numerators(table.signs)
+        numerators = jacobi_numerators(table)
         assert numerators.dtype == np.int64
         arrays.append((table.signs, numerators))
     for p in (3, 8, 101, 1000):

@@ -813,6 +813,27 @@ def test_gauss_check_flags_a_wrong_symbol(capsys, monkeypatch):
     assert report["results"]["closed_form_matches"] is False
 
 
+@pytest.mark.parametrize("bad", [11, 13])
+def test_gauss_check_flags_a_mask_complemented_off_0(capsys, monkeypatch, bad):
+    # a mask negated off 0 has window numerators p c(j) - 2 chi(j) - 2 chi(-j):
+    # -1 at p = 3 (mod 4) and -2 chi(j) - 1 at p = 1, which the closed form
+    # read off that mask matches; only the mask against Euler's criterion
+    # tells it from the squares
+    squares = ms.charsums._quadratic_signs
+
+    def complemented(p):
+        signs = squares(p)
+        if p == bad:
+            signs[1:] *= -1
+        return signs
+
+    monkeypatch.setattr(ms.charsums, "_quadratic_signs", complemented)
+    code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
+    assert code == 2
+    assert report["results"]["all_ok"] is False
+    assert report["results"]["closed_form_matches"] is False
+
+
 def test_gauss_check_compares_the_window_route(capsys, monkeypatch):
     # the numerators checked against the closed form are summed over the
     # table; one wrong entry must fail the check

@@ -134,8 +134,9 @@ def test_exact_ratios_stay_exact_past_int64():
 
 
 def test_exact_route_reads_only_per_shift_numerators(cfg5711):
-    # the exact route reads the closed form off the int8 signs: nothing
-    # else is cached on the context's fresh tables
+    # the exact route reads the closed form, and the int8 signs only at
+    # p = 1 (mod 4): nothing else is cached on the context's fresh tables,
+    # and a k = 3 search after it builds no signs at 7 and 11 either
     ctx = ms.build_context(cfg5711)
     values = ms.spectral_coefficients(np.array([[1, 2, 3], [0, 0, 10], [4, 0, 0]]), ctx)
     assert values == [
@@ -145,8 +146,20 @@ def test_exact_route_reads_only_per_shift_numerators(cfg5711):
         autocorrelation_closed_form(11, 10),
         autocorrelation_closed_form(5, 4),
     ]
-    for table in ctx.tables:
-        assert set(table.__dict__) == {"prime", "signs"}
+    cached = [{"prime", "signs"}, {"prime"}, {"prime"}]
+    assert [set(table.__dict__) for table in ctx.tables] == cached
+    ms.sbh_adversarial_search(3, 3, ctx, budget=2000, seed=1)
+    assert [set(table.__dict__) for table in ctx.tables] == cached
+
+
+def test_exact_route_answers_past_the_table_budget_at_p_3_mod_4():
+    # p_5 = 244 140 683 = 3 (mod 4) is past the sign table's budget, but
+    # its numerators are -1 off 0 and read no sign
+    ctx = ms.build_context(ms.make_group_config(ms.theorem_primes(6), ms.THEOREM_GRADE))
+    assert ctx.cfg.primes[5] == 244_140_683
+    value = ms.spectral_coefficient((0, 0, 0, 0, 0, 1), ctx).value
+    assert value == Fraction(-1, 244_140_683)
+    assert set(ctx.tables[5].__dict__) == {"prime"}
 
 
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
