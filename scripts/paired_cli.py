@@ -4,6 +4,7 @@ two source trees, in alternating pairs.
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 -- coeffs --primes 5,7,11,13
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 15 --
     python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 0 -- certify --bogus
+    python scripts/paired_cli.py OLD_SRC NEW_SRC --pairs 10 --bench-out BENCH.json -- certify --theorem 4
 
 Each run is one child that runs morsespec.cli <argv> as `python -m` does,
 with the tree first on PYTHONPATH and stdout and stderr sent to /dev/null.
@@ -27,18 +28,26 @@ than OLD's interquartile range, `regression` when the same holds with the
 sides swapped, `unresolved` otherwise.  It exits 1 if the two trees' runs
 end with different exit codes, or if their untimed runs print different
 stdout, once the report's timestamp line is removed, or different stderr.
+With --bench-out PATH (and at least one pair) it also appends one entry
+to the JSON list in PATH, made if missing: both source paths, the argv,
+the number of pairs, each side's exit codes and the median and quartiles
+of its CPU and peak, both verdicts, whether the outputs matched, and the
+environment (nproc and the Python, numpy and sympy versions).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
+import platform
 import re
 import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import PackageNotFoundError, version
 
 
 # Runs morsespec.cli as `python -m` does, or only imports it when given no
@@ -128,7 +137,7 @@ def verdict(old: list[float], new: list[float]) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        usage="%(prog)s OLD_SRC NEW_SRC [--pairs N] -- [CLI_ARG...]",
+        usage="%(prog)s OLD_SRC NEW_SRC [--pairs N] [--bench-out PATH] -- [CLI_ARG...]",
         description=__doc__.split("\n\n")[0],
     )
     parser.add_argument("old_src", help="source tree of the parent, e.g. a checkout's src")
@@ -136,21 +145,25 @@ def main() -> int:
     parser.add_argument(
         "--pairs", type=int, default=10, help="number of alternating pairs; 0 compares output only"
     )
+    parser.add_argument("--bench-out", help="append the measurement to the JSON list in this file")
     own = sys.argv[1:]
     split = own.index("--") if "--" in own else len(own)
     args = parser.parse_args(own[:split])
     argv = own[split + 1 :]
     if "--" not in own or args.pairs < 0:
         parser.error("give --pairs >= 0 and --, then the CLI arguments if any")
+    if args.bench_out and args.pairs == 0:
+        parser.error("--bench-out needs at least one pair")
 
     sides = {"old": args.old_src, "new": args.new_src}
     with tempfile.TemporaryDirectory() as old_cache, tempfile.TemporaryDirectory() as new_cache:
-        return compare(sides, {"old": old_cache, "new": new_cache}, args.pairs, argv)
+        return compare(sides, {"old": old_cache, "new": new_cache}, args.pairs, argv, args.bench_out)
 
 
-def compare(sides: dict, caches: dict, pairs: int, argv: list[str]) -> int:
+def compare(sides: dict, caches: dict, pairs: int, argv: list[str], bench_out: str | None = None) -> int:
     """The untimed runs, then the pairs, with each side's bytecode in its
-    own cache directory; prints the report and returns main's exit code."""
+    own cache directory; prints the report, appends the entry to
+    bench_out if given, and returns main's exit code."""
     first = {name: untimed_output(src, argv, caches[name]) for name, src in sides.items()}
     codes = {name: {first[name][0]} for name in sides}
     if pairs == 0:
@@ -160,6 +173,7 @@ def compare(sides: dict, caches: dict, pairs: int, argv: list[str]) -> int:
         return differences(codes, first)
     cpu = {name: [] for name in sides}
     rss = {name: [] for name in sides}
+    metrics = {"cpu_s": cpu, "peak_rss_mb": rss}
     for i in range(pairs):
         for name in ("old", "new") if i % 2 == 0 else ("new", "old"):
             code, cpu_s, rss_mb = run(sides[name], argv, pycache=caches[name])
@@ -172,7 +186,7 @@ def compare(sides: dict, caches: dict, pairs: int, argv: list[str]) -> int:
         print(f"{name} ({src}) exit {sorted(codes[name])}")
         print(f"  cpu_s        {summary(cpu[name])}")
         print(f"  peak_rss_mb  {summary(rss[name])}")
-    for metric, values in (("cpu_s", cpu), ("peak_rss_mb", rss)):
+    for metric, values in metrics.items():
         diffs = [new - old for old, new in zip(values["old"], values["new"])]
         new_wins = sum(d < 0 for d in diffs)
         old_wins = sum(d > 0 for d in diffs)
@@ -180,9 +194,62 @@ def compare(sides: dict, caches: dict, pairs: int, argv: list[str]) -> int:
             f"{metric} new - old: median {statistics.median(diffs):+.4f}; "
             f"new lower in {new_wins}, old lower in {old_wins} of {len(diffs)} pairs"
         )
-    for metric, values in (("cpu_s", cpu), ("peak_rss_mb", rss)):
-        print(f"{metric} verdict: {verdict(values['old'], values['new'])}")
-    return differences(codes, first)
+    verdicts = {metric: verdict(values["old"], values["new"]) for metric, values in metrics.items()}
+    for metric, outcome in verdicts.items():
+        print(f"{metric} verdict: {outcome}")
+    status = differences(codes, first)
+    if bench_out:
+        entry = {
+            "old_src": sides["old"],
+            "new_src": sides["new"],
+            "argv": argv,
+            "pairs": pairs,
+            **{
+                name: {"exit": sorted(codes[name])} | {m: stats(values[name]) for m, values in metrics.items()}
+                for name in sides
+            },
+            "verdicts": verdicts,
+            "same_output": status == 0,
+            "environment": environment(),
+        }
+        append_entry(bench_out, entry)
+    return status
+
+
+def stats(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def environment() -> dict:
+    """nproc and the versions a measurement depends on; numpy and sympy
+    are read from their metadata, not imported."""
+
+    def package(name: str) -> str | None:
+        try:
+            return version(name)
+        except PackageNotFoundError:
+            return None
+
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": package("numpy"),
+        "sympy": package("sympy"),
+    }
+
+
+def append_entry(path: str, entry: dict) -> None:
+    """Append entry to the JSON list in path, made if missing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except FileNotFoundError:
+        entries = []
+    entries.append(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
 
 
 def differences(codes: dict, first: dict) -> int:

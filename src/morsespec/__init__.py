@@ -20,7 +20,9 @@ _EXPORTS = {
     "charsums": (
         "FlatnessReport",
         "LegendreTable",
+        "PrimeCheck",
         "character_polynomial_values",
+        "check_prime",
         "flatness_report",
         "gauss_sum",
         "gauss_sum_all",

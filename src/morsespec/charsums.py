@@ -43,8 +43,9 @@ ch. 8): jacobi_numerators at any shifts, which reads a table's signs
 only when p = 1 (mod 4), numerator_counts its value counts.  The Gauss
 sums by FFT of the histogram of squares (gauss_sum_all, and P off them),
 Euler's criterion (legendre_symbols) and the direct window sum in
-window_autocorrelation_numerators are the references that gauss-check
-compares those closed forms and the squares mask with.
+window_autocorrelation_numerators are the references that check_prime
+compares those closed forms and the squares mask with, one PrimeCheck
+per prime.
 """
 
 from __future__ import annotations
@@ -264,13 +265,17 @@ def character_polynomial_values(p: int) -> np.ndarray:
 class FlatnessReport(NamedTuple):
     """Sup/inf of |P| away from 0 and the sup of |P|^2, plus the parity
     class of the Gauss sum: 'one' for real (p = 1 mod 4), 'imaginary-unit'
-    for purely imaginary (p = 3 mod 4)."""
+    for purely imaginary (p = 3 mod 4).  window_low and window_high are
+    the window 1 -/+ 1/sqrt(p) that |P| lies in off 0 at every p; at
+    p = 1 (mod 4) they are the extremes themselves."""
 
     prime: int
     min_modulus: float
     max_modulus: float
     delta_sign: str
     density_sup: float
+    window_low: float
+    window_high: float
 
 
 def flatness_report(p: int) -> FlatnessReport:
@@ -280,18 +285,62 @@ def flatness_report(p: int) -> FlatnessReport:
     P is formed.  A p past the float range is refused."""
     _check_odd_prime(p)
     try:
-        root = math.sqrt(p)
+        inv_root = 1.0 / math.sqrt(p)
     except OverflowError:
         raise ConfigError(f"a prime of {p.bit_length()} bits is past the float range") from None
+    window = (1.0 - inv_root, 1.0 + inv_root)
     if p % 4 == 1:
-        lo, hi, sup = 1 - 1 / root, 1 + 1 / root, (1 + 1 / root) ** 2
+        return FlatnessReport(p, *window, "one", window[1] ** 2, *window)
+    modulus = math.sqrt(1 + 1 / p)
+    return FlatnessReport(p, modulus, modulus, "imaginary-unit", 1 + 1 / p, *window)
+
+
+class PrimeCheck(NamedTuple):
+    """gauss-check's comparisons at one prime: the largest error of each
+    float route against its reference, and whether the squares mask and
+    the Jacobi closed form hold exactly."""
+
+    gauss_error: float
+    parity_error: float
+    flatness_error: float
+    density_error: float
+    closed_form_ok: bool
+
+
+def check_prime(p: int) -> PrimeCheck:
+    """Every closed form at p against its reference, over the whole table:
+    the Gauss sums by FFT against gauss_sum's formula (gauss_error, and
+    parity_error off the real or imaginary axis), flatness_report against
+    the scan of |P| = |1 + G| / sqrt(p) off 0 (flatness_error), the squares
+    mask against Euler's criterion off 0 and the window sums against
+    jacobi_numerators (closed_form_ok), and the density route against the
+    window sums (density_error).  The table lives for this call only."""
+    brute = gauss_sum_all(p)[1:]
+    chi = legendre_symbols(p)
+    # the formula's parts for x != 0 as gauss_sum builds them, so that the
+    # hypot equals abs(brute[x] - gauss_sum(p, x)) to the last digit
+    root = math.sqrt(p)
+    if p % 4 == 1:
+        formula_re, formula_im, off_axis = chi[1:] * root, 0.0, brute.imag
     else:
-        lo = hi = math.sqrt(1 + 1 / p)
-        sup = 1 + 1 / p
-    return FlatnessReport(
-        prime=p,
-        min_modulus=lo,
-        max_modulus=hi,
-        delta_sign="one" if p % 4 == 1 else "imaginary-unit",
-        density_sup=sup,
+        formula_re, formula_im, off_axis = 0.0, -chi[1:] * root, brute.real
+    gauss_error = np.hypot(brute.real - formula_re, brute.imag - formula_im).max()
+    parity_error = np.abs(off_axis).max()
+    table = LegendreTable(p)
+    # the Gauss-sum closed form against the exhaustive scan of |P| that
+    # it replaces everywhere else: sqrt(p) * P = 1 + G off 0
+    flatness = flatness_report(p)
+    mods = np.abs(brute + 1) / root
+    flatness_error = max(
+        abs(float(mods.min()) - flatness.min_modulus),
+        abs(float(mods.max()) - flatness.max_modulus),
     )
+    # summed over the table, not read off the closed form it is checked against
+    numerators = window_autocorrelation_numerators(table.signs)
+    # the mask against Euler's criterion off 0, which the closed form
+    # reads only at p = 1 (mod 4)
+    mask_ok = np.array_equal(table.signs[1:], chi[1:])
+    closed = jacobi_numerators(table)
+    closed_form_ok = mask_ok and np.array_equal(numerators, closed)
+    density_error = np.abs(numerators / p - table.density_fourier).max()
+    return PrimeCheck(gauss_error, parity_error, flatness_error, density_error, closed_form_ok)

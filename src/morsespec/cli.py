@@ -29,15 +29,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 
 # numpy itself loads on first use, which certify and names never make
 from . import lazy_numpy
-from .charsums import (
-    LegendreTable,
-    check_table_prime,
-    flatness_report,
-    gauss_sum_all,
-    jacobi_numerators,
-    legendre_symbols,
-    window_autocorrelation_numerators,
-)
+from .charsums import check_prime, check_table_prime, flatness_report
 from .cocycle import build_context
 from .diagnostics import at_ball_bound, name_separation, write_histogram_csv
 from .errors import BudgetError, ConfigError, InternalConsistencyError
@@ -247,8 +239,8 @@ def cmd_certify(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
                 "prime": p,
                 "min_modulus": rep.min_modulus,
                 "max_modulus": rep.max_modulus,
-                "window_low": 1.0 - 1.0 / math.sqrt(p),
-                "window_high": 1.0 + 1.0 / math.sqrt(p),
+                "window_low": rep.window_low,
+                "window_high": rep.window_high,
                 "delta_sign": rep.delta_sign,
                 "op": "flatness_report",
             }
@@ -416,10 +408,9 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    """Character-sum invariants over all odd primes up to pmax: Gauss sum
-    formula vs direct summation, parity class, the flatness closed form
-    vs an FFT scan of |P|, the squares mask vs Euler's criterion, and the
-    two autocorrelation routes, each checked over a prime's whole table."""
+    """Character-sum invariants over all odd primes up to pmax: one
+    charsums.check_prime per prime, in order, folded into the largest
+    error of each route and whether every closed form held."""
     if rc.pmax < 3:
         raise UsageError("pmax must be at least 3")
     if rc.pmax > 3000:
@@ -427,48 +418,18 @@ def cmd_gauss_check(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]
             "pmax above 3000 is not supported (the sweep does sum p^2 integer work)"
         )
     primes = [p for p in range(3, rc.pmax + 1) if is_prime(p)]
-    max_gauss_err = 0.0
-    max_parity_err = 0.0
-    max_density_err = 0.0
-    max_flatness_err = 0.0
+    max_gauss_err = max_parity_err = max_flatness_err = max_density_err = 0.0
     closed_form_ok = True
     worst_prime = None
     for p in primes:
-        brute = gauss_sum_all(p)[1:]
-        chi = legendre_symbols(p)
-        # the formula's parts for x != 0 as gauss_sum builds them, so that the
-        # hypot equals abs(brute[x] - gauss_sum(p, x)) to the last digit
-        root = math.sqrt(p)
-        if p % 4 == 1:
-            formula_re, formula_im, off_axis = chi[1:] * root, 0.0, brute.imag
-        else:
-            formula_re, formula_im, off_axis = 0.0, -chi[1:] * root, brute.real
-        err = np.hypot(brute.real - formula_re, brute.imag - formula_im).max()
-        if err > max_gauss_err:
-            max_gauss_err = err
+        check = check_prime(p)
+        if check.gauss_error > max_gauss_err:
+            max_gauss_err = check.gauss_error
             worst_prime = p
-        max_parity_err = max(max_parity_err, np.abs(off_axis).max())
-        table = LegendreTable(p)  # freed with the next prime
-        # the Gauss-sum closed form against the exhaustive scan of |P| that
-        # it replaces everywhere else: sqrt(p) * P = 1 + G off 0
-        flatness = flatness_report(p)
-        mods = np.abs(brute + 1) / root
-        max_flatness_err = max(
-            max_flatness_err,
-            abs(float(mods.min()) - flatness.min_modulus),
-            abs(float(mods.max()) - flatness.max_modulus),
-        )
-        # summed over the table, not read off the closed form it is checked against
-        numerators = window_autocorrelation_numerators(table.signs)
-        # the mask against Euler's criterion off 0, which the closed form
-        # reads only at p = 1 (mod 4)
-        mask_ok = np.array_equal(table.signs[1:], chi[1:])
-        closed = jacobi_numerators(table)
-        closed_form_ok = closed_form_ok and mask_ok and np.array_equal(numerators, closed)
-        max_density_err = max(
-            max_density_err,
-            np.abs(numerators / p - table.density_fourier).max(),
-        )
+        max_parity_err = max(max_parity_err, check.parity_error)
+        max_flatness_err = max(max_flatness_err, check.flatness_error)
+        max_density_err = max(max_density_err, check.density_error)
+        closed_form_ok = closed_form_ok and check.closed_form_ok
     flatness_ok = max_flatness_err <= rc.tolerance_transcendental
     ok = (
         max_gauss_err <= rc.tolerance_transcendental

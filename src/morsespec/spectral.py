@@ -202,9 +202,9 @@ def density_certificate(
 
     finite_sup = 1.0
     finite_window = 1.0
-    for p in cfg.primes[:m]:
-        finite_sup *= flatness_report(p).density_sup
-        finite_window *= (1.0 + 1.0 / math.sqrt(p)) ** 2
+    for rep in map(flatness_report, cfg.primes[:m]):
+        finite_sup *= rep.density_sup
+        finite_window *= rep.window_high**2
 
     tail_applies = cfg.mode == THEOREM_GRADE
     if not tail_applies and assume_tail_rule:

@@ -354,6 +354,18 @@ def test_flatness_report_frozen_values():
     assert rep_big.max_modulus <= 1 + 1 / root + 1e-9
 
 
+def test_flatness_window_brackets_the_moduli():
+    # the window 1 -/+ 1/sqrt(p) is the pair of extremes at p = 1 (mod 4)
+    # and brackets the constant modulus sqrt(1 + 1/p) at p = 3 (mod 4)
+    for p in ODD_PRIMES_BELOW_500 + [15_629, 390_647, 9_765_629]:
+        rep = ms.flatness_report(p)
+        if p % 4 == 1:
+            assert (rep.window_low, rep.window_high) == (rep.min_modulus, rep.max_modulus), p
+        else:
+            assert rep.window_low < math.sqrt(1 + 1 / p) < rep.window_high, p
+            assert rep.min_modulus == rep.max_modulus == math.sqrt(1 + 1 / p), p
+
+
 def test_numerator_counts_closed_form_against_the_numerators():
     # the value counts from p alone, before any sign is built, against
     # np.unique of the numerators summed over the table (p < 3000) or read

@@ -493,6 +493,30 @@ def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
     assert (differs.returncode, differs.stderr) == (1, "stderr differs between the trees\n")
 
 
+def test_paired_cli_appends_a_bench_entry(tmp_path):
+    # --bench-out appends one entry per command to a JSON list
+    bench = tmp_path / "bench.json"
+    for argv in (["certify", "--theorem", "3"], []):
+        done = subprocess.run(
+            [sys.executable, str(PAIRED_CLI), SRC, SRC, "--pairs", "1", "--bench-out", str(bench), "--", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+    first, second = json.loads(bench.read_text())
+    assert (first["argv"], second["argv"]) == (["certify", "--theorem", "3"], [])
+    assert (first["old_src"], first["new_src"], first["pairs"]) == (SRC, SRC, 1)
+    for side in ("old", "new"):
+        assert first[side]["exit"] == [0]
+        for metric in ("cpu_s", "peak_rss_mb"):
+            stats = first[side][metric]
+            assert set(stats) == {"q1", "median", "q3"} and stats["median"] > 0
+    assert set(first["verdicts"]) == {"cpu_s", "peak_rss_mb"}
+    assert set(first["verdicts"].values()) <= {"gain", "regression", "unresolved"}
+    assert first["same_output"] is True
+    assert set(first["environment"]) == {"nproc", "python", "numpy", "sympy"}
+
+
 def test_flatten_paths():
     rows = render_csv({"b": [10, {"z": 1}], "a": Fraction(1, 2)})
     assert rows.splitlines() == ["key,value", "a,1/2", "b[0],10", "b[1].z,1"]
@@ -761,26 +785,51 @@ def test_gauss_check(capsys):
 
 
 def _gauss_check_per_element(pmax):
-    """The gauss-check sweep one x and one shift j at a time: the scalar
-    reference for the whole-array checks in cli.cmd_gauss_check."""
-    max_gauss = max_parity = max_density = 0.0
-    closed_form_ok = True
-    worst = None
+    """charsums.check_prime one x and one shift j at a time: yields each
+    odd prime p <= pmax, in order, with its (gauss, parity, flatness,
+    density, closed_form_ok), the scalar reference for the whole-array
+    checks."""
     for p in [q for q in range(3, pmax + 1) if ms.odometer.is_prime(q)]:
         brute = ms.gauss_sum_all(p)
+        gauss = parity = density = 0.0
+        low, high = math.inf, 0.0
         for x in range(1, p):
-            err = abs(brute[x] - ms.gauss_sum(p, x))
-            if err > max_gauss:
-                max_gauss, worst = err, p
-            parity = abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real)
-            max_parity = max(max_parity, parity)
+            gauss = max(gauss, abs(brute[x] - ms.gauss_sum(p, x)))
+            parity = max(parity, abs(brute[x].imag) if p % 4 == 1 else abs(brute[x].real))
+            # np.abs of one element: numpy's vectorised complex modulus,
+            # which the array scan uses, may differ from hypot in the last digit
+            modulus = np.abs(brute[x : x + 1] + 1)[0] / math.sqrt(p)
+            low, high = min(low, modulus), max(high, modulus)
+        rep = ms.flatness_report(p)
+        flatness = max(abs(low - rep.min_modulus), abs(high - rep.max_modulus))
         table = ms.LegendreTable(p)
+        closed_form_ok = all(table.signs[x] == ms.legendre(x, p) for x in range(1, p))
         signs = table.signs.astype(np.int64)
         for j in range(p):
             c = autocorrelation_closed_form(p, j)
             closed_form_ok = closed_form_ok and c * p == np.dot(signs, np.roll(signs, -j))
-            max_density = max(max_density, abs(float(c) - float(table.density_fourier[j])))
-    return max_gauss, worst, max_parity, max_density, closed_form_ok
+            density = max(density, abs(float(c) - float(table.density_fourier[j])))
+        yield p, (gauss, parity, flatness, density, closed_form_ok)
+
+
+def test_check_prime_matches_per_element_route():
+    # exact equality, field by field, at every odd prime up to 100
+    for p, values in _gauss_check_per_element(100):
+        assert tuple(charsums.check_prime(p)) == values, p
+
+
+@pytest.mark.parametrize("bad", [11, 13])
+def test_check_prime_flags_a_mask_complemented_off_0(monkeypatch, bad):
+    squares = charsums._quadratic_signs
+
+    def complemented(p):
+        signs = squares(p)
+        signs[1:] *= -1
+        return signs
+
+    assert charsums.check_prime(bad).closed_form_ok is True
+    monkeypatch.setattr(charsums, "_quadratic_signs", complemented)
+    assert charsums.check_prime(bad).closed_form_ok is False
 
 
 @pytest.mark.parametrize("pmax", [100, 300])
@@ -790,23 +839,36 @@ def test_gauss_check_matches_per_element_route(capsys, pmax):
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", str(pmax))
     assert code == 0
     res = report["results"]
+    max_gauss = max_parity = max_flatness = max_density = 0.0
+    closed_form_ok = True
+    worst = None
+    for p, (gauss, parity, flatness, density, ok) in _gauss_check_per_element(pmax):
+        if gauss > max_gauss:
+            max_gauss, worst = gauss, p
+        max_parity = max(max_parity, parity)
+        max_flatness = max(max_flatness, flatness)
+        max_density = max(max_density, density)
+        closed_form_ok = closed_form_ok and ok
     assert (
         res["max_gauss_error"],
         res["worst_prime"],
         res["max_parity_error"],
         res["max_density_route_error"],
         res["closed_form_matches"],
-    ) == _gauss_check_per_element(pmax)
+    ) == (max_gauss, worst, max_parity, max_density, closed_form_ok)
+    assert res["flatness_ok"] is bool(max_flatness <= res["tolerance_transcendental"])
 
 
 def test_gauss_check_flags_a_wrong_symbol(capsys, monkeypatch):
+    real = ms.charsums.legendre_symbols
+
     def flipped(p):
-        symbols = ms.charsums.legendre_symbols(p).copy()
+        symbols = real(p).copy()
         if p == 13:
             symbols[2] = -symbols[2]
         return symbols
 
-    monkeypatch.setattr("morsespec.cli.legendre_symbols", flipped)
+    monkeypatch.setattr("morsespec.charsums.legendre_symbols", flipped)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
     assert code == 2
     assert report["results"]["all_ok"] is False
@@ -845,7 +907,7 @@ def test_gauss_check_compares_the_window_route(capsys, monkeypatch):
             out[4] = -out[4]
         return out
 
-    monkeypatch.setattr("morsespec.cli.window_autocorrelation_numerators", flipped)
+    monkeypatch.setattr("morsespec.charsums.window_autocorrelation_numerators", flipped)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
     assert code == 2
     assert report["results"]["closed_form_matches"] is False
@@ -856,7 +918,7 @@ def test_gauss_check_pmax_cap(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("a prime was scanned past the cap")
 
-    monkeypatch.setattr("morsespec.cli.gauss_sum_all", no_scan)
+    monkeypatch.setattr("morsespec.charsums.gauss_sum_all", no_scan)
     code, out, err = run_cli(capsys, "gauss-check", "--pmax", "3001")
     assert code == 64
     assert out == ""
@@ -891,13 +953,14 @@ def test_coeffs_level_spec_keeps_its_checks(capsys):
 def test_gauss_check_leaves_no_table_alive(capsys, monkeypatch):
     # the sweep makes one table per prime, and no table outlives the command
     refs = []
+    real = charsums.LegendreTable
 
     def watched(p):
-        table = ms.LegendreTable(p)
+        table = real(p)
         refs.append(weakref.ref(table))
         return table
 
-    monkeypatch.setattr(cli, "LegendreTable", watched)
+    monkeypatch.setattr(charsums, "LegendreTable", watched)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "300")
     assert code == 0 and report["results"]["all_ok"] is True
     assert len(refs) == report["results"]["primes_checked"] == 61
@@ -906,7 +969,7 @@ def test_gauss_check_leaves_no_table_alive(capsys, monkeypatch):
 
 def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
     # the closed form must match the FFT scan of |P| within 1e-9
-    real = cli.flatness_report
+    real = charsums.flatness_report
 
     def shifted(p):
         rep = real(p)
@@ -914,7 +977,7 @@ def test_gauss_check_flags_a_flatness_mismatch(capsys, monkeypatch):
             rep = rep._replace(min_modulus=rep.min_modulus + 1e-6)
         return rep
 
-    monkeypatch.setattr(cli, "flatness_report", shifted)
+    monkeypatch.setattr(charsums, "flatness_report", shifted)
     code, report, _ = run_json(capsys, "gauss-check", "--pmax", "60")
     assert code == 2
     assert report["results"]["flatness_ok"] is False
