@@ -25,9 +25,11 @@ paired differences (new - old) and how many pairs each side won; ties
 count for neither.  It ends with one verdict line per metric: `gain` when NEW is
 lower in at least nine tenths of the pairs and the medians differ by more
 than OLD's interquartile range, `regression` when the same holds with the
-sides swapped, `unresolved` otherwise.  It exits 1 if the two trees' runs
-end with different exit codes, or if their untimed runs print different
-stdout, once the report's timestamp line is removed, or different stderr.
+sides swapped, `unresolved` otherwise, and always with fewer than 10
+pairs, whose quartiles say nothing of the spread (one pair has none).
+It exits 1 if the two trees' runs end with different exit codes, or if
+their untimed runs print different stdout, once the report's timestamp
+line is removed, or different stderr.
 With --bench-out PATH (and at least one pair) it also appends one entry
 to the JSON list in PATH, made if missing: both source paths, the argv,
 the number of pairs, each side's exit codes and the median and quartiles
@@ -125,7 +127,10 @@ def summary(values: list[float]) -> str:
 
 
 def verdict(old: list[float], new: list[float]) -> str:
-    """gain, regression or unresolved for lower-is-better paired runs."""
+    """gain, regression or unresolved for lower-is-better paired runs;
+    unresolved for fewer than 10 pairs."""
+    if len(old) < 10:
+        return "unresolved"
     q1, median, q3 = quartiles(old)
     gap = statistics.median(new) - median
     # pairs won by the side the medians favour

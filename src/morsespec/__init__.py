@@ -72,6 +72,7 @@ _EXPORTS = {
         "SbhVerdict",
         "SearchResult",
         "SpectralCoefficient",
+        "coefficient_routes",
         "density_certificate",
         "geometric_tail_bound",
         "sbh_adversarial_search",

@@ -39,9 +39,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import lazy_numpy
-from .charsums import flatness_report, jacobi_numerators
+from .charsums import check_table_prime, flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, InternalConsistencyError
 from .odometer import _MR_LIMIT, THEOREM_GRADE, growth_floor, level_group_order
 
 np = lazy_numpy()
@@ -66,9 +66,7 @@ def _checked_residues(residues: np.ndarray, ctx: CocycleContext) -> np.ndarray:
 _ROW_BLOCK = 4096
 
 
-def spectral_coefficient_ratios(
-    residues: np.ndarray, ctx: CocycleContext
-) -> tuple[list[int], list[int]]:
+def spectral_coefficient_ratios(residues: np.ndarray, ctx: CocycleContext) -> tuple[list[int], list[int]]:
     """coeff of every row of a dense residue matrix (one column per
     configured prime) by the exact rational route, as reduced numerators
     and positive denominators: the product over the coordinates of the
@@ -111,6 +109,23 @@ def spectral_coefficients_from_density(residues: np.ndarray, ctx: CocycleContext
     for n, table in enumerate(ctx.tables):
         out *= table.density_fourier[residues[:, n]]
     return out
+
+
+def coefficient_routes(
+    residues: np.ndarray, ctx: CocycleContext
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """Both routes on every row of a dense residue matrix, once
+    check_table_prime has passed every configured prime (before either
+    route reads a sign): the exact route's reduced numerators and
+    denominators, the density route's floats, and per row the distance
+    between the two, |float(numerator / denominator) - numeric|."""
+    for p in ctx.cfg.primes:
+        check_table_prime(p)
+    numerators, denominators = spectral_coefficient_ratios(residues, ctx)
+    numeric = spectral_coefficients_from_density(residues, ctx)
+    # int true division rounds correctly, so these are float(Fraction) of each
+    exact = np.fromiter(map(operator.truediv, numerators, denominators), float, len(numerators))
+    return numerators, denominators, numeric, np.abs(exact - numeric)
 
 
 def spectral_coefficient(g: tuple[int, ...], ctx: CocycleContext) -> SpectralCoefficient:
@@ -245,12 +260,14 @@ class SbhProbe(NamedTuple):
 
 
 class SearchResult(NamedTuple):
-    """Best probe found for one subset size, how it was found, and how
-    many sign-pattern probes were scored along the way."""
+    """Best probe found for one subset size, how it was found, how many
+    sign-pattern probes were scored along the way, and the stage's density
+    sup, the product of the per-prime sups, which bounds the probe's Q."""
 
     probe: SbhProbe
     mode: str  # "exhaustive" or "local"
     evaluations: int
+    stage_sup: float
 
 
 # sign-pattern scores the exhaustive scan holds at once
@@ -286,7 +303,9 @@ def sbh_adversarial_search(
     maximiser in enumeration order, elements sorted, leading sign +1.
 
     Scores are int64 sums of pair numerators |G_n| * coeff(theta_a -
-    theta_b), so k^2 * |G_n| must stay below 2^62.
+    theta_b), so k^2 * |G_n| must stay below 2^62.  Q never exceeds the
+    stage-n density sup; a probe above it (beyond float rounding) is an
+    InternalConsistencyError.
     """
     cfg = ctx.cfg
     if k < 1:
@@ -302,17 +321,16 @@ def sbh_adversarial_search(
     weights = [math.prod(primes_n[i + 1 :]) for i in range(n)]
 
     tail = (0,) * (cfg.level - n)
+    # the order of density_certificate's finite_sup, so the two agree to the bit
+    stage_sup = math.prod(flatness_report(p).density_sup for p in primes_n)
 
     def as_element(idx: int) -> tuple[int, ...]:
         return tuple(idx // w % p for w, p in zip(weights, primes_n)) + tail
 
     if k == 1:
-        # every single-element probe scores coeff(0) = 1 exactly
-        return SearchResult(
-            probe=SbhProbe(theta=(as_element(0),), signs=(1,), value=Fraction(1)),
-            mode="exhaustive",
-            evaluations=1,
-        )
+        # every single-element probe scores coeff(0) = 1 exactly, and no sup is below 1
+        probe = SbhProbe(theta=(as_element(0),), signs=(1,), value=Fraction(1))
+        return SearchResult(probe=probe, mode="exhaustive", evaluations=1, stage_sup=stage_sup)
     _check_search_budget(k, primes_n)
 
     # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
@@ -423,8 +441,12 @@ def sbh_adversarial_search(
 
     theta = tuple(as_element(idx) for idx in best_combo)
     value = Fraction(k * m + 2 * best_s, k * m)
+    if value > stage_sup * (1 + 1e-9):
+        raise InternalConsistencyError(
+            f"Q = {value} at k = {k} exceeds the stage-{n} density sup {stage_sup}"
+        )
     probe = SbhProbe(theta=theta, signs=best_signs, value=value)
-    return SearchResult(probe=probe, mode=mode, evaluations=evaluations)
+    return SearchResult(probe=probe, mode=mode, evaluations=evaluations, stage_sup=stage_sup)
 
 
 class SbhVerdict(NamedTuple):

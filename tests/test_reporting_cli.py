@@ -29,7 +29,7 @@ from hypothesis.extra import numpy as hnp
 
 import morsespec as ms
 import morsespec.cli as cli
-from morsespec import charsums, reporting
+from morsespec import charsums, reporting, spectral
 from oracles import autocorrelation_closed_form
 
 PAIRED_CLI = Path(__file__).parent.parent / "scripts" / "paired_cli.py"
@@ -503,6 +503,7 @@ def test_paired_cli_appends_a_bench_entry(tmp_path):
             text=True,
         )
         assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("cpu_s verdict: unresolved\npeak_rss_mb verdict: unresolved\n")
     first, second = json.loads(bench.read_text())
     assert (first["argv"], second["argv"]) == (["certify", "--theorem", "3"], [])
     assert (first["old_src"], first["new_src"], first["pairs"]) == (SRC, SRC, 1)
@@ -512,9 +513,19 @@ def test_paired_cli_appends_a_bench_entry(tmp_path):
             stats = first[side][metric]
             assert set(stats) == {"q1", "median", "q3"} and stats["median"] > 0
     assert set(first["verdicts"]) == {"cpu_s", "peak_rss_mb"}
-    assert set(first["verdicts"].values()) <= {"gain", "regression", "unresolved"}
+    assert first["verdicts"] == {"cpu_s": "unresolved", "peak_rss_mb": "unresolved"}  # one pair
     assert first["same_output"] is True
     assert set(first["environment"]) == {"nproc", "python", "numpy", "sympy"}
+
+
+def test_paired_cli_verdict_needs_ten_pairs():
+    # one pair has no spread: its difference alone must not read as a gain
+    assert paired_cli.verdict([1.0], [0.5]) == "unresolved"
+    assert paired_cli.verdict([1.0] * 9, [0.5] * 9) == "unresolved"
+    # old's quartiles are 1.0175 .. 1.0725; each pair moves by 0.1, more than that
+    old = [1.0 + 0.01 * i for i in range(10)]
+    assert paired_cli.verdict(old, [o - 0.1 for o in old]) == "gain"
+    assert paired_cli.verdict(old, [o + 0.1 for o in old]) == "regression"
 
 
 def test_flatten_paths():
@@ -638,14 +649,9 @@ def test_sbh_search_uncertified_stage_is_not_falsified(capsys):
 
 
 def test_sbh_search_value_above_density_sup_is_inconsistent(capsys, monkeypatch):
-    real = cli.sbh_adversarial_search
-
-    def inflated(*args, **kwargs):
-        result = real(*args, **kwargs)
-        probe = result.probe._replace(value=Fraction(3))
-        return result._replace(probe=probe)
-
-    monkeypatch.setattr(cli, "sbh_adversarial_search", inflated)
+    # the search checks Q against the stage sup, here shrunk below Q = 8/5 at k = 2
+    real = spectral.flatness_report
+    monkeypatch.setattr(spectral, "flatness_report", lambda p: real(p)._replace(density_sup=1.0))
     code, out, err = run_cli(
         capsys, "sbh-search", "--primes", "5,7", "--level", "2", "--k-max", "2"
     )

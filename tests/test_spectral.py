@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsespec as ms
-from morsespec import spectral
-from morsespec.errors import BudgetError, ConfigError
+from morsespec import charsums, spectral
+from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
 from oracles import autocorrelation_closed_form, neg, sbh_quadratic_form, sub
 
 CFG = ms.make_group_config([5, 7])
@@ -160,6 +162,31 @@ def test_exact_route_answers_past_the_table_budget_at_p_3_mod_4():
     value = ms.spectral_coefficient((0, 0, 0, 0, 0, 1), ctx).value
     assert value == Fraction(-1, 244_140_683)
     assert set(ctx.tables[5].__dict__) == {"prime"}
+
+
+def test_coefficient_routes_reproduce_the_coeffs_golden(ctx57):
+    # the rational, numeric and discrepancy columns of `coeffs --primes 5,7`
+    # (level:2), to the last bit, without the CLI
+    golden = Path(__file__).parent / "golden" / "coeffs_5_7.json"
+    rows = json.loads(golden.read_text())["results"]["rows"]
+    residues = np.array(list(ms.enumerate_level_group(2, ctx57.cfg)))
+    assert residues.tolist() == [row["element"] for row in rows]
+    numerators, denominators, numeric, discrepancy = ms.coefficient_routes(residues, ctx57)
+    assert [f"{num}/{den}" for num, den in zip(numerators, denominators)] == [row["rational"] for row in rows]
+    assert numeric.tolist() == [row["numeric"] for row in rows]
+    assert discrepancy.tolist() == [row["discrepancy"] for row in rows]
+
+
+def test_coefficient_routes_check_every_prime_before_a_sign(monkeypatch):
+    # 5 = 1 (mod 4) would have its signs read first; the refusal of
+    # p_5 = 244 140 683 comes before that
+    def no_signs(p):
+        raise AssertionError(f"signs of {p} read")
+
+    monkeypatch.setattr(charsums, "_quadratic_signs", no_signs)
+    ctx = ms.build_context(ms.make_group_config([5, 244_140_683]))
+    with pytest.raises(BudgetError, match="the sign table of 244140683 needs 244140683 residues"):
+        ms.coefficient_routes(np.array([[1, 1]]), ctx)
 
 
 def test_density_route_builds_no_polynomial(cfg5711, monkeypatch):
@@ -415,6 +442,25 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     huge = ms.build_context(ms.make_group_config((1_000_000_007,)))
     with pytest.raises(BudgetError, match="the sign table of 1000000007 needs 1000000007 residues"):
         ms.sbh_adversarial_search(1, 2, huge)
+
+
+def test_search_stage_sup_is_the_certificate_finite_sup(ctx5711):
+    # the same product in the same order: equal to the bit
+    ctx4 = ms.build_context(ms.make_group_config(ms.theorem_primes(4), ms.THEOREM_GRADE))
+    for n in (1, 2, 3, 4):
+        result = ms.sbh_adversarial_search(n, 1, ctx4)
+        assert result.stage_sup == ms.density_certificate(ctx4, split_level=n).finite_sup
+    for n in (1, 2, 3):
+        result = ms.sbh_adversarial_search(n, 2, ctx5711, budget=2000, seed=1)
+        assert result.stage_sup == ms.density_certificate(ctx5711, split_level=n).finite_sup
+
+
+def test_search_refuses_a_value_above_the_stage_sup(ctx57, monkeypatch):
+    # the best k = 2 probe at [5,7] scores 8/5, above a sup shrunk to 1
+    real = spectral.flatness_report
+    monkeypatch.setattr(spectral, "flatness_report", lambda p: real(p)._replace(density_sup=1.0))
+    with pytest.raises(InternalConsistencyError, match="Q = 8/5 at k = 2 exceeds the stage-2 density sup 1.0"):
+        ms.sbh_adversarial_search(2, 2, ctx57)
 
 
 def test_search_local_finds_known_optimum(ctx29):
