@@ -47,6 +47,7 @@ from .reporting import (
     SCHEMA,
     Table,
     config_digest,
+    rational_str,
     rational_strs,
     report_pieces,
     timestamp,
@@ -333,9 +334,10 @@ def cmd_names(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
             f"epsilon {epsilon} is not below delta_min/2 = {sep.delta_min / 2}; "
             "only the trivial bound applies"
         )
+    distances, counts = zip(*sep.histogram)  # never empty: the complement pairs sit at 1
     results = {
         **sep._asdict(),
-        "histogram": [{"distance": dist, "count": cnt} for dist, cnt in sep.histogram],
+        "histogram": Table({"distance": list(map(rational_str, distances)), "count": list(counts)}),
         "epsilon_used": epsilon,
         "ball_bound": bound,
         "interpretation": interpretation,

@@ -29,7 +29,7 @@ EXPERIMENTAL = "experimental"
 THEOREM_GRADE = "theorem-grade"
 
 # Deterministic Miller-Rabin witness set, complete for n < 3.317e24
-# (Sorenson-Webster).  Beyond that sympy.isprime decides by BPSW, a
+# (Sorenson-Webster).  Beyond that the strong BPSW test decides, a
 # probable-prime test: theorem stages 18 and up (from p_17) rest on it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -45,25 +45,71 @@ def is_prime(n: int) -> bool:
     if n < 43 * 43:
         # a composite this small has a prime factor <= 41, a witness
         return True
-    if n >= _MR_LIMIT:
-        import sympy
+    return _bpsw(n) if n >= _MR_LIMIT else all(_strong_round(n, a) for a in _MR_WITNESSES)
 
-        return bool(sympy.isprime(n))
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+
+def _strong_round(n: int, a: int) -> bool:
+    """One Miller-Rabin round: whether odd n > 2 is a strong probable prime
+    to base a, which n must not divide.  With n - 1 = d * 2^s, d odd:
+    a^d = 1 or a^(d 2^r) = -1 (mod n) for some 0 <= r < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _bpsw(n: int) -> bool:
+    """The strong Baillie-PSW probable-prime test of n >= 3 (Baillie and
+    Wagstaff, Lucas pseudoprimes, Math. Comp. 1980): a Miller-Rabin round
+    at base 2, then a strong Lucas test.  No composite is known to pass."""
+    return _strong_round(n, 2) and _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) of odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n >= 3 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4.  With n + 1 = d * 2^s, d odd: U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  The ladder runs U_k, V_k
+    and Q^k from k = 1 up through d's bits: doubling k by U_2k = U_k V_k
+    and V_2k = V_k^2 - 2 Q^k, then adding 1 by 2 U_k+1 = U_k + V_k and
+    2 V_k+1 = D U_k + V_k."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # a square has no such D
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else 2 - D
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, q = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, q = u * v % n, (v * v - 2 * q) % n, q * q % n
+        if bit == "1":
+            u, v, q = (u + v) * half % n, (D * u + v) * half % n, q * Q % n
+    for _ in range(s):
+        if u == 0 or v == 0:
+            return True
+        v, q = (v * v - 2 * q) % n, q * q % n
+    return False
 
 
 def growth_floor(n: int) -> int:

@@ -12,8 +12,8 @@ str, int, float, bool, None, Fraction, numpy scalars and arrays, and
 Tables.  Every writer converts the values json does not know through one
 hook, _plain.  json_pieces renders the report with json.dumps, sort_keys
 and indent=2, each Table standing in as a placeholder string, then
-streams each Table's rows in its place a batch at a time, so the one big
-list of a report is never held as text or as row dicts.  csv_pieces
+streams each Table's rows in its place a batch at a time, so the big
+lists of a report are never held as text or as row dicts.  csv_pieces
 flattens the same data to dotted-path rows.
 """
 
@@ -70,7 +70,8 @@ class Table:
         lengths = {len(column) for column in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"table columns differ in length: {sorted(lengths)}")
-        if any(isinstance(c, np.ndarray) and c.ndim not in (1, 2) for c in self.columns.values()):
+        # lists first: a table of lists loads no numpy
+        if any(not isinstance(c, list) and c.ndim not in (1, 2) for c in self.columns.values()):
             raise ValueError("table columns must be 1-D or 2-D arrays or lists")
         self.length = lengths.pop() if lengths else 0
 
@@ -80,7 +81,7 @@ class Table:
         names = list(self.columns)
         for start in range(0, self.length, _ROWS):
             batches = [column[start : start + _ROWS] for column in self.columns.values()]
-            cells = [b.tolist() if isinstance(b, np.ndarray) else b for b in batches]
+            cells = [b if isinstance(b, list) else b.tolist() for b in batches]
             for row in zip(*cells):
                 yield dict(zip(names, row))
 
@@ -117,7 +118,7 @@ def _table_parts(table: Table, nl: str):
     for name in sorted(table.columns):
         column = table.columns[name]
         key = cell_nl + _encode_str(name).replace("%", "%%") + ": "
-        if isinstance(column, np.ndarray) and column.ndim == 2:
+        if not isinstance(column, list) and column.ndim == 2:
             item_nl = cell_nl + "  "
             width = column.shape[1]
             items = ",".join([item_nl + "%s"] * width)
@@ -133,7 +134,7 @@ def _table_parts(table: Table, nl: str):
         if slots:
             rows = map(row.__mod__, zip(*texts))
         else:
-            rows = itertools.repeat(row, min(_ROWS, table.length - start))
+            rows = itertools.repeat(row % (), min(_ROWS, table.length - start))  # unescapes %%
         yield sep + ("," + row_nl).join(rows)
         sep = "," + row_nl
     yield nl + "]"
@@ -141,15 +142,18 @@ def _table_parts(table: Table, nl: str):
 
 def _texts(cells, nl: str):
     """The JSON text of each cell of a column slice, values at indentation
-    nl: C-level maps over float64 and int arrays and lists of strings,
-    json.dumps otherwise."""
-    if isinstance(cells, np.ndarray):
-        kind = cells.dtype.kind
-        if kind in "iu" or (cells.dtype == np.float64 and np.isfinite(cells).all()):
-            return map(repr, cells.tolist())
+    nl: C-level maps over float64 and int arrays and over lists of strings
+    or of ints, json.dumps otherwise."""
+    if isinstance(cells, list):
+        kinds = set(map(type, cells))
+        if kinds == {str}:
+            return map(_encode_str, cells)
+        if kinds == {int}:
+            return map(int.__repr__, cells)
+    elif cells.dtype.kind in "iu" or (cells.dtype == np.float64 and np.isfinite(cells).all()):
+        return map(repr, cells.tolist())
+    else:
         cells = cells.tolist()
-    elif set(map(type, cells)) == {str}:
-        return map(_encode_str, cells)
     return [_dumps(cell).replace("\n", nl) for cell in cells]
 
 

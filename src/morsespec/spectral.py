@@ -321,8 +321,7 @@ def sbh_adversarial_search(
     weights = [math.prod(primes_n[i + 1 :]) for i in range(n)]
 
     tail = (0,) * (cfg.level - n)
-    # the order of density_certificate's finite_sup, so the two agree to the bit
-    stage_sup = math.prod(flatness_report(p).density_sup for p in primes_n)
+    stage_sup = density_certificate(ctx, n).finite_sup
 
     def as_element(idx: int) -> tuple[int, ...]:
         return tuple(idx // w % p for w, p in zip(weights, primes_n)) + tail
@@ -506,7 +505,7 @@ def sbh_verdict(
     probable = [p for p in ctx.cfg.primes if p >= _MR_LIMIT]
     if probable:
         assumptions += (
-            f"{probable[0]} and every later configured prime passed sympy's BPSW "
+            f"{probable[0]} and every later configured prime passed the strong BPSW "
             "probable-prime test, not a proof of primality",
         )
     return SbhVerdict(

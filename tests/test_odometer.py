@@ -25,6 +25,46 @@ def test_is_prime_large_cases():
     assert not ms.is_prime(15629 * 15641)
 
 
+# the strong Lucas pseudoprimes (Selfridge's parameters) below 10^5
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def test_bpsw_matches_sympy_below_2e5():
+    # is_prime reaches the BPSW test only past _MR_LIMIT, so it is checked
+    # directly here, on every n of its domain n >= 3 up to 2e5
+    assert [n for n in range(3, 200_000) if odometer._bpsw(n) != sympy.isprime(n)] == []
+
+
+def test_strong_lucas_pseudoprimes_fail_the_base_2_round():
+    lucas = [n for n in range(3, 10**5, 2) if odometer._strong_lucas(n) and not sympy.isprime(n)]
+    assert lucas == STRONG_LUCAS_PSEUDOPRIMES
+    assert not any(odometer._bpsw(n) for n in lucas)
+
+
+def test_strong_base_2_pseudoprimes_fail_the_lucas_half():
+    base_2 = [n for n in range(3, 10**6, 2) if odometer._strong_round(n, 2) and not sympy.isprime(n)]
+    assert len(base_2) == 46 and base_2[:3] == [2047, 3277, 4033]
+    assert not any(odometer._strong_lucas(n) for n in base_2)
+
+
+def test_is_prime_matches_sympy_past_the_mr_limit():
+    limit = odometer._MR_LIMIT
+    # the least strong pseudoprime to all 13 witnesses, 1287836182261 * 2575672364521
+    assert all(odometer._strong_round(limit, a) for a in odometer._MR_WITNESSES)
+    assert not ms.is_prime(limit)
+    primes = ms.theorem_primes(25)
+    assert sum(p >= limit for p in primes) == 8
+    for p in primes:
+        for n in (p - 2, p, p + 2):
+            assert ms.is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(5)
+    factors = [sympy.nextprime(rng.randrange(10**12, 10**40)) for _ in range(40)]
+    semiprimes = [a * b for a, b in zip(factors, factors[1:] + factors[:1]) if a * b >= limit]
+    assert len(semiprimes) > 30
+    assert not any(map(ms.is_prime, semiprimes))
+    assert not ms.is_prime(primes[17] ** 2)  # a square has no Selfridge parameter
+
+
 def test_growth_floor_values():
     assert ms.growth_floor(0) == 25
     assert ms.growth_floor(1) == 625

@@ -121,13 +121,16 @@ big_fractions = st.fractions() | st.builds(
 @st.composite
 def tables(draw, cells):
     """A Table of a few rows, each column drawn from the kinds cmd_coeffs
-    uses and from lists of any report values without a Table (cells)."""
+    and cmd_names use and from lists of any report values without a Table
+    (cells)."""
     rows = draw(st.integers(0, 4))
     cells_per_row = functools.partial(st.lists, min_size=rows, max_size=rows)
     column = st.one_of(
         hnp.arrays(np.float64, rows, elements=table_floats),
         st.integers(0, 3).flatmap(lambda width: hnp.arrays(np.int64, (rows, width))),
         cells_per_row(big_fractions),
+        cells_per_row(st.integers(-(10**40), 10**40)),  # names' counts pass 2^63
+        cells_per_row(st.integers(-1, 1) | st.booleans()),  # a bool is an int, not rendered as one
         cells_per_row(st.text()),  # non-ASCII and control characters included
         cells_per_row(cells),
     )
@@ -177,6 +180,9 @@ def test_table_renders_as_its_rows():
     assert canonical_json(nested) == json_oracle(nested)
     assert canonical_json(row_table(300)) == json_oracle(rows)
     assert canonical_json(reporting.Table({})) == "[]\n"
+    # a row template with no slots to fill still unescapes its "%%"
+    empty_rows = reporting.Table({"%": np.zeros((2, 0), dtype=np.int64)})
+    assert canonical_json(empty_rows) == json_oracle(empty_rows)
     assert render_csv(row_table(300)) == render_csv(rows)
 
 
@@ -340,6 +346,35 @@ def test_coeffs_loads_numpy_on_first_use():
     res, loaded = numpy_submodules_at_exit(["coeffs", "--primes", "5,7"])
     assert loaded
     assert strip_timestamp(res.stdout) == strip_timestamp((GOLDEN / "coeffs_5_7.json").read_text())
+
+
+# a finder ahead of every other that refuses sympy, and an exit handler,
+# registered before the CLI runs, that says whether sympy got loaded
+SYMPY_REFUSED = (
+    "import atexit, sys\n"
+    "class RefuseSympy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'sympy':\n"
+    "            raise ImportError(f'{name} is refused')\n"
+    "sys.meta_path.insert(0, RefuseSympy())\n"
+    "atexit.register(lambda: print('sympy loaded:', 'sympy' in sys.modules, file=sys.stderr))\n"
+)
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["certify", "--theorem", "20"], 0), (["names", "--theorem", "18"], 64)])
+def test_theorem_stages_past_the_mr_limit_run_without_sympy(capsys, argv, exit_code):
+    # p_17 onwards pass the package's own BPSW test: numpy is the one run-time dependency
+    code = SYMPY_REFUSED + f"import morsespec.cli as cli\nsys.argv[1:] = {argv!r}\nsys.exit(cli.run())\n"
+    res = fresh_python(code)
+    assert res.returncode == exit_code, res.stderr
+    *err, loaded = res.stderr.splitlines()
+    assert loaded == "sympy loaded: False"
+    if exit_code == 0:
+        assert err == []
+        assert strip_timestamp(res.stdout) == strip_timestamp(run_cli(capsys, *argv)[1])
+    else:
+        refusal = "budget exceeded: stage 18 has at least 81920 distinct coefficient values, budget is 50000"
+        assert (res.stdout, err) == ("", [refusal])
 
 
 # registered before the CLI runs, so it runs after the handlers the CLI registers
@@ -1124,7 +1159,7 @@ def test_search_runs_wherever_every_stage_prime_has_a_table():
 def test_names_at_theorem_stage_13_fits_its_budget():
     code, out, err, rss_mb = run_capped("names", "--theorem", "13")
     assert (code, err) == (0, "")
-    assert rss_mb < 256
+    assert rss_mb < 100
     results = json.loads(out)["results"]
     assert results["delta_min"] == "13/29"
     assert len(results["histogram"]) == 81_919
@@ -1144,8 +1179,9 @@ def test_capped_runs_read_the_childs_own_peak():
     assert code == 0 and 0 < small < 32 and cpu_s > 0
     code, _, small = paired_cli.run(SRC, [])
     assert code == 0 and 0 < small < 32
-    # the reading still sees the child's own growth
-    code, _, _, large = run_capped("names", "--theorem", "13")
+    # the reading still sees the child's own growth: the search's
+    # 10 000 019-entry int64 lookup alone is 80 MB
+    code, _, _, large = run_capped("sbh-search", "--primes", "10000019", "--k-max", "2")
     assert code == 0 and large > 100
 
 
@@ -1255,7 +1291,7 @@ def test_certify_names_the_first_probable_prime(capsys):
     code, report, _ = run_json(capsys, "certify", "--theorem", "18")
     assert code == 0
     assert report["results"]["verdict"]["assumptions"][1:] == [
-        f"{p17} and every later configured prime passed sympy's BPSW "
+        f"{p17} and every later configured prime passed the strong BPSW "
         "probable-prime test, not a proof of primality"
     ]
     # in any mode (golden certify_theorem_17 holds the stage before)
