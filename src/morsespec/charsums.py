@@ -186,23 +186,20 @@ def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
     return np.correlate(np.concatenate((s, s[:-1])), s, "valid").astype(np.int64)
 
 
-def jacobi_numerators(table: LegendreTable, shifts: np.ndarray | None = None) -> np.ndarray:
+def jacobi_numerators(table: LegendreTable, shifts: np.ndarray) -> np.ndarray:
     """p * c(j), p = table.prime, for each shift j in 0..p-1 of an int
-    array, or for every shift when shifts is None, as a fresh int64 array:
-    -1 when p = 3 (mod 4), 2 chi(j) - 1 when p = 1 (mod 4), and p at
-    j = 0.  Only p = 1 (mod 4) reads the table's signs; every shift of a
-    prime past check_table_prime is refused before anything is allocated."""
+    array (np.arange(p) for every shift), as a fresh int64 array of its
+    shape: -1 when p = 3 (mod 4), 2 chi(j) - 1 when p = 1 (mod 4), and p
+    at j = 0.  Only p = 1 (mod 4) reads the table's signs."""
     p = table.prime
-    if shifts is None:
-        check_table_prime(p)
-    shifts = None if shifts is None else np.asarray(shifts)
+    shifts = np.asarray(shifts)
     if p % 4 == 3:
-        out = np.full(p if shifts is None else shifts.shape, -1, dtype=np.int64)
+        out = np.full(shifts.shape, -1, dtype=np.int64)
     else:
-        out = (table.signs if shifts is None else table.signs[shifts]).astype(np.int64)
+        out = table.signs[shifts].astype(np.int64)
         out *= 2
         out -= 1
-    out[0 if shifts is None else shifts == 0] = p
+    out[shifts == 0] = p
     return out
 
 
@@ -340,7 +337,7 @@ def check_prime(p: int) -> PrimeCheck:
     # the mask against Euler's criterion off 0, which the closed form
     # reads only at p = 1 (mod 4)
     mask_ok = np.array_equal(table.signs[1:], chi[1:])
-    closed = jacobi_numerators(table)
+    closed = jacobi_numerators(table, np.arange(p))
     closed_form_ok = mask_ok and np.array_equal(numerators, closed)
     density_error = np.abs(numerators / p - table.density_fourier).max()
     return PrimeCheck(gauss_error, parity_error, flatness_error, density_error, closed_form_ok)

@@ -276,9 +276,7 @@ _SCORE_CHUNK = 1 << 13
 
 def _check_search_budget(k: int, primes: tuple[int, ...]) -> None:
     """Refuse a k-subset search over the stage primes whose int64 scores
-    could overflow; k = 1 scores nothing.  Each stage prime's lookup holds
-    every shift, which the sign table's own budget guards (in
-    jacobi_numerators) though only p = 1 (mod 4) reads the signs."""
+    could overflow; k = 1 scores nothing."""
     n, m = len(primes), math.prod(primes)
     if k > 1 and k * k * m >= 2**62:
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
@@ -331,16 +329,17 @@ def sbh_adversarial_search(
         probe = SbhProbe(theta=(as_element(0),), signs=(1,), value=Fraction(1))
         return SearchResult(probe=probe, mode="exhaustive", evaluations=1, stage_sup=stage_sup)
     _check_search_budget(k, primes_n)
-
-    # numerator tables: luts[i][j] = p_i * c_i(j), an exact integer
-    luts = [jacobi_numerators(t) for t in ctx.tables[:n]]
+    # the table budget holds at every stage prime, its signs read or not
+    for p in primes_n:
+        check_table_prime(p)
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays; the
-        quotient idx // w_i is congruent to the i-th residue mod p_i."""
+        """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays: the
+        numerators p_i * c_i at the coordinate differences, idx // w_i
+        being congruent to the i-th residue mod p_i."""
         out = 1
-        for w, p, lut in zip(weights, primes_n, luts):
-            out = out * lut[(a // w - b // w) % p]
+        for w, p, table in zip(weights, primes_n, ctx.tables):
+            out = out * jacobi_numerators(table, (a // w - b // w) % p)
         return out
 
     # best_s and every score below is sum_{i<j} eta_i eta_j pairs(i, j)
@@ -389,14 +388,16 @@ def sbh_adversarial_search(
                 break
             combo = np.array(sorted(rng.sample(range(m), k)), dtype=np.int64)
             eta = np.array([1] + [rng.choice((1, -1)) for _ in range(k - 1)], dtype=np.int64)
-            s = int(eta @ pair_matrix(combo) @ eta) // 2
+            # mat[i, j] = pairs(combo[i], combo[j]), symmetric, kept across moves
+            mat = pair_matrix(combo)
+            s = int(eta @ mat @ eta) // 2
             evaluations += 1
             improved = True
             while improved and evaluations < budget:
                 improved = False
                 move = None
                 # row[i] = sum_{j != i} eta_j pairs(combo[i], combo[j])
-                row = pair_matrix(combo) @ eta
+                row = mat @ eta
                 # flips of signs 1..k-1 are always all scored
                 flips = s - 2 * eta[1:] * row[1:]
                 evaluations += k - 1
@@ -423,13 +424,15 @@ def sbh_adversarial_search(
                     j = int(np.argmax(swaps))
                     if swaps[j] > move_s:
                         i, v = divmod(j, pool.size)
-                        move_s, move = int(swaps[j]), ("swap", i, int(pool[v]))
+                        move_s, move = int(swaps[j]), ("swap", i, v)
                 if move is not None:
-                    kind, i, repl = move
+                    kind, i, v = move
                     if kind == "flip":
                         eta[i] *= -1
                     else:
-                        combo[i] = repl
+                        combo[i] = pool[v]
+                        mat[i] = mat[:, i] = rep[v]
+                        mat[i, i] = 0
                     s = move_s
                     improved = True
             if s > best_s:

@@ -1138,22 +1138,32 @@ def test_theorem_stages_7_to_12_run_in_small_memory(argv):
 
 
 def test_search_at_theorem_stage_4_fits_its_budget():
-    # the search's lookup tables come from the collapsed Jacobi sum: at
-    # p_3 = 390 647 one int64 array, not the four of a -j mod p gather
+    # the search reads the pair terms off the collapsed Jacobi sum at the
+    # members' differences: no array of the p_3 = 390 647 numerators, and
+    # only 29 and p_2 = 15 629, the primes = 1 (mod 4), build their signs
     code, out, err, rss_mb = run_capped("sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4")
     assert (code, err) == (0, "")
     assert json.loads(out)["results"]["falsification"] is False
-    assert rss_mb < 37
+    assert rss_mb < 31
 
 
 def test_search_runs_wherever_every_stage_prime_has_a_table():
-    # 10 000 019 is past the old 2^21 lookup budget and under the table's
+    # 10 000 019 is past the old 2^21 lookup budget and under the table's;
+    # at p = 3 (mod 4) the search reads no sign, and it holds no array of
+    # p numerators (one of int64 would be 80 MB)
     assert sympy.isprime(10_000_019)
     code, out, err, rss_mb = run_capped("sbh-search", "--primes", "10000019", "--k-max", "2")
     assert (code, err) == (0, "")
     # p = 3 (mod 4): a pair reaches the stage sup 1 + 1/p
     assert json.loads(out)["results"]["best"]["value"] == "10000020/10000019"
-    assert rss_mb < 160
+    assert rss_mb < 48
+    # p = 1 (mod 4): the search reads the 9.8 MB int8 signs, at the
+    # members' differences only
+    assert sympy.isprime(9_765_629) and 9_765_629 % 4 == 1
+    code, out, err, rss_mb = run_capped("sbh-search", "--primes", "9765629", "--k-max", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["falsification"] is False
+    assert rss_mb < 48
 
 
 def test_names_at_theorem_stage_13_fits_its_budget():
@@ -1179,9 +1189,9 @@ def test_capped_runs_read_the_childs_own_peak():
     assert code == 0 and 0 < small < 32 and cpu_s > 0
     code, _, small = paired_cli.run(SRC, [])
     assert code == 0 and 0 < small < 32
-    # the reading still sees the child's own growth: the search's
-    # 10 000 019-entry int64 lookup alone is 80 MB
-    code, _, _, large = run_capped("sbh-search", "--primes", "10000019", "--k-max", "2")
+    # the reading still sees the child's own growth: the density route at
+    # p = 2 000 003 transforms its signs zero-padded to 4 050 000 points
+    code, _, _, large = run_capped("coeffs", "--primes", "2000003", "1")
     assert code == 0 and large > 100
 
 
@@ -1256,7 +1266,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "coeffs_5_7_elements",
             ["coeffs", "--primes", "5,7", "--", "1,2", "-3,9", "99999999999999999999999,1", "0"],
         ),
-        # the first search golden with a lookup past p = 29: theorem stage 4
+        # the first search golden with a stage prime past 29: theorem stage 4
         (
             "sbh_search_theorem_4_level4_k4",
             ["sbh-search", "--theorem", "4", "--level", "4", "--k-max", "4"],

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -442,6 +443,22 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     huge = ms.build_context(ms.make_group_config((1_000_000_007,)))
     with pytest.raises(BudgetError, match="the sign table of 1000000007 needs 1000000007 residues"):
         ms.sbh_adversarial_search(1, 2, huge)
+
+
+def test_search_gathers_its_pair_terms_at_the_member_differences():
+    # p = 10 000 019: the pair terms are read at the coordinate differences
+    # of the members and the swap candidates, so the search holds kilobytes,
+    # where one int64 array of p * c_p at every shift would be 80 MB
+    ctx = ms.build_context(ms.make_group_config((10_000_019,)))
+    tracemalloc.start()
+    try:
+        result = ms.sbh_adversarial_search(1, 2, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # p = 3 (mod 4): a pair reaches the stage sup 1 + 1/p
+    assert result.probe.value == Fraction(10_000_020, 10_000_019)
+    assert peak < 8 << 20
 
 
 def test_search_stage_sup_is_the_certificate_finite_sup(ctx5711):
