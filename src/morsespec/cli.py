@@ -362,7 +362,6 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
     # the search checks Q against the stage-n density sup; Q can falsify only a certificate
     cert = density_certificate(ctx, rc.split_level, rc.assume_tail_rule)
     per_k = []
-    best_entry = None
     for k in range(1, k_cap + 1):
         result = sbh_adversarial_search(
             n, k, ctx, budget=rc.budget, seed=rc.seed, restarts=rc.restarts
@@ -377,9 +376,8 @@ def cmd_sbh_search(rc: RunConfig, args: argparse.Namespace) -> tuple[dict, int]:
             "falsification": cert.sbh_certified and probe.value > cert.total_bound,
             "op": "sbh_adversarial_search",
         }
-        if best_entry is None or probe.value > best_entry["value"]:
-            best_entry = entry
         per_k.append(entry)
+    best_entry = max(per_k, key=lambda entry: entry["value"])
     results = {
         "level": n,
         "k_max_requested": rc.k_max,

@@ -301,9 +301,10 @@ def sbh_adversarial_search(
     maximiser in enumeration order, elements sorted, leading sign +1.
 
     Scores are int64 sums of pair numerators |G_n| * coeff(theta_a -
-    theta_b), so k^2 * |G_n| must stay below 2^62.  Q never exceeds the
-    stage-n density sup; a probe above it (beyond float rounding) is an
-    InternalConsistencyError.
+    theta_b).  Refused (BudgetError): k^2 * |G_n| >= 2^62, before any
+    score; a stage prime p = 1 (mod 4) past the sign table's budget, at its
+    first sign read.  A Q above the stage-n density sup (beyond float
+    rounding) is an InternalConsistencyError.
     """
     cfg = ctx.cfg
     if k < 1:
@@ -329,9 +330,6 @@ def sbh_adversarial_search(
         probe = SbhProbe(theta=(as_element(0),), signs=(1,), value=Fraction(1))
         return SearchResult(probe=probe, mode="exhaustive", evaluations=1, stage_sup=stage_sup)
     _check_search_budget(k, primes_n)
-    # the table budget holds at every stage prime, its signs read or not
-    for p in primes_n:
-        check_table_prime(p)
 
     def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays: the
@@ -392,9 +390,7 @@ def sbh_adversarial_search(
             mat = pair_matrix(combo)
             s = int(eta @ mat @ eta) // 2
             evaluations += 1
-            improved = True
-            while improved and evaluations < budget:
-                improved = False
+            while evaluations < budget:
                 move = None
                 # row[i] = sum_{j != i} eta_j pairs(combo[i], combo[j])
                 row = mat @ eta
@@ -408,10 +404,10 @@ def sbh_adversarial_search(
                 # swap candidates: the full complement when small, else a
                 # seeded sample; members of the combo are skipped uncounted
                 if m - k <= 64:
-                    pool = np.setdiff1d(np.arange(m), combo)
+                    pool = np.arange(m)
                 else:
                     pool = np.array(rng.sample(range(m), 64), dtype=np.int64)
-                    pool = pool[(pool[:, None] != combo).all(axis=1)]
+                pool = pool[(pool[:, None] != combo).all(axis=1)]
                 if pool.size:
                     # swapping combo[i] for pool[v] drops row[i] and adds
                     # pool[v]'s pairs with the other members
@@ -425,16 +421,16 @@ def sbh_adversarial_search(
                     if swaps[j] > move_s:
                         i, v = divmod(j, pool.size)
                         move_s, move = int(swaps[j]), ("swap", i, v)
-                if move is not None:
-                    kind, i, v = move
-                    if kind == "flip":
-                        eta[i] *= -1
-                    else:
-                        combo[i] = pool[v]
-                        mat[i] = mat[:, i] = rep[v]
-                        mat[i, i] = 0
-                    s = move_s
-                    improved = True
+                if move is None:
+                    break
+                kind, i, v = move
+                if kind == "flip":
+                    eta[i] *= -1
+                else:
+                    combo[i] = pool[v]
+                    mat[i] = mat[:, i] = rep[v]
+                    mat[i, i] = 0
+                s = move_s
             if s > best_s:
                 best_s = s
                 order = np.argsort(combo)

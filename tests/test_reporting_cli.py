@@ -348,6 +348,13 @@ def test_coeffs_loads_numpy_on_first_use():
     assert strip_timestamp(res.stdout) == strip_timestamp((GOLDEN / "coeffs_5_7.json").read_text())
 
 
+def test_full_complement_search_loads_no_masked_arrays():
+    # |G_1| - k <= 64, so every non-member is a swap candidate; the pool is
+    # filtered as a sampled one is, without np.setdiff1d and its numpy.ma
+    _, loaded = numpy_submodules_at_exit(["sbh-search", "--primes", "29", "--k-max", "7"])
+    assert loaded and [name for name in loaded if name.split(".")[:2] == ["numpy", "ma"]] == []
+
+
 # a finder ahead of every other that refuses sympy, and an exit handler,
 # registered before the CLI runs, that says whether sympy got loaded
 SYMPY_REFUSED = (
@@ -723,21 +730,19 @@ def test_sbh_search_refuses_an_overflowing_k_before_any_search(capsys, monkeypat
     assert code == 0 and report["results"]["best"]["value"] == "1/1"
 
 
-def test_sbh_search_refuses_lookups_past_the_budget_before_any_table(capsys, monkeypatch):
-    # p = 10^9 + 7 scores within int64, but its lookups read its signs, a
-    # 1 GB mask past the table budget: refused before a sign is squared or
-    # numpy loads, while a k = 1 probe reads no table
+def test_sbh_search_runs_a_p_3_mod_4_prime_past_the_table_budget(capsys, monkeypatch):
+    # p = 10^9 + 7 = 3 (mod 4) is past the table budget, but every numerator
+    # off 0 is -1, so the search reads no sign and builds no 1 GB mask: a
+    # pair of opposite signs reaches the stage sup 1 + 1/p
     def no_signs(p):
         raise AssertionError(f"sign array for {p} built")
 
     monkeypatch.setattr(charsums, "_quadratic_signs", no_signs)
     argv = ["sbh-search", "--primes", "1000000007", "--k-max", "2"]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (64, "")
-    assert err == "budget exceeded: the sign table of 1000000007 needs 1000000007 residues, budget is 16777216\n"
-    assert numpy_submodules_at_exit(argv, exit_code=64)[1] == []
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0 and report["results"]["best"]["value"] == "1000000008/1000000007"
     code, _, _, rss_mb = run_capped(*argv)
-    assert code == 64 and rss_mb < 20
+    assert code == 0 and rss_mb < 40
     code, report, _ = run_json(capsys, "sbh-search", "--primes", "1000000007", "--k-max", "1")
     assert code == 0 and report["results"]["best"]["value"] == "1/1"
 

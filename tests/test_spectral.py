@@ -439,9 +439,13 @@ def test_search_rejects_int64_overflow(theorem_ctx):
     # any table, pool or subset count is built
     with pytest.raises(BudgetError):
         ms.sbh_adversarial_search(3, 130_000, theorem_ctx)
-    # scores within int64, but 10^9 + 7 is past the sign table's budget
+    # scores within int64, and 10^9 + 7 = 3 (mod 4) reads no sign: past the
+    # table budget, a pair still reaches the stage sup 1 + 1/p
     huge = ms.build_context(ms.make_group_config((1_000_000_007,)))
-    with pytest.raises(BudgetError, match="the sign table of 1000000007 needs 1000000007 residues"):
+    assert ms.sbh_adversarial_search(1, 2, huge).probe.value == Fraction(1_000_000_008, 1_000_000_007)
+    # p_6 = 6103515637 = 1 (mod 4) reads its signs, refused at the first read
+    huge = ms.build_context(ms.make_group_config((6_103_515_637,)))
+    with pytest.raises(BudgetError, match="the sign table of 6103515637 needs 6103515637 residues"):
         ms.sbh_adversarial_search(1, 2, huge)
 
 
