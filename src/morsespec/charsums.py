@@ -21,11 +21,15 @@ is an exact rational with denominator p.  It doubles as the j-th Fourier
 coefficient of the density |P|^2 on the cyclic group, which provides an
 independent floating-point route to the same number.  On the whole circle
 |P|^2 is a trigonometric polynomial with coefficients r(m)/p, |m| < p,
-where r(m) = sum_x eps(x) eps(x + m) is the linear autocorrelation; so
-r = irfft(|rfft(eps, n)|^2, n), with the table zero-padded to the
-smallest n >= 2p of the form 2^a 3^b 5^c, is exact up to round-off.  On
-the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
-As r(m) = r(-m), the symmetry of the computed r is its round-off check.
+where r(m) = sum_x eps(x) eps(x + m) is the linear autocorrelation.  It
+comes from two transforms of half the table: split it at h = (p + 1)/2
+into A = eps[:h] and B = eps[h:], zero-padded to the smallest n >= 2h of
+the form 2^a 3^b 5^c; then s = irfft(|F_A|^2 + |F_B|^2, n), F = rfft(., n),
+is r_AA + r_BB, x = irfft(conj(F_A) F_B, n) is x(d) = sum_a A(a) B(a + d),
+d read mod n, and r(m) = s(m) [m < h] + x(m - h) is exact up to round-off.
+On the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
+The symmetry s(m) = s(-m) and an integer r(m) at every lag, which sees
+each value x contributes, are its round-off checks.
 
 LegendreTable(p) is the single precomputation layer for its prime: its
 int8 sign array (the squares mask) and density_fourier (the density-route
@@ -93,8 +97,8 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
-# residues a sign table may hold; its density FFT is then at most 2^25
-# points and every square _quadratic_signs forms is below 2^46
+# residues a sign table may hold; its density FFTs are then at most 2^24
+# points each and every square _quadratic_signs forms is below 2^46
 _TABLE_BUDGET = 2**24
 
 
@@ -135,30 +139,52 @@ class LegendreTable:
 
     @cached_property
     def density_fourier(self) -> np.ndarray:
-        """c(j) for every shift j by the zero-padded density route; read-only."""
-        # r(m) at index m and r(-m) at n - m; n >= 2p leaves lags +/-p at zero
-        p = self.prime
-        n = _fft_length(2 * p)
-        spec = np.fft.rfft(self.signs, n)
-        # |spec|^2 in place, kept complex with a zero imaginary part: irfft
-        # then makes no complex copy of a float input; all of it is freed
-        # before the fold below allocates
-        re, im = spec.real, spec.imag
-        re *= re
-        im *= im
-        re += im
-        im[:] = 0
-        r = np.fft.irfft(spec, n)
-        del spec, re, im
-        off = np.flatnonzero(np.abs(r[1:p] - r[n - 1 : n - p : -1]) > p * _NUMERIC_TOL)
-        if off.size:
-            m = int(off[0]) + 1
-            raise InternalConsistencyError(
-                f"density autocorrelation not symmetric at p={p}, m={m}: {r[m]} vs {r[n - m]}"
-            )
-        out = (r[:p] + r[n - p :]) / p
-        out.flags.writeable = False
-        return out
+        """c(j) for every shift j by the density route off the real FFTs of
+        the table's two halves, at length n >= p + 1 (see the module
+        docstring); read-only."""
+        # A = signs[:h] and B = signs[h:] zero-padded to n >= 2h: no lag of
+        # r_AA, r_BB or x wraps onto another
+        p, h = self.prime, (self.prime + 1) // 2
+        n = _fft_length(2 * h)
+        fa = np.fft.rfft(self.signs[:h], n)
+        fb = np.fft.rfft(self.signs[h:], n)
+        fa.imag *= -1  # conj(fa), whose |fa|^2 is the same
+        x = fa * fb  # the spectrum of x
+        # |fa|^2 + |fb|^2 in place, kept complex with a zero imaginary part:
+        # irfft then makes no complex copy of a float input
+        for pairs in (fa.view(np.float64), fb.view(np.float64)):
+            pairs *= pairs  # re^2 and im^2
+        fa.real += fa.imag
+        fa.real += fb.real
+        fa.real += fb.imag
+        fa.imag[:] = 0
+        del pairs, fb
+        s = np.fft.irfft(fa, n)
+        del fa
+        _check_round_off(s[1:h], s[n - 1 : n - h : -1], 1, p, "not symmetric")
+        x = np.fft.irfft(x, n)
+        # r(m) = s(m) [m < h] + x(m - h), x(d) at d mod n
+        r = np.concatenate((x[n - h :], x[: h - 1]))
+        r[:h] += s[:h]
+        del s, x
+        # r is an integer at every lag, and every x(d) read lands in it
+        _check_round_off(r, np.rint(r), 0, p, "not integral")
+        # p c(j) = r(j) + r(j - p) = r(j) + r(p - j) = p c(p - j)
+        np.add(r[1:h], r[: h - 1 : -1], out=r[1:h])
+        r[h:] = r[h - 1 : 0 : -1]
+        r /= p
+        r.flags.writeable = False
+        return r
+
+
+def _check_round_off(a: np.ndarray, b: np.ndarray, first: int, p: int, what: str) -> None:
+    """Refuse the density route of p, as an InternalConsistencyError, where
+    a and b differ by more than p * _NUMERIC_TOL, naming the lag
+    m = first + i of the largest difference."""
+    dev = a - b
+    i = np.abs(dev, out=dev).argmax()
+    if dev[i] > p * _NUMERIC_TOL:
+        raise InternalConsistencyError(f"density autocorrelation {what} at p={p}, m={first + i}: off by {dev[i]}")
 
 
 def _fft_length(m: int) -> int:

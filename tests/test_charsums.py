@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,13 +106,14 @@ def test_legendre_table_refuses_primes_past_the_table_budget(monkeypatch):
 
 
 def test_the_table_budget_is_the_density_fft_budget():
-    # a 5-smooth length >= 2p is at most 2^25 exactly when p < 2^24, as
-    # 2^25 is itself one: the table budget bounds the density FFT too
+    # a 5-smooth length >= 2h = p + 1 is at most 2^24 exactly when
+    # p < 2^24, as 2^24 is itself one: the table budget bounds the density
+    # FFTs too
     for p in (16_777_213, 16_777_259, *ms.theorem_primes(6)):
         assert sympy.isprime(p), p
-        fits = charsums._fft_length(2 * p) <= 2**25
+        fits = charsums._fft_length(p + 1) <= 2**24
         assert fits == (p < charsums._TABLE_BUDGET), p
-    assert charsums._fft_length(2 * 16_777_213) == 2**25
+    assert charsums._fft_length(16_777_213 + 1) == 2**24
 
 
 def test_gauss_sums_refuse_primes_past_the_table_budget(monkeypatch):
@@ -473,13 +478,41 @@ def test_density_route_matches_exact_numerators_at_every_shift():
 
 @pytest.mark.parametrize("p", [3, 5, 29, 997, 15629])
 def test_density_fourier_is_bit_identical_to_the_reference(p):
-    # |rfft|^2 is formed in place; the folded result must not move by a bit
+    # the split formula on fresh arrays: the method's in-place conjugate and
+    # power spectrum and its slice fold must not move a bit (p = 3 leaves B
+    # a single entry)
     table = ms.LegendreTable(p)
-    n = charsums._fft_length(2 * p)
-    spec = np.fft.rfft(table.signs, n)
-    r = np.fft.irfft(spec.real**2 + spec.imag**2, n)
-    reference = (r[:p] + r[n - p :]) / p
+    h = (p + 1) // 2
+    n = charsums._fft_length(2 * h)
+    fa = np.fft.rfft(table.signs[:h], n)
+    fb = np.fft.rfft(table.signs[h:], n)
+    s = np.fft.irfft(fa.real**2 + fa.imag**2 + fb.real**2 + fb.imag**2, n)
+    x = np.fft.irfft(np.conj(fa) * fb, n)
+    r = x[(np.arange(p) - h) % n]
+    r[:h] += s[:h]
+    reference = np.concatenate(([r[0]], r[1:] + r[:0:-1])) / p
     assert np.array_equal(table.density_fourier, reference)
+
+
+def test_density_route_matches_the_window_sums():
+    # p * c(j) against the direct window sum, at every odd prime below 2000
+    # (both residues mod 4) and p_2; p_3 (= 3 mod 4), whose p^2 window sum
+    # takes about 20 s, at spread shifts by the same sum, and at every
+    # shift against the closed form that check_prime ties to it
+    for p in [q for q in range(3, 2000) if sympy.isprime(q)] + [15629]:
+        table = ms.LegendreTable(p)
+        numerators = charsums.window_autocorrelation_numerators(table.signs)
+        route = p * table.density_fourier
+        assert np.array_equal(np.rint(route), numerators), p
+        assert np.abs(table.density_fourier - numerators / p).max() < 1e-15, p
+    p = 390_647
+    table = ms.LegendreTable(p)
+    route = p * table.density_fourier
+    assert np.array_equal(np.rint(route), jacobi_numerators(table, np.arange(p)))
+    s = table.signs.astype(np.int64)
+    h = (p + 1) // 2
+    for j in (0, 1, 2, h - 1, h, h + 1, p - 1, *np.random.default_rng(3).integers(p, size=20)):
+        assert abs(route[j] - np.dot(np.roll(s, -j), s)) < p * 1e-15, j
 
 
 def _smooth(n):
@@ -490,31 +523,89 @@ def _smooth(n):
 
 
 def test_density_route_length_is_five_smooth():
-    # lag -p must read zero, so n >= 2p; and never longer than the next
-    # power of two, the length used before
+    # no lag of a half of length h may wrap, so n >= 2h = p + 1; and never
+    # longer than the next power of two
     for p in ODD_PRIMES_BELOW_500 + [15629, 390_647, 9_765_629]:
-        n = charsums._fft_length(2 * p)
-        assert n >= 2 * p and _smooth(n), p
-        assert n <= 1 << (2 * p - 2).bit_length(), p
+        n = charsums._fft_length(p + 1)
+        assert n >= p + 1 and _smooth(n), p
+        assert n <= 1 << p.bit_length(), p
         if p < 500:  # and the least such length
-            assert not any(_smooth(m) for m in range(2 * p, n)), p
-    assert charsums._fft_length(2 * 390_647) == 786_432  # p_3, against 1 048 576
+            assert not any(_smooth(m) for m in range(p + 1, n)), p
+    assert charsums._fft_length(390_647 + 1) == 393_216  # p_3, against 786 432 for 2p
+    assert charsums._fft_length(9_765_629 + 1) == 9_830_400  # p_4, against 19 660 800
 
 
-def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
+def _skew_inverse_transform(monkeypatch, which, index):
+    # irfft with entry `index` of its output moved by 1e-6, on the power
+    # spectrum (a zero imaginary part) or on the cross spectrum only
     irfft = np.fft.irfft
 
     def skewed(a, n):
         r = irfft(a, n)
-        r[2] += 1e-6  # r(2) no longer equals r(-2)
+        if which == ("power" if not a.imag.any() else "cross"):
+            r[index] += 1e-6
         return r
 
     monkeypatch.setattr(charsums.np.fft, "irfft", skewed)
+
+
+def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
+    _skew_inverse_transform(monkeypatch, "power", 2)  # s(2) no longer equals s(-2)
     table = ms.LegendreTable(7)  # nothing cached yet
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
         table.density_fourier
     with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
         table.density_fourier  # the failure is not cached
+
+
+def test_density_route_refuses_a_skewed_cross_correlation(monkeypatch):
+    # x(2) lands in r(h + 2) = r(6) at p = 7, where no symmetry reaches it
+    _skew_inverse_transform(monkeypatch, "cross", 2)
+    table = ms.LegendreTable(7)
+    with pytest.raises(InternalConsistencyError, match="not integral at p=7, m=6"):
+        table.density_fourier
+    with pytest.raises(InternalConsistencyError, match="not integral at p=7, m=6"):
+        table.density_fourier  # the failure is not cached
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+# the child prints its peak-RSS growth over the route alone, in MB
+DENSITY_PEAK_CHILD = """
+import numpy as np
+from morsespec import charsums
+
+def hwm_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+np.fft.irfft(np.fft.rfft(np.ones(8)))
+table = charsums.LegendreTable(390647)
+table.signs
+before = hwm_mb()
+table.density_fourier
+print(hwm_mb() - before)
+"""
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_density_route_peak_memory_at_p_3():
+    # two half-length transforms: the peak grows by about 14 MB at p_3,
+    # where one zero-padded transform of length >= 2p took 23.4 MB
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(ms.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DENSITY_PEAK_CHILD], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 18
 
 
 def test_density_mean_is_one():

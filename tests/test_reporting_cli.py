@@ -1195,8 +1195,9 @@ def test_capped_runs_read_the_childs_own_peak():
     code, _, small = paired_cli.run(SRC, [])
     assert code == 0 and 0 < small < 32
     # the reading still sees the child's own growth: the density route at
-    # p = 2 000 003 transforms its signs zero-padded to 4 050 000 points
-    code, _, _, large = run_capped("coeffs", "--primes", "2000003", "1")
+    # p = 3 000 017 transforms the halves of its signs zero-padded to
+    # 3 037 500 points each
+    code, _, _, large = run_capped("coeffs", "--primes", "3000017", "1")
     assert code == 0 and large > 100
 
 
@@ -1317,8 +1318,8 @@ def test_certify_names_the_first_probable_prime(capsys):
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("json", "ad476e59460a9cb0161f101cb5aacc8aa64b328b338f18b5cafc40aa728f7cdc"),
-        ("csv", "c2e08b884561326bbe9781aa403cda132927333cd887d690a31d54206fd13447"),
+        ("json", "e5cc7db2186c77a6eafa161a197f2ecb9a8cf91edc869e0b22b416b88a3c7a16"),
+        ("csv", "0969b7ac9e618a301ab53b01897913bf3dec4fae74b3ed69731128d042087522"),
     ],
 )
 def test_largest_coeffs_report_is_pinned(capsys, fmt, digest):
