@@ -37,13 +37,13 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import lazy_numpy
 from .charsums import check_table_prime, flatness_report, jacobi_numerators
 from .cocycle import CocycleContext
 from .errors import BudgetError, ConfigError, InternalConsistencyError
-from .odometer import _MR_LIMIT, THEOREM_GRADE, growth_floor, level_group_order
+from .odometer import _MR_LIMIT, THEOREM_GRADE, element, growth_floor, level_group_order
 
 np = lazy_numpy()
 
@@ -283,6 +283,134 @@ def _check_search_budget(k: int, primes: tuple[int, ...]) -> None:
         raise BudgetError(f"k^2 * |G_{n}| = {k * k * m} overflows the int64 scores")
 
 
+class _Stage(NamedTuple):
+    """The stage-n group as the flat indices 0..order-1: index idx has
+    residue idx // weights[i] mod p_i at coordinate i < n."""
+
+    ctx: CocycleContext
+    weights: tuple[int, ...]
+    order: int
+
+    def element(self, idx: int) -> tuple[int, ...]:
+        return element([idx // w for w in self.weights], self.ctx.cfg)
+
+    def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays: the
+        numerators p_i * c_i at the coordinate differences, idx // w_i
+        being congruent to the i-th residue mod p_i."""
+        return math.prod(
+            jacobi_numerators(table, (a // w - b // w) % table.prime) for w, table in zip(self.weights, self.ctx.tables)
+        )
+
+
+# a scanner's result: the best score sum_{i<j} eta_i eta_j pairs(i, j), its
+# subset as sorted indices, its signs, and the sign-pattern probes scored
+_Found = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
+def _sign_blocks(k: int, left: np.ndarray, right: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every sign pattern with the first sign +1 (the form is invariant
+    under a global flip), _SCORE_CHUNK at a time in product order, each
+    block with its patterns' per-pair sign products."""
+    rests = itertools.product((1, -1), repeat=k - 1)
+    while block := list(itertools.islice(rests, _SCORE_CHUNK)):
+        patterns = np.array([(1, *rest) for rest in block], dtype=np.int64)
+        yield patterns, patterns[:, left] * patterns[:, right]
+
+
+def _exhaustive(stage: _Stage, k: int) -> _Found:
+    """Score every k-subset with every sign pattern; the first maximiser
+    in (subset, pattern) order wins.  Patterns that fit one block are made
+    once and scored several subsets a chunk; otherwise they are made again
+    for each subset, so at most _SCORE_CHUNK are held at any k."""
+    left, right = np.array(list(itertools.combinations(range(k), 2))).T
+    blocks = list(_sign_blocks(k, left, right)) if 2 ** (k - 1) <= _SCORE_CHUNK else None
+    rows = max(1, _SCORE_CHUNK >> (k - 1))
+    flat = itertools.chain.from_iterable(itertools.combinations(range(stage.order), k))
+    best, evaluations = None, 0
+    for _ in range(0, math.comb(stage.order, k), rows):
+        chunk = np.fromiter(itertools.islice(flat, rows * k), dtype=np.int64).reshape(-1, k)
+        terms = stage.pairs(chunk[:, left], chunk[:, right])
+        for patterns, pairsigns in blocks or _sign_blocks(k, left, right):
+            svals = terms @ pairsigns.T
+            evaluations += svals.size
+            c, row = np.unravel_index(np.argmax(svals), svals.shape)
+            if best is None or svals[c, row] > best[0]:
+                best = int(svals[c, row]), tuple(int(x) for x in chunk[c]), tuple(int(x) for x in patterns[row])
+        # building the next chunk's pair terms is the scan's peak: these go first
+        del terms
+    return (*best, evaluations)
+
+
+def _local(stage: _Stage, k: int, budget: int, seed: int, restarts: int) -> _Found:
+    """Seeded hill climbing from random restarts: each step takes the
+    best single-sign flip or single-element swap if it strictly improves
+    the score, a flip winning a tie with a swap."""
+    m = stage.order
+    rng = random.Random(seed)
+
+    def pair_matrix(combo: np.ndarray) -> np.ndarray:
+        mat = stage.pairs(combo[:, None], combo[None, :])
+        np.fill_diagonal(mat, 0)
+        return mat
+
+    # deterministic baseline so the result is well-defined even with
+    # zero restarts or an exhausted budget
+    best_s = int(pair_matrix(np.arange(k)).sum()) // 2
+    best_combo, best_signs = tuple(range(k)), (1,) * k
+    evaluations = 1
+
+    for _ in range(restarts):
+        if evaluations >= budget:
+            break
+        combo = np.array(sorted(rng.sample(range(m), k)), dtype=np.int64)
+        eta = np.array([1] + [rng.choice((1, -1)) for _ in range(k - 1)], dtype=np.int64)
+        # mat[i, j] = pairs(combo[i], combo[j]), symmetric, kept across moves
+        mat = pair_matrix(combo)
+        s = int(eta @ mat @ eta) // 2
+        evaluations += 1
+        while evaluations < budget:
+            # row[i] = sum_{j != i} eta_j pairs(combo[i], combo[j])
+            row = mat @ eta
+            # flips of signs 1..k-1 are always all scored
+            flips = s - 2 * eta[1:] * row[1:]
+            evaluations += k - 1
+            flip = int(np.argmax(flips)) + 1
+            move_s, swap = max(s, int(flips[flip - 1])), None
+            # swap candidates: the full complement when small, else a
+            # seeded sample; members of the combo are skipped uncounted
+            pool = np.arange(m) if m - k <= 64 else np.array(rng.sample(range(m), 64), dtype=np.int64)
+            pool = pool[(pool[:, None] != combo).all(axis=1)]
+            if pool.size:
+                # swapping combo[i] for pool[v] drops row[i] and adds
+                # pool[v]'s pairs with the other members
+                rep = stage.pairs(pool[:, None], combo[None, :])
+                swaps = s - eta * row + eta * ((rep @ eta)[:, None] - rep * eta)
+                # i outer, pool order inner; the scan stops at the budget
+                # but always scores at least one candidate
+                swaps = swaps.T.ravel()[: max(1, budget - evaluations)]
+                evaluations += swaps.size
+                j = int(np.argmax(swaps))
+                if swaps[j] > move_s:
+                    move_s, swap = int(swaps[j]), divmod(j, pool.size)
+            if move_s == s:
+                break
+            if swap is None:
+                eta[flip] *= -1
+            else:
+                i, v = swap
+                combo[i] = pool[v]
+                mat[i] = mat[:, i] = rep[v]
+                mat[i, i] = 0
+            s = move_s
+        if s > best_s:
+            best_s = s
+            order = np.argsort(combo)
+            best_combo = tuple(int(x) for x in combo[order])
+            best_signs = tuple(int(eta[order[0]] * x) for x in eta[order])
+    return best_s, best_combo, best_signs, evaluations
+
+
 def sbh_adversarial_search(
     n: int,
     k: int,
@@ -294,9 +422,12 @@ def sbh_adversarial_search(
     """Maximise the quadratic form over subsets of the stage-n group of
     size exactly k, together with sign patterns.
 
-    Exhaustive (all subsets, all patterns: C(|G_n|, k) * 2^k probes, the
-    scan halved by global-flip invariance) when that count fits the
-    budget; otherwise seeded hill climbing with restarts, using
+    The stage group is coded as flat indices (_Stage: an index's element,
+    and the pair numerators of broadcast index arrays), and one of two
+    scanners runs on it.  _exhaustive (all subsets, all patterns:
+    C(|G_n|, k) * 2^k probes, the scan halved by global-flip invariance,
+    at most _SCORE_CHUNK patterns held at once) when that count fits the
+    budget; otherwise _local, seeded hill climbing with restarts, using
     single-element swaps and single-sign flips.  Either way the result is
     deterministic for fixed inputs; the reported probe is the first
     maximiser in enumeration order, elements sorted, leading sign +1.
@@ -317,134 +448,28 @@ def sbh_adversarial_search(
     m = level_group_order(n, cfg)
     if k > m:
         raise ConfigError(f"subset size {k} exceeds |G_{n}| = {m}")
-    primes_n = cfg.primes[:n]
-    weights = [math.prod(primes_n[i + 1 :]) for i in range(n)]
-
-    tail = (0,) * (cfg.level - n)
+    stage = _Stage(ctx, tuple(math.prod(cfg.primes[i + 1 : n]) for i in range(n)), m)
     stage_sup = density_certificate(ctx, n).finite_sup
-
-    def as_element(idx: int) -> tuple[int, ...]:
-        return tuple(idx // w % p for w, p in zip(weights, primes_n)) + tail
 
     if k == 1:
         # every single-element probe scores coeff(0) = 1 exactly, and no sup is below 1
-        probe = SbhProbe(theta=(as_element(0),), signs=(1,), value=Fraction(1))
+        probe = SbhProbe(theta=(stage.element(0),), signs=(1,), value=Fraction(1))
         return SearchResult(probe=probe, mode="exhaustive", evaluations=1, stage_sup=stage_sup)
-    _check_search_budget(k, primes_n)
+    _check_search_budget(k, cfg.primes[:n])
 
-    def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|G_n| * coeff(theta_a - theta_b) for broadcast index arrays: the
-        numerators p_i * c_i at the coordinate differences, idx // w_i
-        being congruent to the i-th residue mod p_i."""
-        out = 1
-        for w, p, table in zip(weights, primes_n, ctx.tables):
-            out = out * jacobi_numerators(table, (a // w - b // w) % p)
-        return out
-
-    # best_s and every score below is sum_{i<j} eta_i eta_j pairs(i, j)
-    evaluations = 0
-    subsets = math.comb(m, k)
     # m <= 1500 caps the exhaustive mode under generous budgets; the cap
     # fixes the mode, and with it the reported result, for every input
-    if subsets * 2**k <= budget and m <= 1500:
-        mode = "exhaustive"
-        # every sign pattern with the first sign +1 (the form is invariant
-        # under a global flip), and each pattern's per-pair sign products
-        patterns = np.array([(1, *rest) for rest in itertools.product((1, -1), repeat=k - 1)], dtype=np.int64)
-        left, right = np.array(list(itertools.combinations(range(k), 2))).T
-        pairsigns = patterns[:, left] * patterns[:, right]
-        flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
-        rows = max(1, _SCORE_CHUNK // len(patterns))
-        best_s = None
-        for _ in range(0, subsets, rows):
-            chunk = np.fromiter(itertools.islice(flat, rows * k), dtype=np.int64)
-            chunk = chunk.reshape(-1, k)
-            svals = pairs(chunk[:, left], chunk[:, right]) @ pairsigns.T
-            evaluations += svals.size
-            c, row = np.unravel_index(np.argmax(svals), svals.shape)
-            if best_s is None or svals[c, row] > best_s:
-                best_s = int(svals[c, row])
-                best_combo = tuple(int(x) for x in chunk[c])
-                best_signs = tuple(int(x) for x in patterns[row])
+    if math.comb(m, k) * 2**k <= budget and m <= 1500:
+        mode, (best_s, best_combo, best_signs, evaluations) = "exhaustive", _exhaustive(stage, k)
     else:
-        mode = "local"
-        rng = random.Random(seed)
+        mode, (best_s, best_combo, best_signs, evaluations) = "local", _local(stage, k, budget, seed, restarts)
 
-        def pair_matrix(combo: np.ndarray) -> np.ndarray:
-            mat = pairs(combo[:, None], combo[None, :])
-            np.fill_diagonal(mat, 0)
-            return mat
-
-        # deterministic baseline so the result is well-defined even with
-        # zero restarts or an exhausted budget
-        best_s = int(pair_matrix(np.arange(k)).sum()) // 2
-        best_combo = tuple(range(k))
-        best_signs = (1,) * k
-        evaluations += 1
-
-        for _ in range(restarts):
-            if evaluations >= budget:
-                break
-            combo = np.array(sorted(rng.sample(range(m), k)), dtype=np.int64)
-            eta = np.array([1] + [rng.choice((1, -1)) for _ in range(k - 1)], dtype=np.int64)
-            # mat[i, j] = pairs(combo[i], combo[j]), symmetric, kept across moves
-            mat = pair_matrix(combo)
-            s = int(eta @ mat @ eta) // 2
-            evaluations += 1
-            while evaluations < budget:
-                move = None
-                # row[i] = sum_{j != i} eta_j pairs(combo[i], combo[j])
-                row = mat @ eta
-                # flips of signs 1..k-1 are always all scored
-                flips = s - 2 * eta[1:] * row[1:]
-                evaluations += k - 1
-                move_s = s
-                i = int(np.argmax(flips))
-                if flips[i] > move_s:
-                    move_s, move = int(flips[i]), ("flip", i + 1, 0)
-                # swap candidates: the full complement when small, else a
-                # seeded sample; members of the combo are skipped uncounted
-                if m - k <= 64:
-                    pool = np.arange(m)
-                else:
-                    pool = np.array(rng.sample(range(m), 64), dtype=np.int64)
-                pool = pool[(pool[:, None] != combo).all(axis=1)]
-                if pool.size:
-                    # swapping combo[i] for pool[v] drops row[i] and adds
-                    # pool[v]'s pairs with the other members
-                    rep = pairs(pool[:, None], combo[None, :])
-                    swaps = s - eta * row + eta * ((rep @ eta)[:, None] - rep * eta)
-                    # i outer, pool order inner; the scan stops at the budget
-                    # but always scores at least one candidate
-                    swaps = swaps.T.ravel()[: max(1, budget - evaluations)]
-                    evaluations += swaps.size
-                    j = int(np.argmax(swaps))
-                    if swaps[j] > move_s:
-                        i, v = divmod(j, pool.size)
-                        move_s, move = int(swaps[j]), ("swap", i, v)
-                if move is None:
-                    break
-                kind, i, v = move
-                if kind == "flip":
-                    eta[i] *= -1
-                else:
-                    combo[i] = pool[v]
-                    mat[i] = mat[:, i] = rep[v]
-                    mat[i, i] = 0
-                s = move_s
-            if s > best_s:
-                best_s = s
-                order = np.argsort(combo)
-                best_combo = tuple(int(x) for x in combo[order])
-                best_signs = tuple(int(eta[order[0]] * x) for x in eta[order])
-
-    theta = tuple(as_element(idx) for idx in best_combo)
     value = Fraction(k * m + 2 * best_s, k * m)
     if value > stage_sup * (1 + 1e-9):
         raise InternalConsistencyError(
             f"Q = {value} at k = {k} exceeds the stage-{n} density sup {stage_sup}"
         )
-    probe = SbhProbe(theta=theta, signs=best_signs, value=value)
+    probe = SbhProbe(theta=tuple(stage.element(idx) for idx in best_combo), signs=best_signs, value=value)
     return SearchResult(probe=probe, mode=mode, evaluations=evaluations, stage_sup=stage_sup)
 
 

@@ -514,6 +514,17 @@ def test_src_holds_no_unreached_defs(tmp_path):
     assert (done.returncode, done.stdout) == (1, "odometer.sub\nodometer.GroupConfig._check_stage\n")
 
 
+def test_src_functions_stay_under_80_lines():
+    # a function past 80 lines (docstring included) is split before it grows
+    long = [
+        f"{path.stem}.{node.name}: {node.end_lineno - node.lineno + 1} lines"
+        for path in sorted(Path(ms.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.end_lineno - node.lineno + 1 > 80
+    ]
+    assert long == []
+
+
 def test_paired_cli_compares_stderr_and_exit_code(tmp_path):
     # --pairs 0 runs each tree once, untimed, and compares what the runs print
     for tree in ("old", "same", "changed"):

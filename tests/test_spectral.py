@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -434,6 +435,32 @@ def test_search_local_pinned(primes, n, k, kwargs, evals, value, theta, signs):
     assert result.probe.signs == signs
 
 
+# (primes, stage) of the grid below, in the order its lines are hashed
+SEARCH_GRID = [
+    ((29,), 1), ((11,), 1), ((3, 5), 2), ((5, 7), 2), ((5, 7, 11), 2),
+    ((5, 7, 11), 3), ((13, 17), 2), ((3, 5, 7), 3),
+]
+
+
+def test_search_grid_pinned():
+    # 576 results (both modes, every pool and budget path) hashed as one
+    # text, so a refactor of the search must reproduce every mode,
+    # evaluation count, probe and stage sup.  A change that means to move
+    # results (ROADMAP items 19, 3 and 6) re-derives this digest and names
+    # the change in CHANGES.md.
+    lines = []
+    for primes, n in SEARCH_GRID:
+        ctx = ms.build_context(ms.make_group_config(primes))
+        for k in range(1, min(8, math.prod(primes[:n])) + 1):
+            for seed in (0, 1, 7):
+                for budget in (50, 3000, 500_000):
+                    r = ms.sbh_adversarial_search(n, k, ctx, budget=budget, seed=seed)
+                    lines.append(repr((primes, n, k, seed, budget, r.mode, r.evaluations, r.probe, r.stage_sup)))
+    assert len(lines) == 576
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9fc59af3f6bc2831851580ad517230de6b566ad4e797a8ba133a4c185bee0d83"
+
+
 def test_search_rejects_int64_overflow(theorem_ctx):
     # k^2 * |G_3| = 130000^2 * 29 * 631 * 15629 >= 2^62: refused before
     # any table, pool or subset count is built
@@ -463,6 +490,20 @@ def test_search_gathers_its_pair_terms_at_the_member_differences():
     # p = 3 (mod 4): a pair reaches the stage sup 1 + 1/p
     assert result.probe.value == Fraction(10_000_020, 10_000_019)
     assert peak < 8 << 20
+
+
+def test_exhaustive_search_holds_one_score_chunk_at_a_time():
+    # k = 17 at [17]: 2^16 sign patterns of 136 pair signs each, about 71 MB
+    # as one int64 block; the scan makes them _SCORE_CHUNK at a time
+    ctx = ms.build_context(ms.make_group_config((17,)))
+    tracemalloc.start()
+    try:
+        result = ms.sbh_adversarial_search(1, 17, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.mode, result.evaluations, result.probe.value) == ("exhaustive", 65536, Fraction(433, 289))
+    assert peak < 64 << 20
 
 
 def test_search_stage_sup_is_the_certificate_finite_sup(ctx5711):
