@@ -320,26 +320,25 @@ def _sign_blocks(k: int, left: np.ndarray, right: np.ndarray) -> Iterator[tuple[
 
 def _exhaustive(stage: _Stage, k: int) -> _Found:
     """Score every k-subset with every sign pattern; the first maximiser
-    in (subset, pattern) order wins.  Patterns that fit one block are made
-    once and scored several subsets a chunk; otherwise they are made again
-    for each subset, so at most _SCORE_CHUNK are held at any k."""
+    in (subset, pattern) order wins.  Each pattern block is made once per
+    scan and scored against every subset, a chunk at a time, so at most
+    _SCORE_CHUNK scores are held at any k."""
     left, right = np.array(list(itertools.combinations(range(k), 2))).T
-    blocks = list(_sign_blocks(k, left, right)) if 2 ** (k - 1) <= _SCORE_CHUNK else None
     rows = max(1, _SCORE_CHUNK >> (k - 1))
-    flat = itertools.chain.from_iterable(itertools.combinations(range(stage.order), k))
     best, evaluations = None, 0
-    for _ in range(0, math.comb(stage.order, k), rows):
-        chunk = np.fromiter(itertools.islice(flat, rows * k), dtype=np.int64).reshape(-1, k)
-        terms = stage.pairs(chunk[:, left], chunk[:, right])
-        for patterns, pairsigns in blocks or _sign_blocks(k, left, right):
-            svals = terms @ pairsigns.T
+    for patterns, pairsigns in _sign_blocks(k, left, right):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(stage.order), k))
+        for start in range(0, math.comb(stage.order, k), rows):
+            chunk = np.fromiter(itertools.islice(flat, rows * k), dtype=np.int64).reshape(-1, k)
+            svals = stage.pairs(chunk[:, left], chunk[:, right]) @ pairsigns.T
             evaluations += svals.size
             c, row = np.unravel_index(np.argmax(svals), svals.shape)
-            if best is None or svals[c, row] > best[0]:
-                best = int(svals[c, row]), tuple(int(x) for x in chunk[c]), tuple(int(x) for x in patterns[row])
-        # building the next chunk's pair terms is the scan's peak: these go first
-        del terms
-    return (*best, evaluations)
+            # argmax takes a block's earliest subset, so a later block wins
+            # a tie only at an earlier subset: keyed on (score, -ordinal)
+            key = int(svals[c, row]), -start - int(c)
+            if best is None or key > best[0]:
+                best = key, tuple(int(x) for x in chunk[c]), tuple(int(x) for x in patterns[row])
+    return best[0][0], *best[1:], evaluations
 
 
 def _local(stage: _Stage, k: int, budget: int, seed: int, restarts: int) -> _Found:
@@ -425,9 +424,10 @@ def sbh_adversarial_search(
     The stage group is coded as flat indices (_Stage: an index's element,
     and the pair numerators of broadcast index arrays), and one of two
     scanners runs on it.  _exhaustive (all subsets, all patterns:
-    C(|G_n|, k) * 2^k probes, the scan halved by global-flip invariance,
-    at most _SCORE_CHUNK patterns held at once) when that count fits the
-    budget; otherwise _local, seeded hill climbing with restarts, using
+    C(|G_n|, k) * 2^k probes, the scan halved by global-flip invariance;
+    each block of at most _SCORE_CHUNK patterns is made once per scan and
+    scored a subset chunk at a time) when that count fits the budget;
+    otherwise _local, seeded hill climbing with restarts, using
     single-element swaps and single-sign flips.  Either way the result is
     deterministic for fixed inputs; the reported probe is the first
     maximiser in enumeration order, elements sorted, leading sign +1.

@@ -506,6 +506,47 @@ def test_exhaustive_search_holds_one_score_chunk_at_a_time():
     assert peak < 64 << 20
 
 
+def test_exhaustive_search_over_several_pattern_blocks():
+    # k = 15: 2^14 patterns in two blocks.  At [17] the second block ties
+    # the first block's best at an earlier subset, and the first maximiser
+    # in (subset, pattern) order must still be the one reported
+    ctx17 = ms.build_context(ms.make_group_config((17,)))
+    result = ms.sbh_adversarial_search(1, 15, ctx17, budget=10**8)
+    assert (result.mode, result.evaluations) == ("exhaustive", 2_228_224)
+    assert result.probe == ms.SbhProbe(
+        theta=tuple((i,) for i in range(15)),
+        signs=(1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1, -1),
+        value=Fraction(77, 51),
+    )
+    ctx35 = ms.build_context(ms.make_group_config((3, 5)))
+    result = ms.sbh_adversarial_search(2, 15, ctx35, budget=10**8)
+    assert (result.mode, result.evaluations) == ("exhaustive", 16_384)
+    assert result.probe == ms.SbhProbe(
+        theta=tuple((a, b) for a in range(3) for b in range(5)),
+        signs=(1, 1, 1, -1, -1, 1, -1, -1, 1, 1, -1, -1, 1, 1, -1),
+        value=Fraction(527, 225),
+    )
+
+
+def test_exhaustive_search_makes_each_pattern_once(monkeypatch):
+    # k = 16 at [17]: 17 subsets, 2^15 patterns in four blocks, each made
+    # once for the whole scan rather than once per subset
+    made = 0
+    real = spectral._sign_blocks
+
+    def counting(*args):
+        nonlocal made
+        for patterns, pairsigns in real(*args):
+            made += len(patterns)
+            yield patterns, pairsigns
+
+    monkeypatch.setattr(spectral, "_sign_blocks", counting)
+    ctx17 = ms.build_context(ms.make_group_config((17,)))
+    result = ms.sbh_adversarial_search(1, 16, ctx17, budget=2 * 10**6)
+    assert (result.mode, result.evaluations) == ("exhaustive", 17 * 2**15)
+    assert made == 2**15
+
+
 def test_search_stage_sup_is_the_certificate_finite_sup(ctx5711):
     # the same product in the same order: equal to the bit
     ctx4 = ms.build_context(ms.make_group_config(ms.theorem_primes(4), ms.THEOREM_GRADE))
