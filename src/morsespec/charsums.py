@@ -22,14 +22,19 @@ coefficient of the density |P|^2 on the cyclic group, which provides an
 independent floating-point route to the same number.  On the whole circle
 |P|^2 is a trigonometric polynomial with coefficients r(m)/p, |m| < p,
 where r(m) = sum_x eps(x) eps(x + m) is the linear autocorrelation.  It
-comes from two transforms of half the table: split it at h = (p + 1)/2
-into A = eps[:h] and B = eps[h:], zero-padded to the smallest n >= 2h of
-the form 2^a 3^b 5^c; then s = irfft(|F_A|^2 + |F_B|^2, n), F = rfft(., n),
-is r_AA + r_BB, x = irfft(conj(F_A) F_B, n) is x(d) = sum_a A(a) B(a + d),
-d read mod n, and r(m) = s(m) [m < h] + x(m - h) is exact up to round-off.
+is assembled from short transforms: the table is split into k blocks
+B_i = eps[iL : iL + L] of L = ceil(p / k) residues, the last one short
+(k = 1 up to _DENSITY_BLOCK residues, then ceil(p / _DENSITY_BLOCK) blocks,
+at most _DENSITY_BLOCKS), each zero-padded to the smallest n >= 2L of the
+form 2^a 3^b 5^c, F_i = rfft(B_i, n).  For each block offset w the window
+x_w = irfft(sum_i conj(F_i) F_(i+w), n) is x_w(t) = sum_i sum_a
+B_i(a) B_(i+w)(a + t) for |t| < L, t read mod n, and every pair of
+residues m apart meets in exactly one window, so r(m) = sum_w x_w(m - wL)
+over |m - wL| < L is exact up to round-off.  The power window x_0 comes
+from separately rounded squares re^2 + im^2, never a fused multiply-add.
 On the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
-The symmetry s(m) = s(-m) and an integer r(m) at every lag, which sees
-each value x contributes, are its round-off checks.
+The symmetry x_0(t) = x_0(-t) and an integer value at every lag of every
+window, before it is added in, are its round-off checks.
 
 LegendreTable(p) is the single precomputation layer for its prime: its
 int8 sign array (the squares mask) and density_fourier (the density-route
@@ -97,9 +102,15 @@ def legendre_symbols(p: int) -> np.ndarray:
     return np.where(acc == p - 1, -1, acc)
 
 
-# residues a sign table may hold; its density FFTs are then at most 2^24
-# points each and every square _quadratic_signs forms is below 2^46
+# residues a sign table may hold; its density route's blocks are then at
+# most 2^19 residues, each transformed at 2^20 points, and every square
+# _quadratic_signs forms is below 2^46
 _TABLE_BUDGET = 2**24
+
+# the density route's blocks: one block up to _DENSITY_BLOCK residues, then
+# ceil(p / _DENSITY_BLOCK) blocks, at most _DENSITY_BLOCKS of them; its
+# cross spectra are summed _SPECTRUM_RUN frequencies (256 KiB) at a time
+_DENSITY_BLOCK, _DENSITY_BLOCKS, _SPECTRUM_RUN = 1 << 14, 32, 1 << 14
 
 
 def check_table_prime(p: int) -> None:
@@ -140,35 +151,39 @@ class LegendreTable:
     @cached_property
     def density_fourier(self) -> np.ndarray:
         """c(j) for every shift j by the density route off the real FFTs of
-        the table's two halves, at length n >= p + 1 (see the module
-        docstring); read-only."""
-        # A = signs[:h] and B = signs[h:] zero-padded to n >= 2h: no lag of
-        # r_AA, r_BB or x wraps onto another
-        p, h = self.prime, (self.prime + 1) // 2
-        n = _fft_length(2 * h)
-        fa = np.fft.rfft(self.signs[:h], n)
-        fb = np.fft.rfft(self.signs[h:], n)
-        fa.imag *= -1  # conj(fa), whose |fa|^2 is the same
-        x = fa * fb  # the spectrum of x
-        # |fa|^2 + |fb|^2 in place, kept complex with a zero imaginary part:
-        # irfft then makes no complex copy of a float input
-        for pairs in (fa.view(np.float64), fb.view(np.float64)):
-            pairs *= pairs  # re^2 and im^2
-        fa.real += fa.imag
-        fa.real += fb.real
-        fa.real += fb.imag
-        fa.imag[:] = 0
-        del pairs, fb
-        s = np.fft.irfft(fa, n)
-        del fa
-        _check_round_off(s[1:h], s[n - 1 : n - h : -1], 1, p, "not symmetric")
-        x = np.fft.irfft(x, n)
-        # r(m) = s(m) [m < h] + x(m - h), x(d) at d mod n
-        r = np.concatenate((x[n - h :], x[: h - 1]))
-        r[:h] += s[:h]
-        del s, x
-        # r is an integer at every lag, and every x(d) read lands in it
-        _check_round_off(r, np.rint(r), 0, p, "not integral")
+        the table's blocks of L residues, each at length _fft_length(2 L)
+        (see the module docstring); read-only."""
+        # the signs first: a prime past the table budget is refused before any array
+        p, h, signs = self.prime, (self.prime + 1) // 2, self.signs
+        size = -(-p // min(_DENSITY_BLOCKS, -(-p // _DENSITY_BLOCK)))
+        n = _fft_length(2 * size)
+        spectra = np.empty((-(-p // size), n // 2 + 1), np.complex128)
+        # acc sums a window's spectrum, one product at a time in tmp; the
+        # power window's keeps a zero imaginary part, so irfft makes no
+        # complex copy of a float input
+        acc, tmp, r = np.zeros_like(spectra[0]), np.empty_like(spectra[0]), np.zeros(p)
+        for i, row in enumerate(spectra):
+            row[:] = np.fft.rfft(signs[i * size : (i + 1) * size], n)
+            # |F_i|^2 from separately rounded squares: no fused multiply-add
+            np.square(row.view(np.float64), out=tmp.view(np.float64))
+            acc.real += np.add(tmp.real, tmp.imag, out=tmp.real)
+        for w, start in enumerate(range(0, p, size)):
+            # a cross window by numpy's complex multiply, a run of
+            # frequencies at a time, so that its part of tmp stays in cache
+            for f in range(0, n // 2 + 1, _SPECTRUM_RUN) if w else ():
+                part, spare = acc[f : f + _SPECTRUM_RUN], tmp[f : f + _SPECTRUM_RUN]
+                part[:] = 0
+                for a, b in zip(spectra[:, f : f + _SPECTRUM_RUN], spectra[w:, f : f + _SPECTRUM_RUN]):
+                    part += np.multiply(np.conjugate(a, out=spare), b, out=spare)
+            x = np.fft.irfft(acc, n)
+            if not w:  # x_0(t) against x_0(-t), 0 < t <= L
+                _check_round_off(x[1 : size + 1] - x[: n - size - 1 : -1], 1, p, "not symmetric")
+            # x_w(t) lands at lag m = start + t, t in (-L, L), 0 <= m < p;
+            # tmp is free once irfft has read acc
+            m0, m1 = max(start - size + 1, 0), min(start + size, p)
+            window = np.concatenate((x[n + m0 - start :], x[: m1 - start]), out=tmp.view(np.float64)[: m1 - m0])
+            _check_round_off(window - np.rint(window), m0, p, "not integral")
+            r[m0:m1] += window
         # p c(j) = r(j) + r(j - p) = r(j) + r(p - j) = p c(p - j)
         np.add(r[1:h], r[: h - 1 : -1], out=r[1:h])
         r[h:] = r[h - 1 : 0 : -1]
@@ -177,11 +192,10 @@ class LegendreTable:
         return r
 
 
-def _check_round_off(a: np.ndarray, b: np.ndarray, first: int, p: int, what: str) -> None:
+def _check_round_off(dev: np.ndarray, first: int, p: int, what: str) -> None:
     """Refuse the density route of p, as an InternalConsistencyError, where
-    a and b differ by more than p * _NUMERIC_TOL, naming the lag
-    m = first + i of the largest difference."""
-    dev = a - b
+    a deviation in dev (overwritten) is larger than p * _NUMERIC_TOL,
+    naming the lag m = first + i of the largest."""
     i = np.abs(dev, out=dev).argmax()
     if dev[i] > p * _NUMERIC_TOL:
         raise InternalConsistencyError(f"density autocorrelation {what} at p={p}, m={first + i}: off by {dev[i]}")
@@ -231,12 +245,11 @@ def jacobi_numerators(table: LegendreTable, shifts: np.ndarray) -> np.ndarray:
 
 def _quadratic_signs(p: int) -> np.ndarray:
     """+1 at 0 and on the nonzero squares mod p, -1 elsewhere, as int8.
-    k and p - k have the same square, so k <= (p - 1) / 2 reach them all;
-    they are squared a fixed-size chunk at a time."""
+    k and p - k have the same square, so 0 <= k <= (p - 1) / 2 reach them
+    all, 0 included; they are squared a fixed-size chunk at a time."""
     signs = np.full(p, -1, dtype=np.int8)
-    signs[0] = 1
     half = (p + 1) // 2
-    for start in range(1, half, _SQUARE_CHUNK):
+    for start in range(0, half, _SQUARE_CHUNK):
         k = np.arange(start, min(start + _SQUARE_CHUNK, half), dtype=np.int64)
         k *= k
         k %= p

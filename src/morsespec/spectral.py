@@ -10,8 +10,8 @@ rational.  The same number is a Fourier coefficient of the product of
 the per-coordinate densities |P_n|^2, which gives a floating-point
 recomputation sharing no code with the rational route past the sign
 arrays: each factor (r_n(j) + r_n(j - p_n)) / p_n comes from the
-linear autocorrelation r_n of the signs, assembled from real FFTs of the
-two halves of the table (see charsums).
+linear autocorrelation r_n of the signs, assembled window by window from
+real FFTs of short blocks of the table (see charsums).
 
 The measure with these coefficients has a density whose sup is the
 product of the per-coordinate sups.  Every coordinate up to a chosen split

@@ -476,22 +476,53 @@ def test_density_route_matches_exact_numerators_at_every_shift():
         assert np.abs(ms.LegendreTable(p).density_fourier - closed).max() < 1e-12, p
 
 
-@pytest.mark.parametrize("p", [3, 5, 29, 997, 15629])
-def test_density_fourier_is_bit_identical_to_the_reference(p):
-    # the split formula on fresh arrays: the method's in-place conjugate and
-    # power spectrum and its slice fold must not move a bit (p = 3 leaves B
-    # a single entry)
+def _blocked_reference(signs, size):
+    # the blocked route on fresh arrays: the power window from separately
+    # rounded real squares, the cross windows by numpy's complex product,
+    # each window added in at lag m = w * size + t through an index array
+    p = signs.size
+    n = charsums._fft_length(2 * size)
+    spectra = [np.fft.rfft(signs[start : start + size], n) for start in range(0, p, size)]
+    r = np.zeros(p)
+    for w in range(len(spectra)):
+        if w:
+            x = np.fft.irfft(sum(np.conj(a) * b for a, b in zip(spectra, spectra[w:])), n)
+        else:
+            x = np.fft.irfft(sum(a.real**2 + a.imag**2 for a in spectra), n)
+        t = np.arange(1 - size if w else 0, size)
+        keep = w * size + t < p
+        r[w * size + t[keep]] += x[t[keep]]  # t < 0 read from the end of x
+    return np.concatenate(([r[0]], r[1:] + r[:0:-1])) / p
+
+
+@pytest.mark.parametrize("p", [3, 5, 29, 997, 15629, 16411])
+def test_density_fourier_is_bit_identical_to_the_reference(monkeypatch, p):
+    # the method's in-place products, its reused buffers, its runs of
+    # frequencies and its slice windows must not move a bit: one block up
+    # to 2^14 residues and two at 16411, then three blocks of ceil(p / 3),
+    # the last one short, with cross spectra summed 7 frequencies at a time
     table = ms.LegendreTable(p)
-    h = (p + 1) // 2
-    n = charsums._fft_length(2 * h)
-    fa = np.fft.rfft(table.signs[:h], n)
-    fb = np.fft.rfft(table.signs[h:], n)
-    s = np.fft.irfft(fa.real**2 + fa.imag**2 + fb.real**2 + fb.imag**2, n)
-    x = np.fft.irfft(np.conj(fa) * fb, n)
-    r = x[(np.arange(p) - h) % n]
-    r[:h] += s[:h]
-    reference = np.concatenate(([r[0]], r[1:] + r[:0:-1])) / p
-    assert np.array_equal(table.density_fourier, reference)
+    assert np.array_equal(table.density_fourier, _blocked_reference(table.signs, -(-p // -(-p // 2**14))))
+    monkeypatch.setattr(charsums, "_DENSITY_BLOCK", -(-p // 3))
+    monkeypatch.setattr(charsums, "_SPECTRUM_RUN", 7)
+    table = ms.LegendreTable(p)
+    assert np.array_equal(table.density_fourier, _blocked_reference(table.signs, -(-p // 3)))
+
+
+def test_density_route_at_every_block_count():
+    # every odd prime below 100 split into every count of blocks from 1 to
+    # p, of ceil(p / count) residues and the last one short, against the
+    # closed form: each lag is assembled right at the block edges
+    for p in SMALL_ODD_PRIMES:
+        chi = legendre_symbols(p)
+        closed = (-1 + chi + chi[-np.arange(p) % p]) / p
+        closed[0] = 1
+        for count in range(1, p + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(charsums, "_DENSITY_BLOCK", 1)
+                mp.setattr(charsums, "_DENSITY_BLOCKS", count)
+                route = ms.LegendreTable(p).density_fourier
+            assert np.abs(route - closed).max() < 1e-15, (p, count)
 
 
 def test_density_route_matches_the_window_sums():
@@ -522,50 +553,76 @@ def _smooth(n):
     return n == 1
 
 
-def test_density_route_length_is_five_smooth():
-    # no lag of a half of length h may wrap, so n >= 2h = p + 1; and never
-    # longer than the next power of two
-    for p in ODD_PRIMES_BELOW_500 + [15629, 390_647, 9_765_629]:
-        n = charsums._fft_length(p + 1)
-        assert n >= p + 1 and _smooth(n), p
-        assert n <= 1 << p.bit_length(), p
+def _route_lengths(monkeypatch, p):
+    # (block length, transform length) off the route's first rfft call,
+    # which ends the route: p_4's block spectra are allocated, never touched
+    class Stop(Exception):
+        pass
+
+    def first(a, n):
+        raise Stop(len(a), n)
+
+    monkeypatch.setattr(charsums.np.fft, "rfft", first)
+    with pytest.raises(Stop) as stop:
+        ms.LegendreTable(p).density_fourier
+    return stop.value.args
+
+
+def test_density_route_length_is_five_smooth(monkeypatch):
+    # no lag of a block of length L may wrap, so n >= 2L; and never longer
+    # than the next power of two; one block up to 2^14 residues
+    for p in ODD_PRIMES_BELOW_500 + [15629, 16381, 16411, 390_647, 9_765_629]:
+        size, n = _route_lengths(monkeypatch, p)
+        assert n >= 2 * size and _smooth(n), p
+        assert n <= 1 << (2 * size - 1).bit_length(), p
+        assert (size == p) == (p <= 2**14), p
         if p < 500:  # and the least such length
-            assert not any(_smooth(m) for m in range(p + 1, n)), p
-    assert charsums._fft_length(390_647 + 1) == 393_216  # p_3, against 786 432 for 2p
-    assert charsums._fft_length(9_765_629 + 1) == 9_830_400  # p_4, against 19 660 800
+            assert not any(_smooth(m) for m in range(2 * size, n)), p
+    assert _route_lengths(monkeypatch, 16411) == (8206, 16875)  # the first prime with two blocks
+    assert _route_lengths(monkeypatch, 390_647) == (16277, 32768)  # p_3 in 24 blocks
+    assert _route_lengths(monkeypatch, 9_765_629) == (305_176, 614_400)  # p_4 in 32 blocks
 
 
-def _skew_inverse_transform(monkeypatch, which, index):
-    # irfft with entry `index` of its output moved by 1e-6, on the power
-    # spectrum (a zero imaginary part) or on the cross spectrum only
+def _skew_window(monkeypatch, window, index):
+    # irfft with entry `index` of its output moved by 1e-6 in the route's
+    # window `window` (0 the power window); the test clears the returned
+    # call list before each run of the route
     irfft = np.fft.irfft
+    calls = []
 
     def skewed(a, n):
-        r = irfft(a, n)
-        if which == ("power" if not a.imag.any() else "cross"):
-            r[index] += 1e-6
-        return r
+        out = irfft(a, n)
+        if len(calls) == window:
+            out[index] += 1e-6
+        calls.append(n)
+        return out
 
     monkeypatch.setattr(charsums.np.fft, "irfft", skewed)
+    return calls
 
 
 def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
-    _skew_inverse_transform(monkeypatch, "power", 2)  # s(2) no longer equals s(-2)
+    calls = _skew_window(monkeypatch, 0, 2)  # x_0(2) no longer equals x_0(-2)
     table = ms.LegendreTable(7)  # nothing cached yet
-    with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
-        table.density_fourier
-    with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
-        table.density_fourier  # the failure is not cached
+    for _ in range(2):  # the failure is not cached
+        calls.clear()
+        with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
+            table.density_fourier
 
 
 def test_density_route_refuses_a_skewed_cross_correlation(monkeypatch):
-    # x(2) lands in r(h + 2) = r(6) at p = 7, where no symmetry reaches it
-    _skew_inverse_transform(monkeypatch, "cross", 2)
-    table = ms.LegendreTable(7)
-    with pytest.raises(InternalConsistencyError, match="not integral at p=7, m=6"):
-        table.density_fourier
-    with pytest.raises(InternalConsistencyError, match="not integral at p=7, m=6"):
-        table.density_fourier  # the failure is not cached
+    # p = 7 in blocks of 2 (transforms of n = 4): window 1 holds
+    # x_1(t), t = -1, 0, 1, at lags m = 2 + t; x_1(1) is entry 1 of the
+    # irfft and x_1(-1) entry 3, where no symmetry reaches them
+    monkeypatch.setattr(charsums, "_DENSITY_BLOCK", 2)
+    for index, lag in ((1, 3), (3, 1)):
+        calls = _skew_window(monkeypatch, 1, index)
+        table = ms.LegendreTable(7)
+        for _ in range(2):  # the failure is not cached
+            calls.clear()
+            with pytest.raises(InternalConsistencyError, match=f"not integral at p=7, m={lag}:"):
+                table.density_fourier
+        assert calls == [4, 4]
 
 
 def _has_vmhwm():
@@ -596,8 +653,9 @@ print(hwm_mb() - before)
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
 def test_density_route_peak_memory_at_p_3():
-    # two half-length transforms: the peak grows by about 14 MB at p_3,
-    # where one zero-padded transform of length >= 2p took 23.4 MB
+    # 24 blocks: the peak grows by about 9.4 MB at p_3, the block spectra
+    # (16p bytes) and r (8p); two half-length transforms took 14 MB, and
+    # one zero-padded transform of length >= 2p 23.4 MB
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(ms.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -605,7 +663,7 @@ def test_density_route_peak_memory_at_p_3():
         [sys.executable, "-c", DENSITY_PEAK_CHILD], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) < 18
+    assert float(done.stdout) < 11
 
 
 def test_density_mean_is_one():

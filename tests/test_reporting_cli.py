@@ -1206,8 +1206,8 @@ def test_capped_runs_read_the_childs_own_peak():
     code, _, small = paired_cli.run(SRC, [])
     assert code == 0 and 0 < small < 32
     # the reading still sees the child's own growth: the density route at
-    # p = 3 000 017 transforms the halves of its signs zero-padded to
-    # 3 037 500 points each
+    # p = 3 000 017 holds the spectra of 32 blocks of 93 751 signs, each
+    # zero-padded to 192 000 points, and the command peaks at about 110 MB
     code, _, _, large = run_capped("coeffs", "--primes", "3000017", "1")
     assert code == 0 and large > 100
 
@@ -1329,8 +1329,8 @@ def test_certify_names_the_first_probable_prime(capsys):
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("json", "e5cc7db2186c77a6eafa161a197f2ecb9a8cf91edc869e0b22b416b88a3c7a16"),
-        ("csv", "0969b7ac9e618a301ab53b01897913bf3dec4fae74b3ed69731128d042087522"),
+        ("json", "c069c14b7c3c7d42ceafab0909c71d0f01604c6370fda7ab5724a9f2c0ba46bc"),
+        ("csv", "2dba1ca0205942e9e61e177ff51cd7759bae1b33bd9b1bea2c0d281475ea3fc1"),
     ],
 )
 def test_largest_coeffs_report_is_pinned(capsys, fmt, digest):
