@@ -33,18 +33,21 @@ residues m apart meets in exactly one window, so r(m) = sum_w x_w(m - wL)
 over |m - wL| < L is exact up to round-off.  The power window x_0 comes
 from separately rounded squares re^2 + im^2, never a fused multiply-add.
 On the p-th roots the lags m and m - p alias: c(j) = (r(j) + r(j - p)) / p.
-The symmetry x_0(t) = x_0(-t) and an integer value at every lag of every
+density_fourier keeps r only at the lags j and p - j of the shifts it is
+asked for, so past the block spectra it holds O(L + shifts) numbers.  The
+symmetry x_0(t) = x_0(-t) and an integer value at every lag of every
 window, before it is added in, are its round-off checks.
 
 LegendreTable(p) is the single precomputation layer for its prime: its
-int8 sign array (the squares mask) and density_fourier (the density-route
-coefficients), each a pass over the table, are derived at most once, on
-first use, and freed with the table.  No cache keeps a table: a context
-(cocycle.build_context) owns one per prime.  check_table_prime is the
-one size guard: a prime past _TABLE_BUDGET residues gets no squares
-mask, and so no density route and no Gauss sums either, while a table of
-any odd prime can be made and asked what needs only p.  flatness_report
-reads the extremes of |P| and the sup of |P|^2 off p, by the Gauss sum.
+int8 sign array (the squares mask), a pass over the table, is derived at
+most once, on first use, and freed with the table; the density route
+reads it at the shifts each call asks for and caches nothing.  No cache
+keeps a table: a context (cocycle.build_context) owns one per prime.
+check_table_prime is the one size guard: a prime past _TABLE_BUDGET
+residues gets no squares mask, and so no density route and no Gauss
+sums either, while a table of any odd prime can be made and asked what
+needs only p.  flatness_report reads the extremes of |P| and the sup of
+|P|^2 off p, by the Gauss sum.
 For j != 0 the Jacobi sum gives p * c(j) = -1 + chi(j) + chi(-j), chi
 the signs off 0, which chi(-1) = (-1)^((p-1)/2) collapses to -1 when
 p = 3 (mod 4) and to 2 chi(j) - 1 when p = 1 (mod 4) (Ireland & Rosen,
@@ -128,12 +131,12 @@ def _check_odd_prime(p: int) -> None:
 class LegendreTable:
     """The quadratic-character sign table of an odd prime p: +1 at 0 and on
     the nonzero squares mod p, -1 elsewhere (Euler's criterion, as in
-    legendre, is the reference).  The prime is checked here; the read-only
-    arrays `signs` (int8) and `density_fourier` are built on first read;
-    `signs`, and so `density_fourier`, refuse a prime past
-    check_table_prime before anything is allocated.
+    legendre, is the reference).  The prime is checked here; the one
+    cached array, the read-only int8 `signs`, is built on first read, and
+    it refuses a prime past check_table_prime before anything is
+    allocated, and so does density_fourier, which reads it first.
 
-    Making a table is free; the two arrays live as long as the table.
+    Making a table is free; the signs live as long as the table.
     Tables compare by identity, and none is shared: a context holds its own.
     """
 
@@ -147,49 +150,6 @@ class LegendreTable:
         signs = _quadratic_signs(self.prime)
         signs.flags.writeable = False
         return signs
-
-    @cached_property
-    def density_fourier(self) -> np.ndarray:
-        """c(j) for every shift j by the density route off the real FFTs of
-        the table's blocks of L residues, each at length _fft_length(2 L)
-        (see the module docstring); read-only."""
-        # the signs first: a prime past the table budget is refused before any array
-        p, h, signs = self.prime, (self.prime + 1) // 2, self.signs
-        size = -(-p // min(_DENSITY_BLOCKS, -(-p // _DENSITY_BLOCK)))
-        n = _fft_length(2 * size)
-        spectra = np.empty((-(-p // size), n // 2 + 1), np.complex128)
-        # acc sums a window's spectrum, one product at a time in tmp; the
-        # power window's keeps a zero imaginary part, so irfft makes no
-        # complex copy of a float input
-        acc, tmp, r = np.zeros_like(spectra[0]), np.empty_like(spectra[0]), np.zeros(p)
-        for i, row in enumerate(spectra):
-            row[:] = np.fft.rfft(signs[i * size : (i + 1) * size], n)
-            # |F_i|^2 from separately rounded squares: no fused multiply-add
-            np.square(row.view(np.float64), out=tmp.view(np.float64))
-            acc.real += np.add(tmp.real, tmp.imag, out=tmp.real)
-        for w, start in enumerate(range(0, p, size)):
-            # a cross window by numpy's complex multiply, a run of
-            # frequencies at a time, so that its part of tmp stays in cache
-            for f in range(0, n // 2 + 1, _SPECTRUM_RUN) if w else ():
-                part, spare = acc[f : f + _SPECTRUM_RUN], tmp[f : f + _SPECTRUM_RUN]
-                part[:] = 0
-                for a, b in zip(spectra[:, f : f + _SPECTRUM_RUN], spectra[w:, f : f + _SPECTRUM_RUN]):
-                    part += np.multiply(np.conjugate(a, out=spare), b, out=spare)
-            x = np.fft.irfft(acc, n)
-            if not w:  # x_0(t) against x_0(-t), 0 < t <= L
-                _check_round_off(x[1 : size + 1] - x[: n - size - 1 : -1], 1, p, "not symmetric")
-            # x_w(t) lands at lag m = start + t, t in (-L, L), 0 <= m < p;
-            # tmp is free once irfft has read acc
-            m0, m1 = max(start - size + 1, 0), min(start + size, p)
-            window = np.concatenate((x[n + m0 - start :], x[: m1 - start]), out=tmp.view(np.float64)[: m1 - m0])
-            _check_round_off(window - np.rint(window), m0, p, "not integral")
-            r[m0:m1] += window
-        # p c(j) = r(j) + r(j - p) = r(j) + r(p - j) = p c(p - j)
-        np.add(r[1:h], r[: h - 1 : -1], out=r[1:h])
-        r[h:] = r[h - 1 : 0 : -1]
-        r /= p
-        r.flags.writeable = False
-        return r
 
 
 def _check_round_off(dev: np.ndarray, first: int, p: int, what: str) -> None:
@@ -215,6 +175,59 @@ def _fft_length(m: int) -> int:
             odd *= 3
         odd5 *= 5
     return best
+
+
+def density_fourier(table: LegendreTable, shifts: np.ndarray) -> np.ndarray:
+    """c(j), p = table.prime, for each shift j in 0..p-1 of an int array
+    (np.arange(p) for every shift), as a fresh float64 array of its shape,
+    by the density route off the real FFTs of the table's blocks of L
+    residues, each at length _fft_length(2 L) (see the module docstring).
+    r is kept only at the sorted distinct lags j and p - j, with r(p) = 0
+    standing in for j = 0; every lag of every window is still checked."""
+    # the signs first: a prime past the table budget is refused before any array
+    p, signs, shifts = table.prime, table.signs, np.asarray(shifts)
+    wanted = np.zeros(p + 1, bool)
+    wanted[shifts] = wanted[p - shifts] = True
+    lags = np.flatnonzero(wanted)
+    del wanted  # p bytes, freed before the spectra are made
+    size = -(-p // min(_DENSITY_BLOCKS, -(-p // _DENSITY_BLOCK)))
+    n = _fft_length(2 * size)
+    spectra = np.empty((-(-p // size), n // 2 + 1), np.complex128)
+    # acc sums a window's spectrum, one product at a time in tmp; the
+    # power window's keeps a zero imaginary part, so irfft makes no
+    # complex copy of a float input; once irfft has read acc into x, dev
+    # (over acc) takes the window's deviations and tmp the window
+    acc, tmp, r, x = np.zeros_like(spectra[0]), np.empty_like(spectra[0]), np.zeros(lags.size), np.empty(n)
+    dev = acc.view(np.float64)
+    for i, row in enumerate(spectra):
+        np.fft.rfft(signs[i * size : (i + 1) * size], n, out=row)
+        # |F_i|^2 from separately rounded squares: no fused multiply-add
+        np.square(row.view(np.float64), out=tmp.view(np.float64))
+        acc.real += np.add(tmp.real, tmp.imag, out=tmp.real)
+    for w, start in enumerate(range(0, p, size)):
+        # a cross window by numpy's complex multiply, a run of
+        # frequencies at a time, so that its part of tmp stays in cache
+        for f in range(0, n // 2 + 1, _SPECTRUM_RUN) if w else ():
+            part, spare = acc[f : f + _SPECTRUM_RUN], tmp[f : f + _SPECTRUM_RUN]
+            part[:] = 0
+            for a, b in zip(spectra[:, f : f + _SPECTRUM_RUN], spectra[w:, f : f + _SPECTRUM_RUN]):
+                part += np.multiply(np.conjugate(a, out=spare), b, out=spare)
+        np.fft.irfft(acc, n, out=x)
+        if not w:  # x_0(t) against x_0(-t), 0 < t <= L
+            _check_round_off(np.subtract(x[1 : size + 1], x[: n - size - 1 : -1], out=dev[:size]), 1, p, "not symmetric")
+        # x_w(t) lands at lag m = start + t, t in (-L, L), 0 <= m < p,
+        # and is added in at the wanted lags among them
+        m0, m1 = max(start - size + 1, 0), min(start + size, p)
+        window = np.concatenate((x[n + m0 - start :], x[: m1 - start]), out=tmp.view(np.float64)[: m1 - m0])
+        off = dev[: m1 - m0]
+        _check_round_off(np.subtract(window, np.rint(window, out=off), out=off), m0, p, "not integral")
+        lo, hi = np.searchsorted(lags, (m0, m1))
+        r[lo:hi] += window[lags[lo:hi] - m0]
+    # p c(j) = r(j) + r(j - p) = r(j) + r(p - j) = p c(p - j); the lags
+    # are closed under m -> p - m, so p - j sits where j does in reverse
+    r += r[::-1]
+    r /= p
+    return r[np.searchsorted(lags, shifts)]
 
 
 def window_autocorrelation_numerators(signs: np.ndarray) -> np.ndarray:
@@ -378,5 +391,5 @@ def check_prime(p: int) -> PrimeCheck:
     mask_ok = np.array_equal(table.signs[1:], chi[1:])
     closed = jacobi_numerators(table, np.arange(p))
     closed_form_ok = mask_ok and np.array_equal(numerators, closed)
-    density_error = np.abs(numerators / p - table.density_fourier).max()
+    density_error = np.abs(numerators / p - density_fourier(table, np.arange(p))).max()
     return PrimeCheck(gauss_error, parity_error, flatness_error, density_error, closed_form_ok)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import morsespec as ms
 from morsespec import charsums
-from morsespec.charsums import jacobi_numerators, legendre_symbols
+from morsespec.charsums import density_fourier, jacobi_numerators, legendre_symbols
 from morsespec.errors import BudgetError, ConfigError, InternalConsistencyError
 from oracles import (
     autocorrelation_closed_form,
@@ -95,9 +95,9 @@ def test_legendre_table_refuses_primes_past_the_table_budget(monkeypatch):
     monkeypatch.setattr(charsums.np, "full", no_mask)
     table = ms.LegendreTable(6_103_515_637)  # p_6 of the theorem sequence
     line = "the sign table of 6103515637 needs 6103515637 residues, budget is 16777216"
-    for attr in ("signs", "density_fourier"):
+    for read in (lambda: table.signs, lambda: density_fourier(table, [1])):
         with pytest.raises(BudgetError) as err:
-            getattr(table, attr)
+            read()
         assert str(err.value) == line
     assert charsums._TABLE_BUDGET == 2**24
     charsums.check_table_prime(2**24)
@@ -105,15 +105,21 @@ def test_legendre_table_refuses_primes_past_the_table_budget(monkeypatch):
         charsums.check_table_prime(2**24 + 1)
 
 
-def test_the_table_budget_is_the_density_fft_budget():
-    # a 5-smooth length >= 2h = p + 1 is at most 2^24 exactly when
-    # p < 2^24, as 2^24 is itself one: the table budget bounds the density
-    # FFTs too
-    for p in (16_777_213, 16_777_259, *ms.theorem_primes(6)):
-        assert sympy.isprime(p), p
-        fits = charsums._fft_length(p + 1) <= 2**24
-        assert fits == (p < charsums._TABLE_BUDGET), p
-    assert charsums._fft_length(16_777_213 + 1) == 2**24
+def test_the_table_budget_is_the_density_fft_budget(monkeypatch):
+    # the largest prime under the table budget runs the density route in
+    # 32 blocks of 2^19 residues, each transformed at 2^20 points; the
+    # first prime past it is refused at its sign read, before any array
+    assert sympy.isprime(16_777_213) and sympy.nextprime(16_777_213) == 16_777_259
+    assert 16_777_213 < charsums._TABLE_BUDGET < 16_777_259
+    assert _route_lengths(monkeypatch, 16_777_213) == (2**19, 2**20)
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for name in ("asarray", "zeros", "empty", "full"):
+        monkeypatch.setattr(charsums.np, name, no_array)
+    with pytest.raises(BudgetError, match="the sign table of 16777259 needs"):
+        density_fourier(ms.LegendreTable(16_777_259), [1])
 
 
 def test_gauss_sums_refuse_primes_past_the_table_budget(monkeypatch):
@@ -451,29 +457,29 @@ def test_autocorrelation_symmetry_and_size():
 def test_density_fourier_route_agrees_with_autocorrelation():
     for p in (5, 7, 11, 29, 631):
         exact = np.array(_autocorrelations(p), dtype=float)
-        assert np.abs(exact - ms.LegendreTable(p).density_fourier).max() < 1e-12, p
+        assert np.abs(exact - density_fourier(ms.LegendreTable(p), np.arange(p))).max() < 1e-12, p
     # large prime: spot checks
     exact = _autocorrelations(15629)
-    density = ms.LegendreTable(15629).density_fourier
-    for j in (0, 1, 2, 7814, 15628):
-        assert abs(float(exact[j]) - density[j]) < 1e-12
+    shifts = [0, 1, 2, 7814, 15628]
+    density = density_fourier(ms.LegendreTable(15629), shifts)
+    for j, value in zip(shifts, density):
+        assert abs(float(exact[j]) - value) < 1e-12
 
 
 def test_density_route_matches_exact_numerators_at_every_shift():
     for p in ODD_PRIMES_BELOW_500:
         table = ms.LegendreTable(p)
-        route = table.density_fourier
-        assert not route.flags.writeable
+        route = density_fourier(table, np.arange(p))
         assert np.abs(route - jacobi_numerators_gather(table.signs, np.arange(p)) / p).max() < 1e-12, p
     # p = 3 pads to n = 6, the smallest transform
-    assert ms.LegendreTable(3).density_fourier.tolist() == pytest.approx(
+    assert density_fourier(ms.LegendreTable(3), np.arange(3)).tolist() == pytest.approx(
         [1, -1 / 3, -1 / 3], abs=1e-15
     )
     for p in (15629, 390_647):
         chi = legendre_symbols(p)
         closed = (-1 + chi + chi[-np.arange(p) % p]) / p
         closed[0] = 1
-        assert np.abs(ms.LegendreTable(p).density_fourier - closed).max() < 1e-12, p
+        assert np.abs(density_fourier(ms.LegendreTable(p), np.arange(p)) - closed).max() < 1e-12, p
 
 
 def _blocked_reference(signs, size):
@@ -497,16 +503,22 @@ def _blocked_reference(signs, size):
 
 @pytest.mark.parametrize("p", [3, 5, 29, 997, 15629, 16411])
 def test_density_fourier_is_bit_identical_to_the_reference(monkeypatch, p):
-    # the method's in-place products, its reused buffers, its runs of
-    # frequencies and its slice windows must not move a bit: one block up
-    # to 2^14 residues and two at 16411, then three blocks of ceil(p / 3),
-    # the last one short, with cross spectra summed 7 frequencies at a time
+    # the route's in-place products, its reused buffers, its runs of
+    # frequencies, its slice windows and its lags kept at the shifts asked
+    # for must not move a bit: one block up to 2^14 residues and two at
+    # 16411, then three blocks of ceil(p / 3), the last one short, with
+    # cross spectra summed 7 frequencies at a time; at every shift, and
+    # at a 2-D array of shifts with repeats, 0, h - 1, h and p - 1
+    h = (p + 1) // 2
+    shifts = np.random.default_rng(p).integers(p, size=(4, 6))
+    shifts.flat[:6] = [0, h - 1, h, p - 1, 0, h]
     table = ms.LegendreTable(p)
-    assert np.array_equal(table.density_fourier, _blocked_reference(table.signs, -(-p // -(-p // 2**14))))
-    monkeypatch.setattr(charsums, "_DENSITY_BLOCK", -(-p // 3))
-    monkeypatch.setattr(charsums, "_SPECTRUM_RUN", 7)
-    table = ms.LegendreTable(p)
-    assert np.array_equal(table.density_fourier, _blocked_reference(table.signs, -(-p // 3)))
+    for size in (-(-p // -(-p // 2**14)), -(-p // 3)):
+        reference = _blocked_reference(table.signs, size)
+        assert np.array_equal(density_fourier(table, np.arange(p)), reference)
+        assert np.array_equal(density_fourier(table, shifts), reference[shifts])
+        monkeypatch.setattr(charsums, "_DENSITY_BLOCK", -(-p // 3))
+        monkeypatch.setattr(charsums, "_SPECTRUM_RUN", 7)
 
 
 def test_density_route_at_every_block_count():
@@ -521,7 +533,7 @@ def test_density_route_at_every_block_count():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(charsums, "_DENSITY_BLOCK", 1)
                 mp.setattr(charsums, "_DENSITY_BLOCKS", count)
-                route = ms.LegendreTable(p).density_fourier
+                route = density_fourier(ms.LegendreTable(p), np.arange(p))
             assert np.abs(route - closed).max() < 1e-15, (p, count)
 
 
@@ -533,12 +545,12 @@ def test_density_route_matches_the_window_sums():
     for p in [q for q in range(3, 2000) if sympy.isprime(q)] + [15629]:
         table = ms.LegendreTable(p)
         numerators = charsums.window_autocorrelation_numerators(table.signs)
-        route = p * table.density_fourier
-        assert np.array_equal(np.rint(route), numerators), p
-        assert np.abs(table.density_fourier - numerators / p).max() < 1e-15, p
+        density = density_fourier(table, np.arange(p))
+        assert np.array_equal(np.rint(p * density), numerators), p
+        assert np.abs(density - numerators / p).max() < 1e-15, p
     p = 390_647
     table = ms.LegendreTable(p)
-    route = p * table.density_fourier
+    route = p * density_fourier(table, np.arange(p))
     assert np.array_equal(np.rint(route), jacobi_numerators(table, np.arange(p)))
     s = table.signs.astype(np.int64)
     h = (p + 1) // 2
@@ -559,12 +571,12 @@ def _route_lengths(monkeypatch, p):
     class Stop(Exception):
         pass
 
-    def first(a, n):
+    def first(a, n, out=None):
         raise Stop(len(a), n)
 
     monkeypatch.setattr(charsums.np.fft, "rfft", first)
     with pytest.raises(Stop) as stop:
-        ms.LegendreTable(p).density_fourier
+        density_fourier(ms.LegendreTable(p), [1])
     return stop.value.args
 
 
@@ -590,8 +602,8 @@ def _skew_window(monkeypatch, window, index):
     irfft = np.fft.irfft
     calls = []
 
-    def skewed(a, n):
-        out = irfft(a, n)
+    def skewed(a, n, out=None):
+        out = irfft(a, n, out=out)
         if len(calls) == window:
             out[index] += 1e-6
         calls.append(n)
@@ -603,11 +615,11 @@ def _skew_window(monkeypatch, window, index):
 
 def test_density_route_refuses_an_asymmetric_autocorrelation(monkeypatch):
     calls = _skew_window(monkeypatch, 0, 2)  # x_0(2) no longer equals x_0(-2)
-    table = ms.LegendreTable(7)  # nothing cached yet
+    table = ms.LegendreTable(7)
     for _ in range(2):  # the failure is not cached
         calls.clear()
         with pytest.raises(InternalConsistencyError, match="not symmetric at p=7, m=2"):
-            table.density_fourier
+            density_fourier(table, np.arange(7))
 
 
 def test_density_route_refuses_a_skewed_cross_correlation(monkeypatch):
@@ -621,7 +633,7 @@ def test_density_route_refuses_a_skewed_cross_correlation(monkeypatch):
         for _ in range(2):  # the failure is not cached
             calls.clear()
             with pytest.raises(InternalConsistencyError, match=f"not integral at p=7, m={lag}:"):
-                table.density_fourier
+                density_fourier(table, np.arange(7))
         assert calls == [4, 4]
 
 
@@ -645,17 +657,19 @@ def hwm_mb():
 np.fft.irfft(np.fft.rfft(np.ones(8)))
 table = charsums.LegendreTable(390647)
 table.signs
+shifts = np.random.default_rng(1).integers(390647, size=150)
 before = hwm_mb()
-table.density_fourier
+charsums.density_fourier(table, shifts)
 print(hwm_mb() - before)
 """
 
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
 def test_density_route_peak_memory_at_p_3():
-    # 24 blocks: the peak grows by about 9.4 MB at p_3, the block spectra
-    # (16p bytes) and r (8p); two half-length transforms took 14 MB, and
-    # one zero-padded transform of length >= 2p 23.4 MB
+    # 24 blocks, read at 150 shifts: the peak grows by about 7.2 MB at
+    # p_3, mostly the block spectra (16p bytes); with r at every lag (8p)
+    # it grew by 10.1 MB, with two half-length transforms by 14 MB, and
+    # with one zero-padded transform of length >= 2p by 23.4 MB
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(ms.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -663,7 +677,7 @@ def test_density_route_peak_memory_at_p_3():
         [sys.executable, "-c", DENSITY_PEAK_CHILD], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) < 11
+    assert float(done.stdout) < 8.5
 
 
 def test_density_mean_is_one():
@@ -672,13 +686,14 @@ def test_density_mean_is_one():
 
 
 def test_cached_density_owns_its_data():
-    # a view into the padded autocorrelation would keep the FFT buffers alive
+    # a view into the route's buffers would keep them alive; the table
+    # caches its signs only
     for p in (5, 29, 15629):
         table = ms.LegendreTable(p)
-        dens = table.density_fourier
+        dens = density_fourier(table, np.arange(p))
         assert dens.dtype == np.float64
         assert dens.base is None and dens.flags.owndata, p
-        assert set(table.__dict__) == {"prime", "signs", "density_fourier"}, p
+        assert set(table.__dict__) == {"prime", "signs"}, p
 
 
 def test_all_shift_numerators_match_an_int64_window_sum():

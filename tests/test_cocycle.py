@@ -53,12 +53,11 @@ def test_tables_live_as_long_as_their_context(cfg5711):
     assert not {id(t) for t in ctx.tables} & {id(t) for t in other.tables}
     refs = []
     for table in ctx.tables:
-        arrays = (table.signs, table.density_fourier)
-        refs += [weakref.ref(obj) for obj in (table, *arrays)]
-    del table, arrays
+        refs += [weakref.ref(obj) for obj in (table, table.signs)]
+    del table
     assert all(ref() is not None for ref in refs)
     del ctx
-    assert [ref() for ref in refs] == [None] * 9
+    assert [ref() for ref in refs] == [None] * 6
     assert all(set(t.__dict__) == {"prime"} for t in other.tables)
 
 
