@@ -197,10 +197,10 @@ def density_fourier(table: LegendreTable, shifts: np.ndarray) -> np.ndarray:
     # power window's keeps a zero imaginary part, so irfft makes no
     # complex copy of a float input; once irfft has read acc into x, dev
     # (over acc) takes the window's deviations and tmp the window
-    acc, tmp, r, x = np.zeros_like(spectra[0]), np.empty_like(spectra[0]), np.zeros(lags.size), np.empty(n)
+    acc, tmp, r = np.zeros_like(spectra[0]), np.empty_like(spectra[0]), np.zeros(lags.size)
     dev = acc.view(np.float64)
     for i, row in enumerate(spectra):
-        np.fft.rfft(signs[i * size : (i + 1) * size], n, out=row)
+        row[:] = np.fft.rfft(signs[i * size : (i + 1) * size], n)
         # |F_i|^2 from separately rounded squares: no fused multiply-add
         np.square(row.view(np.float64), out=tmp.view(np.float64))
         acc.real += np.add(tmp.real, tmp.imag, out=tmp.real)
@@ -212,7 +212,7 @@ def density_fourier(table: LegendreTable, shifts: np.ndarray) -> np.ndarray:
             part[:] = 0
             for a, b in zip(spectra[:, f : f + _SPECTRUM_RUN], spectra[w:, f : f + _SPECTRUM_RUN]):
                 part += np.multiply(np.conjugate(a, out=spare), b, out=spare)
-        np.fft.irfft(acc, n, out=x)
+        x = np.fft.irfft(acc, n)
         if not w:  # x_0(t) against x_0(-t), 0 < t <= L
             _check_round_off(np.subtract(x[1 : size + 1], x[: n - size - 1 : -1], out=dev[:size]), 1, p, "not symmetric")
         # x_w(t) lands at lag m = start + t, t in (-L, L), 0 <= m < p,

@@ -141,7 +141,7 @@ def spectral_coefficient(g: tuple[int, ...], ctx: CocycleContext) -> SpectralCoe
 def spectral_coefficient_from_density(g: tuple[int, ...], ctx: CocycleContext) -> float:
     """coeff(g) by the density route, one Fourier coefficient of |P_n|^2
     per coordinate.  Each call runs the whole route on every table (about
-    1.7 ms at theorem stage 3): pass many elements at once to
+    2.2 ms at theorem stage 3): pass many elements at once to
     spectral_coefficients_from_density."""
     return float(spectral_coefficients_from_density([g], ctx)[0])
 

@@ -1208,7 +1208,7 @@ def test_capped_runs_read_the_childs_own_peak():
     assert code == 0 and 0 < small < 32
     # the reading still sees the child's own growth: the density route at
     # p = 3 000 017 holds the spectra of 32 blocks of 93 751 signs, each
-    # zero-padded to 192 000 points, and the command peaks at about 87 MB,
+    # zero-padded to 192 000 points, and the command peaks at about 88 MB,
     # against a bare child's 30 MB
     code, _, _, large = run_capped("coeffs", "--primes", "3000017", "1")
     assert code == 0 and large > 70
